@@ -4,7 +4,8 @@ Subcommands
 -----------
 rip-estimate / rap-estimate / rop-estimate
     One Monte Carlo estimation run; prints the report as key=value
-    lines (wall_time included) and can append a CSV row.
+    lines (wall_time included); --csv writes the same report as a
+    one-row CSV, replacing any old content.
 isotropy
     Monte Carlo check that averaging A*A over one dictionary
     reproduces the closed-form expectation.
@@ -284,8 +285,9 @@ def _validate_cells(cfg: SweepConfig):
             ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"], flavor=cfg.flavor)
         except ValueError as exc:
             raise ConfigError(f"bad cell {cell}: {exc}") from None
-        if cell["m"] > cell["n"] and cfg.omega_mode == "without_replacement":
-            raise ConfigError(f"bad cell {cell}: m > n without replacement")
+        if cell["m"] > cell["n"]:
+            raise ConfigError(
+                f"bad cell {cell}: m > n; an ensemble keeps at most n samples")
         if (cfg.kind == "recover" and cfg.enforce_flatness
                 and cell["mu1"] is None and cell["mu2"] is None):
             raise ConfigError("enforce_flatness needs mu1 or mu2 in every cell")
@@ -308,8 +310,46 @@ def _fmt_cell_value(v) -> str:
     return str(v)
 
 
-def _estimator_for(kind: str):
-    return {"rip": estimate_rip, "rap": estimate_rap, "rop": estimate_rop}[kind]
+def _run_estimate(kind: str, opts, point: dict, seed: int):
+    """One estimator run at a grid point; opts is a SweepConfig or the
+    parsed subcommand arguments, which name the run options alike."""
+    ens = Ensemble.generate(point["n"], point["m"], opts.phi, opts.psi,
+                            seed=derive_seed(seed, "ensemble"),
+                            omega_mode=opts.omega_mode)
+    spec_u = ModelSpec(point["n"], point["s1"], mu=point["mu1"],
+                       flavor=opts.flavor, side="left")
+    spec_v = ModelSpec(point["n"], point["s2"], mu=point["mu2"],
+                       flavor=opts.flavor, side="right")
+    if kind == "rip":
+        return estimate_rip(ens, spec_u, spec_v, opts.trials, seed=seed)
+    if kind == "rap":
+        return estimate_rap(ens, spec_u, spec_v, opts.trials, seed=seed,
+                            diagonal=opts.diagonal)
+    return estimate_rop(ens, spec_u, spec_v, opts.trials, seed=seed,
+                        orthogonality=opts.orthogonality,
+                        decoupled=opts.decoupled)
+
+
+def _run_recover(opts, point: dict, seed: int):
+    """Plant, solve and score one instance at a grid point (opts as in
+    _run_estimate); returns the ensemble, options, result and noise ratio."""
+    flat = opts.enforce_flatness
+    ens, truth, b, z_norm = plant_instance(
+        point["n"], point["m"], point["s1"], point["s2"], seed=seed,
+        phi_kind=opts.phi, psi_kind=opts.psi,
+        mu1=point["mu1"], mu2=point["mu2"],
+        noise_level=point["noise"], flavor=opts.flavor,
+        omega_mode=opts.omega_mode)
+    solve_opts = SolveOptions(s1=point["s1"], s2=point["s2"],
+                              max_outer_iters=opts.max_outer_iters,
+                              outer_tol=opts.outer_tol,
+                              restarts=opts.restarts, seed=seed,
+                              enforce_flatness=flat,
+                              mu1=point["mu1"] if flat else None,
+                              mu2=point["mu2"] if flat else None)
+    res = recover(ens, b, solve_opts)
+    res.relative_error, noise_ratio = success_metric(res.point, truth, b, z_norm, ens)
+    return ens, solve_opts, res, noise_ratio
 
 
 def _execute_cell(payload) -> dict:
@@ -319,21 +359,7 @@ def _execute_cell(payload) -> dict:
     if cfg.kind == "recover":
         row = _recover_cell(cfg, cell, seed)
     else:
-        ens = Ensemble.generate(cell["n"], cell["m"], cfg.phi, cfg.psi,
-                                seed=derive_seed(seed, "ensemble"),
-                                omega_mode=cfg.omega_mode)
-        spec_u = ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"],
-                           flavor=cfg.flavor, side="left")
-        spec_v = ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"],
-                           flavor=cfg.flavor, side="right")
-        kwargs = {}
-        if cfg.kind == "rap":
-            kwargs["diagonal"] = cfg.diagonal
-        elif cfg.kind == "rop":
-            kwargs["orthogonality"] = cfg.orthogonality
-            kwargs["decoupled"] = cfg.decoupled
-        rep = _estimator_for(cfg.kind)(ens, spec_u, spec_v, cfg.trials,
-                                       seed=seed, **kwargs)
+        rep = _run_estimate(cfg.kind, cfg, cell, seed)
         row = rep.csv_dict(include_wall_time=False)
     return {k: _fmt_cell_value(v) for k, v in row.items()}
 
@@ -342,23 +368,9 @@ def _recover_cell(cfg: SweepConfig, cell: dict, seed: int) -> dict:
     rels = []
     successes = 0
     for t in range(cfg.trials):
-        inst_seed = derive_seed(seed, "instance", t)
         try:
-            ens, truth, b, z_norm = plant_instance(
-                cell["n"], cell["m"], cell["s1"], cell["s2"], seed=inst_seed,
-                phi_kind=cfg.phi, psi_kind=cfg.psi,
-                mu1=cell["mu1"], mu2=cell["mu2"],
-                noise_level=cell["noise"], flavor=cfg.flavor,
-                omega_mode=cfg.omega_mode)
-            opts = SolveOptions(s1=cell["s1"], s2=cell["s2"],
-                                max_outer_iters=cfg.max_outer_iters,
-                                outer_tol=cfg.outer_tol,
-                                restarts=cfg.restarts, seed=inst_seed,
-                                enforce_flatness=cfg.enforce_flatness,
-                                mu1=cell["mu1"] if cfg.enforce_flatness else None,
-                                mu2=cell["mu2"] if cfg.enforce_flatness else None)
-            res = recover(ens, b, opts)
-            rel, _ = success_metric(res.point, truth, b, z_norm, ens)
+            _, _, res, _ = _run_recover(cfg, cell, derive_seed(seed, "instance", t))
+            rel = res.relative_error
         except _NUMERIC_ERRORS:
             rel = float("inf")
         rels.append(rel)
@@ -422,19 +434,7 @@ def _write_csv_row(path: str, fields, row: dict):
 
 
 def _cmd_estimate(args, kind: str) -> int:
-    ens = Ensemble.generate(args.n, args.m, args.phi, args.psi,
-                            seed=derive_seed(args.seed, "ensemble"),
-                            omega_mode=args.omega_mode)
-    spec_u = ModelSpec(args.n, args.s1, mu=args.mu1, flavor=args.flavor, side="left")
-    spec_v = ModelSpec(args.n, args.s2, mu=args.mu2, flavor=args.flavor, side="right")
-    kwargs = {}
-    if kind == "rap":
-        kwargs["diagonal"] = args.diagonal
-    elif kind == "rop":
-        kwargs["orthogonality"] = args.orthogonality
-        kwargs["decoupled"] = args.decoupled
-    rep = _estimator_for(kind)(ens, spec_u, spec_v, args.trials,
-                               seed=args.seed, **kwargs)
+    rep = _run_estimate(kind, args, vars(args), args.seed)
     row = rep.csv_dict(include_wall_time=True)
     row["resamples"] = rep.resamples
     _print_kv(row)
@@ -460,20 +460,7 @@ def _cmd_isotropy(args) -> int:
 
 def _cmd_recover(args) -> int:
     t0 = time.perf_counter()
-    ens, truth, b, z_norm = plant_instance(
-        args.n, args.m, args.s1, args.s2, seed=args.seed,
-        phi_kind=args.phi, psi_kind=args.psi, mu1=args.mu1, mu2=args.mu2,
-        noise_level=args.noise, flavor=args.flavor, omega_mode=args.omega_mode)
-    opts = SolveOptions(s1=args.s1, s2=args.s2,
-                        max_outer_iters=args.max_outer_iters,
-                        outer_tol=args.outer_tol,
-                        restarts=args.restarts, seed=args.seed,
-                        enforce_flatness=args.enforce_flatness,
-                        mu1=args.mu1 if args.enforce_flatness else None,
-                        mu2=args.mu2 if args.enforce_flatness else None)
-    res = recover(ens, b, opts)
-    rel, noise_ratio = success_metric(res.point, truth, b, z_norm, ens)
-    res.relative_error = rel
+    ens, opts, res, noise_ratio = _run_recover(args, vars(args), args.seed)
     row = res.csv_dict(ens, opts, args.seed)
     row["noise_ratio"] = noise_ratio
     row["wall_time"] = time.perf_counter() - t0

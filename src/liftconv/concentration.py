@@ -30,7 +30,13 @@ from .measurement import (
     sample_omega,
     _gaussian_dictionary,
 )
-from .models import InfeasibleModelError, ModelSpec, OrthogonalizationError, sample_model
+from .models import (
+    InfeasibleModelError,
+    ModelSpec,
+    OrthogonalizationError,
+    orthogonalize_pair,
+    sample_model,
+)
 from .util import derive_seed, rng_for
 
 __all__ = [
@@ -101,7 +107,7 @@ class EstimateReport:
         return row
 
 
-def _finish_report(kind, devs, witness, seed, t0, ens, spec_u, spec_v, resamples=0):
+def _finish_report(kind, devs, witness, seed, t0, n, m, spec_u, spec_v):
     qs = np.quantile(devs, [0.5, 0.9, 0.99])
     return EstimateReport(
         kind=kind,
@@ -110,16 +116,50 @@ def _finish_report(kind, devs, witness, seed, t0, ens, spec_u, spec_v, resamples
         quantiles={0.5: float(qs[0]), 0.9: float(qs[1]), 0.99: float(qs[2])},
         seed=seed,
         wall_time=time.perf_counter() - t0,
-        n=ens.n,
-        m=ens.m,
+        n=n,
+        m=m,
         s1=None if spec_u is None else spec_u.s,
         s2=None if spec_v is None else spec_v.s,
         mu1=None if spec_u is None else spec_u.mu,
         mu2=None if spec_v is None else spec_v.mu,
-        resamples=resamples,
         witness=witness,
         deviations=devs,
     )
+
+
+def _run_trials(kind, n, m, spec_u, spec_v, trials, seed, trial):
+    """Run trial(t, rng) -> (deviation, draws) on every trial stream.
+
+    The witness is the first trial reaching the maximum deviation; it
+    holds that trial's draws between its deviation and its seed.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    t0 = time.perf_counter()
+    devs = np.empty(trials)
+    witness = {}
+    for t in range(trials):
+        dev, draws = trial(t, rng_for(seed, "trial", t))
+        devs[t] = dev
+        if not witness or dev > witness["deviation"]:
+            witness = {"trial": t, "deviation": dev, **draws,
+                       "seed": derive_seed(seed, "trial", t)}
+    return _finish_report(kind, devs, witness, seed, t0, n, m, spec_u, spec_v)
+
+
+def _decoupled_form(ens, p_hat, p, rng):
+    """<A'(p_hat), A''(p)> with independent dictionary copies per side.
+
+    The hatted side gets a fresh phi, then the plain side a fresh psi,
+    each drawn from rng only when that dictionary is not the identity.
+    """
+    ens_hat = ens.with_dictionaries(
+        phi=None if ens.phi is None else _gaussian_dictionary(ens.n, rng)
+    )
+    ens_plain = ens.with_dictionaries(
+        psi=None if ens.psi is None else _gaussian_dictionary(ens.n, rng)
+    )
+    return np.vdot(forward(ens_hat, p_hat), forward(ens_plain, p))
 
 
 def estimate_rip(
@@ -130,23 +170,16 @@ def estimate_rip(
     seed: int = 0,
 ) -> EstimateReport:
     """Sample max of | ||A(u v^T)||^2 - ||u v^T||_F^2 | / ||u v^T||_F^2."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    t0 = time.perf_counter()
-    devs = np.empty(trials)
-    witness = {}
-    for t in range(trials):
-        rng = rng_for(seed, "trial", t)
+
+    def trial(t, rng):
         u = sample_model(spec_u, rng)
         v = sample_model(spec_v, rng)
         p = LiftedPoint(u, v)
         wsq = p.norm_f**2
         dev = abs(np.linalg.norm(forward(ens, p)) ** 2 - wsq) / wsq
-        devs[t] = dev
-        if not witness or dev > witness["deviation"]:
-            witness = {"trial": t, "deviation": dev, "u": u, "v": v,
-                       "seed": derive_seed(seed, "trial", t)}
-    return _finish_report("rip", devs, witness, seed, t0, ens, spec_u, spec_v)
+        return dev, {"u": u, "v": v}
+
+    return _run_trials("rip", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
 
 
 def estimate_rap(
@@ -165,13 +198,8 @@ def estimate_rap(
     With diagonal=True the hatted pair aliases the plain pair and the
     statistic reduces to the isometry deviation on the same draws.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    t0 = time.perf_counter()
-    devs = np.empty(trials)
-    witness = {}
-    for t in range(trials):
-        rng = rng_for(seed, "trial", t)
+
+    def trial(t, rng):
         u = sample_model(spec_u, rng)
         v = sample_model(spec_v, rng)
         if diagonal:
@@ -183,13 +211,9 @@ def estimate_rap(
         p_hat = LiftedPoint(u_hat, v_hat)
         denom = p.norm_f * p_hat.norm_f
         val = np.vdot(forward(ens, p_hat), forward(ens, p)) - lifted_inner(p_hat, p)
-        dev = abs(val) / denom
-        devs[t] = dev
-        if not witness or dev > witness["deviation"]:
-            witness = {"trial": t, "deviation": dev, "u": u, "v": v,
-                       "u_hat": u_hat, "v_hat": v_hat,
-                       "seed": derive_seed(seed, "trial", t)}
-    return _finish_report("rap", devs, witness, seed, t0, ens, spec_u, spec_v)
+        return abs(val) / denom, {"u": u, "v": v, "u_hat": u_hat, "v_hat": v_hat}
+
+    return _run_trials("rap", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
 
 
 def estimate_rop(
@@ -217,18 +241,12 @@ def estimate_rop(
     resample the whole 4-tuple from the trial stream and are counted in
     the report's resamples field.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if orthogonality not in ("both", "either"):
         raise ValueError("orthogonality must be 'both' or 'either'")
-    from .models import orthogonalize_pair
-
-    t0 = time.perf_counter()
-    devs = np.empty(trials)
-    witness = {}
     resamples = 0
-    for t in range(trials):
-        rng = rng_for(seed, "trial", t)
+
+    def trial(t, rng):
+        nonlocal resamples
         for attempt in range(max_attempts):
             u = sample_model(spec_u, rng)
             v = sample_model(spec_v, rng)
@@ -254,23 +272,15 @@ def estimate_rop(
         p = LiftedPoint(u, v)
         p_hat = LiftedPoint(u_hat, v_hat)
         if decoupled:
-            ens_hat = ens.with_dictionaries(
-                phi=None if ens.phi is None else _gaussian_dictionary(ens.n, rng)
-            )
-            ens_plain = ens.with_dictionaries(
-                psi=None if ens.psi is None else _gaussian_dictionary(ens.n, rng)
-            )
-            val = np.vdot(forward(ens_hat, p_hat), forward(ens_plain, p))
+            val = _decoupled_form(ens, p_hat, p, rng)
         else:
             val = np.vdot(forward(ens, p_hat), forward(ens, p))
         dev = abs(val) / (p.norm_f * p_hat.norm_f)
-        devs[t] = dev
-        if not witness or dev > witness["deviation"]:
-            witness = {"trial": t, "deviation": dev, "u": u, "v": v,
-                       "u_hat": u_hat, "v_hat": v_hat,
-                       "seed": derive_seed(seed, "trial", t)}
-    return _finish_report("rop", devs, witness, seed, t0, ens, spec_u, spec_v,
-                          resamples=resamples)
+        return dev, {"u": u, "v": v, "u_hat": u_hat, "v_hat": v_hat}
+
+    rep = _run_trials("rop", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
+    rep.resamples = resamples
+    return rep
 
 
 def estimate_rip_matrix(
@@ -285,29 +295,17 @@ def estimate_rip_matrix(
     model. Every draw lies in the model set, so the estimate can never
     exceed the exact restricted constant of A at the same level.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[1] != spec.n:
         raise ValueError("A must be m x n with n matching the model")
-    t0 = time.perf_counter()
-    devs = np.empty(trials)
-    witness = {}
-    for t in range(trials):
-        rng = rng_for(seed, "trial", t)
+
+    def trial(t, rng):
         x = sample_model(spec, rng)
         nsq = float(np.linalg.norm(x) ** 2)
-        dev = abs(float(np.linalg.norm(A @ x) ** 2) - nsq) / nsq
-        devs[t] = dev
-        if not witness or dev > witness["deviation"]:
-            witness = {"trial": t, "deviation": dev, "x": x,
-                       "seed": derive_seed(seed, "trial", t)}
+        return abs(float(np.linalg.norm(A @ x) ** 2) - nsq) / nsq, {"x": x}
 
-    class _Shim:
-        n = A.shape[1]
-        m = A.shape[0]
-
-    return _finish_report("matrix-rip", devs, witness, seed, t0, _Shim, spec, None)
+    return _run_trials("matrix-rip", A.shape[1], A.shape[0], spec, None,
+                       trials, seed, trial)
 
 
 def exact_rip_small(A: np.ndarray, s: int) -> float:
@@ -438,9 +436,7 @@ def rop_form_samples(
         psi = _gaussian_dictionary(n, rng)
         base = Ensemble(n=n, m=m, omega=omega, seed=seed, phi=phi, psi=psi)
         if decoupled:
-            ens_hat = base.with_dictionaries(phi=_gaussian_dictionary(n, rng))
-            ens_plain = base.with_dictionaries(psi=_gaussian_dictionary(n, rng))
-            vals[k] = np.vdot(forward(ens_hat, p_hat), forward(ens_plain, p))
+            vals[k] = _decoupled_form(base, p_hat, p, rng)
         else:
             vals[k] = np.vdot(forward(base, p_hat), forward(base, p))
     return vals

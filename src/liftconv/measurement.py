@@ -105,6 +105,13 @@ def _gaussian_dictionary(n: int, rng: np.random.Generator) -> np.ndarray:
     return complex_gaussian(rng, (n, n)) / np.sqrt(n)
 
 
+def _seeded_dictionaries(n: int, phi_kind: str, psi_kind: str, seed: int):
+    # phi and psi from their own streams derived from seed; None for identity
+    phi = None if phi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "phi"))
+    psi = None if psi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "psi"))
+    return phi, psi
+
+
 @dataclass
 class Ensemble:
     """One frozen draw of the measurement model.
@@ -156,8 +163,7 @@ class Ensemble:
         dictionaries can be regenerated later from the seed alone even
         though omega is stored explicitly.
         """
-        phi = None if phi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "phi"))
-        psi = None if psi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "psi"))
+        phi, psi = _seeded_dictionaries(n, phi_kind, psi_kind, seed)
         omega = sample_omega(n, m, omega_mode, rng_for(seed, "omega"))
         return cls(n=n, m=m, omega=omega, phi_kind=phi_kind, psi_kind=psi_kind,
                    seed=seed, phi=phi, psi=psi)
@@ -204,8 +210,7 @@ class Ensemble:
         """Rebuild from a config record, regenerating the dictionaries."""
         n, seed = int(cfg["n"]), int(cfg["seed"])
         phi_kind, psi_kind = cfg["phi_kind"], cfg["psi_kind"]
-        phi = None if phi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "phi"))
-        psi = None if psi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "psi"))
+        phi, psi = _seeded_dictionaries(n, phi_kind, psi_kind, seed)
         return cls(n=n, m=int(cfg["m"]), omega=np.asarray(cfg["omega"], dtype=np.intp),
                    phi_kind=phi_kind, psi_kind=psi_kind, seed=seed, phi=phi, psi=psi)
 

@@ -98,6 +98,9 @@ def test_parse_config_overrides_win():
 def test_parse_config_validates_cells():
     with pytest.raises(ConfigError, match="m > n"):
         parse_config("kind=rip\nn=4\nm=8\ns1=1\ns2=1\n")
+    with pytest.raises(ConfigError, match="m > n"):
+        parse_config("kind=rap\nn=16\nm=32\ns1=1\ns2=1\n"
+                     "omega_mode=iid_uniform\n")
     with pytest.raises(ConfigError, match="bad cell"):
         parse_config("kind=rip\nn=8\nm=4\ns1=9\ns2=1\n")
     with pytest.raises(ConfigError, match="enforce_flatness"):
@@ -201,12 +204,18 @@ def test_recover_sweep_fields(tmp_path):
 
 def test_cli_rip_estimate_prints_report(tmp_path, capsys):
     csv_path = tmp_path / "one.csv"
-    code = main(["rip-estimate", "--n", "8", "--m", "4", "--s1", "1",
-                 "--s2", "1", "--trials", "3", "--seed", "4",
-                 "--csv", str(csv_path)])
+    argv = ["rip-estimate", "--n", "8", "--m", "4", "--s1", "1",
+            "--s2", "1", "--trials", "3", "--seed", "4",
+            "--csv", str(csv_path)]
+    code = main(argv)
     assert code == 0
     out = capsys.readouterr().out
     assert "delta_hat=" in out and "wall_time=" in out
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["kind"] == "rip"
+    # a second run replaces the file rather than appending to it
+    assert main(argv) == 0
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["kind"] == "rip"

@@ -147,6 +147,12 @@ def test_matrix_estimate_never_exceeds_enumerated_constant():
     exact = exact_rip_small(A, 2)
     rep = estimate_rip_matrix(A, ModelSpec(10, 2), 500, seed=73)
     assert rep.delta_hat <= exact + 1e-12
+    assert (rep.kind, rep.n, rep.m, rep.s2, rep.mu2) == (
+        "matrix-rip", A.shape[1], A.shape[0], None, None)
+    x = rep.witness["x"]
+    nsq = np.linalg.norm(x) ** 2
+    replay = abs(np.linalg.norm(A @ x) ** 2 - nsq) / nsq
+    assert replay == pytest.approx(rep.witness["deviation"], rel=1e-12)
 
 
 def test_matrix_estimator_validates():
