@@ -2,12 +2,13 @@
 
 Spectral initialization from the adjoint image of the data, then
 alternating half-steps in the style of hard thresholding pursuit: with
-one factor frozen, the other is solved by least squares (conjugate
-gradients on the normal equations of the implicit partial map when
-unrestricted), hard thresholded, and refit exactly on the selected
-support. Because the half-step problems are underdetermined whenever
-m < n, a plain solve-then-threshold alternation stalls at interpolating
-fixed points; the support-restricted refits remove that failure mode.
+one factor frozen, the other is hard thresholded from a gradient step
+and refit exactly by least squares on the selected support. Because the
+half-step problems are underdetermined whenever m < n, a plain
+solve-then-threshold alternation stalls at interpolating fixed points;
+the support-restricted refits remove that failure mode. The frozen-factor
+map is the m x n matrix sqrt(n/m) F^-1[omega, :] diag(F Psi v) (F Phi)
+(swap Phi and Psi to free the right factor), kept in factored form.
 
 Two further devices widen the basin of attraction. Sparsity
 continuation starts each attempt at a relaxed level (capped by m/3) and
@@ -32,7 +33,6 @@ from .measurement import (
     adjoint_apply,
     forward,
     lifted_dist,
-    partial_forward,
 )
 from .models import ModelSpec, hard_threshold, project_flat, sample_model
 from .util import complex_gaussian, derive_seed, rng_for, unit
@@ -62,8 +62,6 @@ class SolveOptions:
     s2: int
     max_outer_iters: int = 40
     outer_tol: float = 1e-8
-    inner_tol: float = 1e-10
-    inner_max_iters: int = 200
     restarts: int = 14
     resid_stop: float = 1e-7
     seed: int = 0
@@ -74,9 +72,9 @@ class SolveOptions:
     def __post_init__(self):
         if self.s1 < 1 or self.s2 < 1:
             raise ValueError("sparsity levels must be positive")
-        if self.max_outer_iters < 1 or self.inner_max_iters < 1:
+        if self.max_outer_iters < 1:
             raise ValueError("iteration caps must be positive")
-        if self.outer_tol <= 0 or self.inner_tol <= 0 or self.resid_stop <= 0:
+        if self.outer_tol <= 0 or self.resid_stop <= 0:
             raise ValueError("tolerances must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
@@ -115,38 +113,6 @@ class SolveResult:
         }
 
 
-def _cgnr(apply_fn, adjoint_fn, b, x0, tol, max_iters, context: LiftedPoint):
-    """Conjugate gradients on the normal equations, warm started at x0.
-
-    Minimizes ||apply(x) - b|| over the Krylov space through x0; the
-    data-space residual never increases along the way. Stops when the
-    normal residual drops below tol relative to its starting value.
-    """
-    x = x0.astype(complex, copy=True)
-    r = b - apply_fn(x)
-    g = adjoint_fn(r)
-    p = g.copy()
-    gg = float(np.real(np.vdot(g, g)))
-    ref = max(float(np.linalg.norm(adjoint_fn(b))), 1e-300)
-    for _ in range(max_iters):
-        if np.sqrt(gg) <= tol * ref:
-            break
-        q = apply_fn(p)
-        qq = float(np.real(np.vdot(q, q)))
-        if qq == 0.0:
-            if gg > (tol * ref) ** 2:
-                raise SolverBreakdownError("conjugate-gradient breakdown", context)
-            break
-        alpha = gg / qq
-        x += alpha * p
-        r -= alpha * q
-        g = adjoint_fn(r)
-        gg_new = float(np.real(np.vdot(g, g)))
-        p = g + (gg_new / gg) * p
-        gg = gg_new
-    return x
-
-
 # -- initialization -----------------------------------------------------------
 
 
@@ -172,6 +138,10 @@ def _leading_pair_power(matvec, rmatvec, n: int, seed: int, iters: int = 80):
     return np.sqrt(sigma) * (tv / sigma), np.sqrt(sigma) * np.conj(v)
 
 
+def _thresholded_pair(u0: np.ndarray, v0: np.ndarray, k1: int, k2: int) -> LiftedPoint:
+    return LiftedPoint(unit(hard_threshold(u0, k1)), unit(hard_threshold(v0, k2)))
+
+
 def spectral_init(ens: Ensemble, b: np.ndarray, s1: int, s2: int) -> LiftedPoint:
     """Thresholded leading singular pair of the adjoint image of b.
 
@@ -184,34 +154,30 @@ def spectral_init(ens: Ensemble, b: np.ndarray, s1: int, s2: int) -> LiftedPoint
     if np.linalg.norm(b) == 0:
         raise ValueError("cannot initialize from zero measurements")
     if ens.n <= DENSE_GUARD:
-        u0, v0 = _leading_pair_dense(adjoint_apply(ens, b))
-    else:
-        matvec, rmatvec = adjoint_actions(ens, b)
-        u0, v0 = _leading_pair_power(matvec, rmatvec, ens.n, ens.seed)
-    u0 = unit(hard_threshold(u0, s1))
-    v0 = unit(hard_threshold(v0, s2))
-    return LiftedPoint(u0, v0)
+        return _thresholded_pair(*_leading_pair_dense(adjoint_apply(ens, b)), s1, s2)
+    matvec, rmatvec = adjoint_actions(ens, b)
+    return _thresholded_pair(*_leading_pair_power(matvec, rmatvec, ens.n, ens.seed),
+                             s1, s2)
 
 
-def _screened_pair(ens: Ensemble, b: np.ndarray, k1: int, k2: int,
-                   rng=None, weighted: bool = True):
-    """Leading pair of the adjoint image screened to k1 rows, k2 columns.
+def _screened_pair(ens: Ensemble, b: np.ndarray, T: np.ndarray | None,
+                   k1: int, k2: int, rng=None, weighted: bool = True):
+    """Leading pair of the adjoint image T screened to k1 rows, k2 columns.
 
     Rows and columns are picked by energy (rng None), drawn with
     energy-proportional probabilities (weighted restarts), or drawn
-    uniformly (exploration restarts); the rest of the matrix is zeroed
-    before the rank-one extraction. Falls back to the unscreened
-    spectral pair when the adjoint image cannot be materialized.
+    uniformly (exploration restarts); the pair is the leading singular
+    pair of the selected k1 x k2 block, zero elsewhere. T is None when
+    the adjoint image cannot be materialized (n > DENSE_GUARD); the pair
+    then comes from power iteration on the implicit adjoint actions.
     """
-    if ens.n > DENSE_GUARD:
+    if T is None:
         if rng is None:
             return spectral_init(ens, b, k1, k2)
         matvec, rmatvec = adjoint_actions(ens, b)
-        u0, v0 = _leading_pair_power(matvec, rmatvec, ens.n,
-                                     int(rng.integers(2**63)))
-        return LiftedPoint(unit(hard_threshold(u0, k1)),
-                           unit(hard_threshold(v0, k2)))
-    T = adjoint_apply(ens, b)
+        return _thresholded_pair(*_leading_pair_power(matvec, rmatvec, ens.n,
+                                                      int(rng.integers(2**63))),
+                                 k1, k2)
     row_e = np.linalg.norm(T, axis=1) ** 2
     col_e = np.linalg.norm(T, axis=0) ** 2
     if rng is None:
@@ -223,16 +189,19 @@ def _screened_pair(ens: Ensemble, b: np.ndarray, k1: int, k2: int,
     else:
         rows = rng.choice(ens.n, size=k1, replace=False)
         cols = rng.choice(ens.n, size=k2, replace=False)
-    S = np.zeros_like(T)
-    S[np.ix_(rows, cols)] = T[np.ix_(rows, cols)]
-    if not np.any(S):
-        return spectral_init(ens, b, k1, k2)
-    U, _, Vh = np.linalg.svd(S)
-    return LiftedPoint(unit(U[:, 0]), unit(Vh[0, :]))
+    block = T[np.ix_(rows, cols)]
+    if not np.any(block):
+        return _thresholded_pair(*_leading_pair_dense(T), k1, k2)
+    U, _, Vh = np.linalg.svd(block)
+    u = np.zeros(ens.n, dtype=complex)
+    v = np.zeros(ens.n, dtype=complex)
+    u[rows] = U[:, 0]
+    v[cols] = Vh[0, :]
+    return LiftedPoint(unit(u), unit(v))
 
 
-def _attempt_init(ens: Ensemble, b: np.ndarray, k1: int, k2: int,
-                  attempt: int, seed: int) -> LiftedPoint:
+def _attempt_init(ens: Ensemble, b: np.ndarray, T: np.ndarray | None,
+                  k1: int, k2: int, attempt: int, seed: int) -> LiftedPoint:
     """Initialization pool for restarts.
 
     Attempt 0 is the deterministic energy screening; later attempts
@@ -241,13 +210,13 @@ def _attempt_init(ens: Ensemble, b: np.ndarray, k1: int, k2: int,
     basins even when the adjoint image misranks the true support.
     """
     if attempt == 0:
-        return _screened_pair(ens, b, k1, k2)
+        return _screened_pair(ens, b, T, k1, k2)
     rng = rng_for(seed, "restart", attempt)
     flavor = (attempt - 1) % 3
     if flavor == 0:
-        return _screened_pair(ens, b, k1, k2, rng, weighted=True)
+        return _screened_pair(ens, b, T, k1, k2, rng, weighted=True)
     if flavor == 1:
-        return _screened_pair(ens, b, k1, k2, rng, weighted=False)
+        return _screened_pair(ens, b, T, k1, k2, rng, weighted=False)
     return LiftedPoint(unit(complex_gaussian(rng, ens.n)),
                        unit(complex_gaussian(rng, ens.n)))
 
@@ -255,46 +224,63 @@ def _attempt_init(ens: Ensemble, b: np.ndarray, k1: int, k2: int,
 # -- half steps ---------------------------------------------------------------
 
 
-def _partial_columns(pm, J: np.ndarray) -> np.ndarray:
-    """Columns of the partial map restricted to coefficient support J."""
-    ens = pm.ens
-    D = ens.phi if pm.side == "left" else ens.psi
-    block = np.eye(ens.n, dtype=complex)[:, J] if D is None else D[:, J]
-    conv = np.fft.ifft(np.fft.fft(block, axis=0) * pm.fixed_hat[:, None], axis=0)
-    return np.sqrt(ens.n / ens.m) * conv[ens.omega, :]
+def _solve_constants(ens: Ensemble):
+    """(G_phi, G_psi, W) = (F Phi, F Psi, sqrt(n/m) F^-1[omega, :]), F = np.fft.fft.
 
-
-def _restricted_lstsq(pm, b: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
-    cols = _partial_columns(pm, J)
-    sol, *_ = np.linalg.lstsq(cols, b, rcond=None)
-    w = np.zeros(n, dtype=complex)
-    w[J] = sol
-    return w
-
-
-def _half_step(pm, b, w, s, opts, context, log: list):
-    """One factor update with the other frozen.
-
-    Unrestricted (s = n): exact least squares by warm-started conjugate
-    gradients, so the data residual is nonincreasing. Restricted:
-    hard-thresholding-pursuit iterations, each selecting the support of
-    the gradient-stepped iterate and refitting exactly on it.
+    forward(ens, u v^T) = W @ ((G_phi @ u) * (G_psi @ v)).
     """
-    n = pm.ens.n
-    if s >= n:
-        w = _cgnr(pm.apply, pm.adjoint, b, w, opts.inner_tol,
-                  opts.inner_max_iters, context)
-        log.append(float(np.linalg.norm(pm.apply(w) - b)))
-        return w
+    n = ens.n
+    # reduce omega * k mod n in integers, so every angle lies in [0, 2 pi)
+    phase = np.outer(ens.omega, np.arange(n)) % n
+    W = np.sqrt(n / ens.m) * np.exp(2j * np.pi * phase / n) / n
+    return (np.fft.fft(ens.phi_matrix(), axis=0),
+            np.fft.fft(ens.psi_matrix(), axis=0), W)
+
+
+def _frozen_map(consts, side: str, fixed: np.ndarray):
+    """Frozen-factor map w -> WH @ (G @ w) as its factors (WH, G).
+
+    side "left" freezes v = fixed, w -> A(w v^T); "right" freezes u = fixed.
+    """
+    G_phi, G_psi, W = consts
+    if side == "left":
+        return W * (G_psi @ fixed), G_phi
+    return W * (G_phi @ fixed), G_psi
+
+
+def _adjoint(WH: np.ndarray, G: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """G^H (WH^H r), evaluated as conj((conj(r) @ WH) @ G) without copying."""
+    return np.conj((np.conj(r) @ WH) @ G)
+
+
+def _refit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
+    """Least-squares fit of b on the frozen-factor columns J: (w, A w)."""
+    cols = WH @ G[:, J]
+    sol, *_ = np.linalg.lstsq(cols, b, rcond=None)
+    w = np.zeros(G.shape[1], dtype=complex)
+    w[J] = sol
+    return w, cols @ sol
+
+
+def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
+               s: int, log: list) -> np.ndarray:
+    """One factor update with the other frozen, on the map A = WH @ G.
+
+    Hard-thresholding-pursuit rounds select the top-s support of
+    w + A^H (b - A w) and refit exactly on it, until the support repeats
+    or 8 rounds have run. With s >= n that is one exact least-squares
+    solve, so the data residual cannot increase.
+    """
+    Aw = WH @ (G @ w)
     J_prev = None
     for _ in range(8):
-        g = pm.adjoint(b - pm.apply(w))
+        g = _adjoint(WH, G, b - Aw)
         J = np.sort(np.argsort(-np.abs(w + g))[:s])
         if J_prev is not None and np.array_equal(J, J_prev):
             break
-        w = _restricted_lstsq(pm, b, J, n)
+        w, Aw = _refit(WH, G, b, J)
         J_prev = J
-    log.append(float(np.linalg.norm(pm.apply(w) - b)))
+    log.append(float(np.linalg.norm(Aw - b)))
     return w
 
 
@@ -309,7 +295,7 @@ def _sparsity_schedule(s: int, m: int, n: int) -> list:
     return out
 
 
-def _run_attempt(ens, b, opts, init: LiftedPoint, sched1, sched2):
+def _run_attempt(ens, b, opts, consts, init: LiftedPoint, sched1, sched2):
     u, v = init.u.copy(), init.v.copy()
     half_log: list = []
     iters = 0
@@ -319,13 +305,11 @@ def _run_attempt(ens, b, opts, init: LiftedPoint, sched1, sched2):
         converged = False
         for _ in range(opts.max_outer_iters):
             iters += 1
-            pm = partial_forward(ens, "left", v)
-            u = _half_step(pm, b, u, s1_now, opts, LiftedPoint(u, v), half_log)
+            u = _half_step(*_frozen_map(consts, "left", v), b, u, s1_now, half_log)
             if np.linalg.norm(u) == 0:
                 raise SolverBreakdownError("left factor collapsed",
                                            LiftedPoint(u, v))
-            pm = partial_forward(ens, "right", u)
-            v = _half_step(pm, b, v, s2_now, opts, LiftedPoint(u, v), half_log)
+            v = _half_step(*_frozen_map(consts, "right", u), b, v, s2_now, half_log)
             if np.linalg.norm(v) == 0:
                 raise SolverBreakdownError("right factor collapsed",
                                            LiftedPoint(u, v))
@@ -359,8 +343,12 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     sweep from a screened spectral initialization (deterministic for
     the first attempt, energy-weighted random screenings after). Keeps
     the attempt with the smallest residual and stops early once the
-    residual falls below resid_stop * ||b||. All stochastic choices
-    derive from opts.seed, never from global state.
+    residual falls below resid_stop * ||b||. An attempt that breaks down
+    counts in `attempts`; its error is re-raised only if every attempt
+    broke down. All stochastic choices derive from opts.seed, never from
+    global state. The adjoint image of b is built once per call; the
+    per-solve constants hold 2 n^2 + m n complex entries, no more than
+    the two Gaussian dictionaries the ensemble already stores.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape != (ens.m,):
@@ -373,28 +361,37 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     sched1 = [sched1[0]] * (depth - len(sched1)) + sched1
     sched2 = [sched2[0]] * (depth - len(sched2)) + sched2
 
+    consts = _solve_constants(ens)
+    T = adjoint_apply(ens, b) if ens.n <= DENSE_GUARD else None
     b_norm = float(np.linalg.norm(b))
     best = None
+    breakdown = None
     attempts = 0
     for a in range(opts.restarts + 1):
         attempts += 1
-        init = _attempt_init(ens, b, sched1[0], sched2[0], a, opts.seed)
-        outcome = _run_attempt(ens, b, opts, init, sched1, sched2)
+        init = _attempt_init(ens, b, T, sched1[0], sched2[0], a, opts.seed)
+        try:
+            outcome = _run_attempt(ens, b, opts, consts, init, sched1, sched2)
+        except SolverBreakdownError as err:
+            breakdown = err
+            continue
         if best is None or outcome[2] < best[2]:
             best = outcome
         if best[2] <= opts.resid_stop * b_norm:
             break
+    if best is None:
+        raise breakdown
     u, v, resid, iters, converged, half_log = best
 
     if opts.enforce_flatness:
         if opts.mu1 is not None:
             u = _flatness_step(ens, u, opts.mu1, opts.s1, "left")
             J = np.nonzero(v)[0] if np.any(v) else np.arange(ens.n)
-            v = _restricted_lstsq(partial_forward(ens, "right", u), b, J, ens.n)
+            v, _ = _refit(*_frozen_map(consts, "right", u), b, J)
         if opts.mu2 is not None:
             v = _flatness_step(ens, v, opts.mu2, opts.s2, "right")
             J = np.nonzero(u)[0] if np.any(u) else np.arange(ens.n)
-            u = _restricted_lstsq(partial_forward(ens, "left", v), b, J, ens.n)
+            u, _ = _refit(*_frozen_map(consts, "left", v), b, J)
         resid = float(np.linalg.norm(forward(ens, LiftedPoint(u, v)) - b))
 
     return SolveResult(

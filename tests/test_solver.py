@@ -3,20 +3,34 @@
 import numpy as np
 import pytest
 
-from liftconv.measurement import Ensemble, LiftedPoint, forward, lifted_dist
+import liftconv.solver as solver
+from liftconv.measurement import (
+    Ensemble,
+    LiftedPoint,
+    adjoint_apply,
+    forward,
+    lifted_dist,
+    partial_forward,
+)
 from liftconv.models import ModelSpec, spectral_flatness
 from liftconv.solver import (
     SolveOptions,
     SolveResult,
+    SolverBreakdownError,
     plant_instance,
     recover,
     spectral_init,
     success_metric,
+    _adjoint,
+    _frozen_map,
     _leading_pair_dense,
     _leading_pair_power,
+    _refit,
+    _screened_pair,
+    _solve_constants,
     _sparsity_schedule,
 )
-from liftconv.util import complex_gaussian, rng_for
+from liftconv.util import complex_gaussian, rng_for, unit
 
 
 # -- planting -----------------------------------------------------------------
@@ -90,10 +104,60 @@ def test_spectral_init_power_path_beyond_dense_guard():
     assert np.linalg.norm(init.v) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("rng_seed,weighted", [(None, True), (117, True), (118, False)])
+def test_screened_pair_block_svd_matches_zero_padded_svd(rng_seed, weighted):
+    # deterministic, energy-weighted and uniform screening
+    ens, _, b, _ = plant_instance(32, 16, 3, 3, seed=116)
+    T = adjoint_apply(ens, b)
+    rng = None if rng_seed is None else rng_for(rng_seed, "screen")
+    p = _screened_pair(ens, b, T, 6, 5, rng, weighted)
+    rows, cols = np.nonzero(p.u)[0], np.nonzero(p.v)[0]
+    assert (rows.size, cols.size) == (6, 5)
+    if rng_seed is None:
+        assert set(rows) == set(np.argsort(-np.linalg.norm(T, axis=1))[:6])
+    # the leading pair of the k1 x k2 block zero-padded to n x n
+    S = np.zeros_like(T)
+    S[np.ix_(rows, cols)] = T[np.ix_(rows, cols)]
+    U, _, Vh = np.linalg.svd(S)
+    ref = np.outer(unit(U[:, 0]), unit(Vh[0, :]))
+    assert np.linalg.norm(np.outer(p.u, p.v) - ref) <= 1e-12
+
+
 def test_spectral_init_rejects_zero_data():
     ens = Ensemble.generate(16, 8, seed=100)
     with pytest.raises(ValueError):
         spectral_init(ens, np.zeros(8), 2, 2)
+
+
+# -- frozen-factor maps ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("phi_kind,psi_kind,omega_mode", [
+    ("gaussian", "gaussian", "without_replacement"),
+    ("identity", "gaussian", "without_replacement"),
+    ("gaussian", "identity", "iid_uniform"),
+    ("identity", "identity", "iid_uniform"),
+])
+def test_frozen_factor_map_matches_fft_partial_map(side, phi_kind, psi_kind, omega_mode):
+    n, m = 32, 20
+    ens = Ensemble.generate(n, m, phi_kind, psi_kind, seed=120, omega_mode=omega_mode)
+    if omega_mode == "iid_uniform":
+        assert np.unique(ens.omega).size < m  # repeated sample positions
+    rng = rng_for(121, "frozen")
+    fixed, w, r = complex_gaussian(rng, n), complex_gaussian(rng, n), complex_gaussian(rng, m)
+    pm = partial_forward(ens, side, fixed)
+    WH, G = _frozen_map(_solve_constants(ens), side, fixed)
+
+    def close(got, ref):
+        return np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    assert close(WH @ G, np.stack([pm.apply(e) for e in np.eye(n)], axis=1))
+    assert close(WH @ (G @ w), pm.apply(w))
+    assert close(_adjoint(WH, G, r), pm.adjoint(r))
+    w_fit, Aw = _refit(WH, G, r, np.array([3, 7, 19]))
+    assert np.count_nonzero(w_fit) == 3
+    assert close(Aw, pm.apply(w_fit))
 
 
 # -- continuation schedule ------------------------------------------------------
@@ -161,6 +225,47 @@ def test_residuals_monotone_without_thresholding():
     hs = res.residual_half_steps
     assert len(hs) >= 2
     assert all(hs[i + 1] <= hs[i] + 1e-10 for i in range(len(hs) - 1))
+
+
+def test_recover_builds_the_adjoint_image_once(monkeypatch):
+    calls = []
+
+    def counting(ens, b):
+        calls.append(1)
+        return adjoint_apply(ens, b)
+
+    monkeypatch.setattr(solver, "adjoint_apply", counting)
+    ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
+    res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
+    assert res.attempts == 15
+    assert len(calls) == 1
+
+
+def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch):
+    real = solver._run_attempt
+    calls = []
+
+    def broken_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise SolverBreakdownError("left factor collapsed", args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_run_attempt", broken_first)
+    ens, truth, b, _ = plant_instance(32, 24, 2, 2, seed=101)
+    res = recover(ens, b, SolveOptions(s1=2, s2=2, seed=101))
+    assert res.attempts >= 2
+    assert success_metric(res.point, truth, b, 0.0, ens)[0] <= 1e-6
+
+    def always_broken(*args, **kwargs):
+        calls.append(1)
+        raise SolverBreakdownError(f"breakdown {len(calls)}", args[4])
+
+    calls.clear()
+    monkeypatch.setattr(solver, "_run_attempt", always_broken)
+    with pytest.raises(SolverBreakdownError, match="breakdown 3"):
+        recover(ens, b, SolveOptions(s1=2, s2=2, seed=101, restarts=2))
+    assert len(calls) == 3
 
 
 def test_recover_validates_inputs():
