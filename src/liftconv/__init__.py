@@ -10,6 +10,8 @@ calculators, and an alternating least-squares recovery solver with a
 phase-transition sweep harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundQuery,
     SampleComplexity,
@@ -77,63 +79,8 @@ from .util import derive_seed, rng_for
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundQuery",
-    "SampleComplexity",
-    "angle_preservation_bound",
-    "dudley_fourier_bound",
-    "dudley_sparse_bound",
-    "dyadic_chain_check",
-    "gamma2_bound",
-    "greedy_cover",
-    "maurey_f",
-    "maurey_h",
-    "sample_complexity",
-    "solve_a",
-    "EstimateReport",
-    "estimate_rap",
-    "estimate_rip",
-    "estimate_rip_matrix",
-    "estimate_rop",
-    "exact_rip_small",
-    "isotropy_check",
-    "polarization_check",
-    "rop_form_samples",
-    "dft_matrix",
-    "fftu",
-    "ifftu",
-    "Ensemble",
-    "LiftedPoint",
-    "adjoint_actions",
-    "adjoint_apply",
-    "forward",
-    "forward_dense",
-    "lifted_dist",
-    "lifted_inner",
-    "measurement_matrix",
-    "partial_forward",
-    "r_matrix",
-    "sample_omega",
-    "xi_vector",
-    "FlatProjectionError",
-    "InfeasibleModelError",
-    "ModelSpec",
-    "OrthogonalizationError",
-    "hard_threshold",
-    "in_gamma",
-    "in_tilde_gamma",
-    "orthogonalize_pair",
-    "project_flat",
-    "sample_model",
-    "spectral_flatness",
-    "SolveOptions",
-    "SolveResult",
-    "SolverBreakdownError",
-    "plant_instance",
-    "recover",
-    "spectral_init",
-    "success_metric",
-    "derive_seed",
-    "rng_for",
-    "__version__",
-]
+# The imports above are the one list of public names; the submodules
+# they bind as package attributes are not part of it.
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]
+__all__.append("__version__")

@@ -363,22 +363,17 @@ def isotropy_check(
     fixed = None if fixed_kind == "identity" else _gaussian_dictionary(n, setup)
     X = x.dense()
 
-    if average_over == "phi":
-        psi_gram = np.eye(n, dtype=complex) if fixed is None else fixed.conj().T @ fixed
-        target = X @ psi_gram.T
-    else:
-        phi_gram = np.eye(n, dtype=complex) if fixed is None else fixed.conj().T @ fixed
-        target = phi_gram @ X
+    gram = np.eye(n, dtype=complex) if fixed is None else fixed.conj().T @ fixed
+    target = X @ gram.T if average_over == "phi" else gram @ X
+    phi_kind, psi_kind = (("gaussian", fixed_kind) if average_over == "phi"
+                          else (fixed_kind, "gaussian"))
 
     acc = np.zeros((n, n), dtype=complex)
     for k in range(draws):
         fresh = _gaussian_dictionary(n, rng_for(seed, "draw", k))
-        if average_over == "phi":
-            ens = Ensemble(n=n, m=m, omega=omega, phi_kind="gaussian",
-                           psi_kind=fixed_kind, seed=seed, phi=fresh, psi=fixed)
-        else:
-            ens = Ensemble(n=n, m=m, omega=omega, phi_kind=fixed_kind,
-                           psi_kind="gaussian", seed=seed, phi=fixed, psi=fresh)
+        phi, psi = (fresh, fixed) if average_over == "phi" else (fixed, fresh)
+        ens = Ensemble(n=n, m=m, omega=omega, phi_kind=phi_kind, psi_kind=psi_kind,
+                       seed=seed, phi=phi, psi=psi)
         acc += adjoint_apply(ens, forward(ens, x))
     mean = acc / draws
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))

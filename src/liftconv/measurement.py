@@ -182,13 +182,11 @@ class Ensemble:
     def psi_matrix(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex) if self.psi is None else self.psi
 
-    def with_dictionaries(self, phi=None, psi=None, phi_kind=None, psi_kind=None) -> "Ensemble":
+    def with_dictionaries(self, phi=None, psi=None) -> "Ensemble":
         """Copy sharing omega, with one or both dictionaries replaced."""
         return Ensemble(
             n=self.n, m=self.m, omega=self.omega.copy(),
-            phi_kind=phi_kind if phi_kind is not None else self.phi_kind,
-            psi_kind=psi_kind if psi_kind is not None else self.psi_kind,
-            seed=self.seed,
+            phi_kind=self.phi_kind, psi_kind=self.psi_kind, seed=self.seed,
             phi=self.phi if phi is None else phi,
             psi=self.psi if psi is None else psi,
         )

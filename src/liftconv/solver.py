@@ -9,6 +9,8 @@ solve-then-threshold alternation stalls at interpolating fixed points;
 the support-restricted refits remove that failure mode. The frozen-factor
 map is the m x n matrix sqrt(n/m) F^-1[omega, :] diag(F Psi v) (F Phi)
 (swap Phi and Psi to free the right factor), kept in factored form.
+The adjoint image is built densely from the same factors, at every n:
+each solve holds 3 n^2 + m n complex entries.
 
 Two further devices widen the basin of attraction. Sparsity
 continuation starts each attempt at a relaxed level (capped by m/3) and
@@ -25,15 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import (
-    DENSE_GUARD,
-    Ensemble,
-    LiftedPoint,
-    adjoint_actions,
-    adjoint_apply,
-    forward,
-    lifted_dist,
-)
+from .measurement import Ensemble, LiftedPoint, forward, lifted_dist
 from .models import ModelSpec, hard_threshold, project_flat, sample_model
 from .util import complex_gaussian, derive_seed, rng_for, unit
 
@@ -122,22 +116,6 @@ def _leading_pair_dense(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scale * U[:, 0], scale * Vh[0, :]
 
 
-def _leading_pair_power(matvec, rmatvec, n: int, seed: int, iters: int = 80):
-    v = unit(complex_gaussian(rng_for(seed, "power-init"), n))
-    for _ in range(iters):
-        w = rmatvec(matvec(v))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v = w / nw
-    tv = matvec(v)
-    sigma = np.linalg.norm(tv)
-    if sigma == 0:
-        raise ValueError("adjoint image has no leading direction")
-    # T = sigma * outer(u, conj(v_right)): the transpose-side factor is conj(v)
-    return np.sqrt(sigma) * (tv / sigma), np.sqrt(sigma) * np.conj(v)
-
-
 def _thresholded_pair(u0: np.ndarray, v0: np.ndarray, k1: int, k2: int) -> LiftedPoint:
     return LiftedPoint(unit(hard_threshold(u0, k1)), unit(hard_threshold(v0, k2)))
 
@@ -145,63 +123,52 @@ def _thresholded_pair(u0: np.ndarray, v0: np.ndarray, k1: int, k2: int) -> Lifte
 def spectral_init(ens: Ensemble, b: np.ndarray, s1: int, s2: int) -> LiftedPoint:
     """Thresholded leading singular pair of the adjoint image of b.
 
-    Dense SVD up to n = DENSE_GUARD, power iteration on the implicit
-    adjoint actions beyond. Factors are hard thresholded to their
-    sparsity levels and renormalized; the overall scale is left to the
-    first least-squares half-step.
+    The image comes from the per-solve constants, as in recover: 3 n^2 +
+    m n complex entries and one full dense SVD at every n (about 1.8 s
+    at n = 1024 with one BLAS thread). Factors are hard thresholded to
+    their sparsity levels and renormalized; the overall scale is left to
+    the first least-squares half-step.
     """
     b = np.asarray(b, dtype=complex)
     if np.linalg.norm(b) == 0:
         raise ValueError("cannot initialize from zero measurements")
-    if ens.n <= DENSE_GUARD:
-        return _thresholded_pair(*_leading_pair_dense(adjoint_apply(ens, b)), s1, s2)
-    matvec, rmatvec = adjoint_actions(ens, b)
-    return _thresholded_pair(*_leading_pair_power(matvec, rmatvec, ens.n, ens.seed),
-                             s1, s2)
+    T = _adjoint_image(_solve_constants(ens), b)
+    return _thresholded_pair(*_leading_pair_dense(T), s1, s2)
 
 
-def _screened_pair(ens: Ensemble, b: np.ndarray, T: np.ndarray | None,
-                   k1: int, k2: int, rng=None, weighted: bool = True):
+def _screened_pair(T: np.ndarray, k1: int, k2: int, rng=None, weighted: bool = True):
     """Leading pair of the adjoint image T screened to k1 rows, k2 columns.
 
     Rows and columns are picked by energy (rng None), drawn with
     energy-proportional probabilities (weighted restarts), or drawn
     uniformly (exploration restarts); the pair is the leading singular
-    pair of the selected k1 x k2 block, zero elsewhere. T is None when
-    the adjoint image cannot be materialized (n > DENSE_GUARD); the pair
-    then comes from power iteration on the implicit adjoint actions.
+    pair of the selected k1 x k2 block, zero elsewhere.
     """
-    if T is None:
-        if rng is None:
-            return spectral_init(ens, b, k1, k2)
-        matvec, rmatvec = adjoint_actions(ens, b)
-        return _thresholded_pair(*_leading_pair_power(matvec, rmatvec, ens.n,
-                                                      int(rng.integers(2**63))),
-                                 k1, k2)
+    n = T.shape[0]
     row_e = np.linalg.norm(T, axis=1) ** 2
     col_e = np.linalg.norm(T, axis=0) ** 2
     if rng is None:
         rows = np.argsort(-row_e)[:k1]
         cols = np.argsort(-col_e)[:k2]
     elif weighted:
-        rows = rng.choice(ens.n, size=k1, replace=False, p=row_e / row_e.sum())
-        cols = rng.choice(ens.n, size=k2, replace=False, p=col_e / col_e.sum())
+        rows = rng.choice(n, size=k1, replace=False, p=row_e / row_e.sum())
+        cols = rng.choice(n, size=k2, replace=False, p=col_e / col_e.sum())
     else:
-        rows = rng.choice(ens.n, size=k1, replace=False)
-        cols = rng.choice(ens.n, size=k2, replace=False)
+        rows = rng.choice(n, size=k1, replace=False)
+        cols = rng.choice(n, size=k2, replace=False)
     block = T[np.ix_(rows, cols)]
     if not np.any(block):
         return _thresholded_pair(*_leading_pair_dense(T), k1, k2)
     U, _, Vh = np.linalg.svd(block)
-    u = np.zeros(ens.n, dtype=complex)
-    v = np.zeros(ens.n, dtype=complex)
+    u = np.zeros(n, dtype=complex)
+    v = np.zeros(n, dtype=complex)
     u[rows] = U[:, 0]
     v[cols] = Vh[0, :]
     return LiftedPoint(unit(u), unit(v))
 
 
-def _attempt_init(ens: Ensemble, b: np.ndarray, T: np.ndarray | None,
-                  k1: int, k2: int, attempt: int, seed: int) -> LiftedPoint:
+def _attempt_init(n: int, T: np.ndarray, k1: int, k2: int, attempt: int,
+                  seed: int) -> LiftedPoint:
     """Initialization pool for restarts.
 
     Attempt 0 is the deterministic energy screening; later attempts
@@ -210,15 +177,14 @@ def _attempt_init(ens: Ensemble, b: np.ndarray, T: np.ndarray | None,
     basins even when the adjoint image misranks the true support.
     """
     if attempt == 0:
-        return _screened_pair(ens, b, T, k1, k2)
+        return _screened_pair(T, k1, k2)
     rng = rng_for(seed, "restart", attempt)
     flavor = (attempt - 1) % 3
     if flavor == 0:
-        return _screened_pair(ens, b, T, k1, k2, rng, weighted=True)
+        return _screened_pair(T, k1, k2, rng, weighted=True)
     if flavor == 1:
-        return _screened_pair(ens, b, T, k1, k2, rng, weighted=False)
-    return LiftedPoint(unit(complex_gaussian(rng, ens.n)),
-                       unit(complex_gaussian(rng, ens.n)))
+        return _screened_pair(T, k1, k2, rng, weighted=False)
+    return LiftedPoint(unit(complex_gaussian(rng, n)), unit(complex_gaussian(rng, n)))
 
 
 # -- half steps ---------------------------------------------------------------
@@ -235,6 +201,17 @@ def _solve_constants(ens: Ensemble):
     W = np.sqrt(n / ens.m) * np.exp(2j * np.pi * phase / n) / n
     return (np.fft.fft(ens.phi_matrix(), axis=0),
             np.fft.fft(ens.psi_matrix(), axis=0), W)
+
+
+def _adjoint_image(consts, b: np.ndarray) -> np.ndarray:
+    """Adjoint image T = A^*(b) = G_phi^H diag(W^H b) conj(G_psi), n x n.
+
+    The conjugate transpose of forward = W @ ((G_phi u) * (G_psi v)):
+    one n^3 product on top of the per-solve constants.
+    """
+    G_phi, G_psi, W = consts
+    d = np.conj(np.conj(b) @ W)
+    return G_phi.conj().T @ (d[:, None] * np.conj(G_psi))
 
 
 def _frozen_map(consts, side: str, fixed: np.ndarray):
@@ -346,9 +323,11 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     residual falls below resid_stop * ||b||. An attempt that breaks down
     counts in `attempts`; its error is re-raised only if every attempt
     broke down. All stochastic choices derive from opts.seed, never from
-    global state. The adjoint image of b is built once per call; the
-    per-solve constants hold 2 n^2 + m n complex entries, no more than
-    the two Gaussian dictionaries the ensemble already stores.
+    global state. The per-solve constants (F Phi, F Psi and the scaled
+    inverse-DFT rows, 2 n^2 + m n complex entries) and the n x n adjoint
+    image of b built from them are made once per call, at every n: 3 n^2
+    + m n entries in all, about what the two Gaussian dictionaries the
+    ensemble already stores take.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape != (ens.m,):
@@ -362,14 +341,14 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     sched2 = [sched2[0]] * (depth - len(sched2)) + sched2
 
     consts = _solve_constants(ens)
-    T = adjoint_apply(ens, b) if ens.n <= DENSE_GUARD else None
+    T = _adjoint_image(consts, b)
     b_norm = float(np.linalg.norm(b))
     best = None
     breakdown = None
     attempts = 0
     for a in range(opts.restarts + 1):
         attempts += 1
-        init = _attempt_init(ens, b, T, sched1[0], sched2[0], a, opts.seed)
+        init = _attempt_init(ens.n, T, sched1[0], sched2[0], a, opts.seed)
         try:
             outcome = _run_attempt(ens, b, opts, consts, init, sched1, sched2)
         except SolverBreakdownError as err:

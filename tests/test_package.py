@@ -1,0 +1,37 @@
+"""The package's public names."""
+
+import liftconv
+
+PUBLIC_NAMES = {
+    "BoundQuery", "SampleComplexity", "angle_preservation_bound",
+    "dudley_fourier_bound", "dudley_sparse_bound", "dyadic_chain_check",
+    "gamma2_bound", "greedy_cover", "maurey_f", "maurey_h",
+    "sample_complexity", "solve_a",
+    "EstimateReport", "estimate_rap", "estimate_rip", "estimate_rip_matrix",
+    "estimate_rop", "exact_rip_small", "isotropy_check", "polarization_check",
+    "rop_form_samples",
+    "dft_matrix", "fftu", "ifftu",
+    "Ensemble", "LiftedPoint", "adjoint_actions", "adjoint_apply", "forward",
+    "forward_dense", "lifted_dist", "lifted_inner", "measurement_matrix",
+    "partial_forward", "r_matrix", "sample_omega", "xi_vector",
+    "FlatProjectionError", "InfeasibleModelError", "ModelSpec",
+    "OrthogonalizationError", "hard_threshold", "in_gamma", "in_tilde_gamma",
+    "orthogonalize_pair", "project_flat", "sample_model", "spectral_flatness",
+    "SolveOptions", "SolveResult", "SolverBreakdownError", "plant_instance",
+    "recover", "spectral_init", "success_metric",
+    "derive_seed", "rng_for",
+    "__version__",
+}
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC_NAMES) == 58
+    assert len(liftconv.__all__) == len(set(liftconv.__all__))
+    assert set(liftconv.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from liftconv import *", namespace)
+    for name in liftconv.__all__:
+        assert namespace[name] is getattr(liftconv, name)

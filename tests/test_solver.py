@@ -22,9 +22,9 @@ from liftconv.solver import (
     spectral_init,
     success_metric,
     _adjoint,
+    _adjoint_image,
     _frozen_map,
     _leading_pair_dense,
-    _leading_pair_power,
     _refit,
     _screened_pair,
     _solve_constants,
@@ -75,17 +75,6 @@ def test_leading_pair_dense_is_exact_on_rank_one():
     assert np.allclose(np.outer(u0, v0), T, atol=1e-12)
 
 
-def test_leading_pair_power_matches_dense_leading_direction():
-    rng = rng_for(95, "lp")
-    # strong spectral gap so the power iteration pins the leading pair
-    T = 5.0 * np.outer(complex_gaussian(rng, 10), complex_gaussian(rng, 10))
-    T += 0.01 * complex_gaussian(rng, (10, 10))
-    u_d, v_d = _leading_pair_dense(T)
-    u_p, v_p = _leading_pair_power(lambda w: T @ w, lambda w: T.conj().T @ w,
-                                   10, seed=96)
-    assert np.allclose(np.outer(u_p, v_p), np.outer(u_d, v_d), atol=1e-4)
-
-
 def test_spectral_init_contract():
     ens, _, b, _ = plant_instance(24, 12, 2, 3, seed=97)
     init = spectral_init(ens, b, 2, 3)
@@ -110,7 +99,7 @@ def test_screened_pair_block_svd_matches_zero_padded_svd(rng_seed, weighted):
     ens, _, b, _ = plant_instance(32, 16, 3, 3, seed=116)
     T = adjoint_apply(ens, b)
     rng = None if rng_seed is None else rng_for(rng_seed, "screen")
-    p = _screened_pair(ens, b, T, 6, 5, rng, weighted)
+    p = _screened_pair(T, 6, 5, rng, weighted)
     rows, cols = np.nonzero(p.u)[0], np.nonzero(p.v)[0]
     assert (rows.size, cols.size) == (6, 5)
     if rng_seed is None:
@@ -121,6 +110,24 @@ def test_screened_pair_block_svd_matches_zero_padded_svd(rng_seed, weighted):
     U, _, Vh = np.linalg.svd(S)
     ref = np.outer(unit(U[:, 0]), unit(Vh[0, :]))
     assert np.linalg.norm(np.outer(p.u, p.v) - ref) <= 1e-12
+
+
+def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch):
+    # above n = 256 the screened restarts still draw their own supports
+    inits = []
+
+    def record(ens, b, opts, consts, init, sched1, sched2):
+        inits.append(init)
+        return init.u, init.v, np.inf, 0, False, []
+
+    monkeypatch.setattr(solver, "_run_attempt", record)
+    ens, _, b, _ = plant_instance(300, 24, 2, 2, seed=1)
+    recover(ens, b, SolveOptions(s1=2, s2=2, restarts=5, seed=1))
+    # attempts 0, 1, 4 energy screening, 2, 5 uniform; 3 is a dense random pair
+    supports = [(frozenset(np.nonzero(inits[a].u)[0]),
+                 frozenset(np.nonzero(inits[a].v)[0])) for a in (0, 1, 2, 4, 5)]
+    assert all(len(u) == 8 and len(v) == 8 for u, v in supports)
+    assert len(set(supports)) == len(supports)
 
 
 def test_spectral_init_rejects_zero_data():
@@ -147,11 +154,13 @@ def test_frozen_factor_map_matches_fft_partial_map(side, phi_kind, psi_kind, ome
     rng = rng_for(121, "frozen")
     fixed, w, r = complex_gaussian(rng, n), complex_gaussian(rng, n), complex_gaussian(rng, m)
     pm = partial_forward(ens, side, fixed)
-    WH, G = _frozen_map(_solve_constants(ens), side, fixed)
+    consts = _solve_constants(ens)
+    WH, G = _frozen_map(consts, side, fixed)
 
     def close(got, ref):
         return np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    assert close(_adjoint_image(consts, r), adjoint_apply(ens, r))
     assert close(WH @ G, np.stack([pm.apply(e) for e in np.eye(n)], axis=1))
     assert close(WH @ (G @ w), pm.apply(w))
     assert close(_adjoint(WH, G, r), pm.adjoint(r))
@@ -230,11 +239,11 @@ def test_residuals_monotone_without_thresholding():
 def test_recover_builds_the_adjoint_image_once(monkeypatch):
     calls = []
 
-    def counting(ens, b):
+    def counting(consts, b):
         calls.append(1)
-        return adjoint_apply(ens, b)
+        return _adjoint_image(consts, b)
 
-    monkeypatch.setattr(solver, "adjoint_apply", counting)
+    monkeypatch.setattr(solver, "_adjoint_image", counting)
     ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
     res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
     assert res.attempts == 15
