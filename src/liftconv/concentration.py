@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fourier import dft_matrix
 from .measurement import (
     Ensemble,
     LiftedPoint,
-    adjoint_apply,
     forward,
     lifted_inner,
     sample_omega,
@@ -350,6 +350,17 @@ def isotropy_check(
     draws of the other, the expectation is X (Psi^* Psi)^T when the
     left dictionary is averaged out and (Phi^* Phi) X when the right
     one is. Returns ||mean - target||_F / ||target||_F.
+
+    Each draw is adjoint_apply(ens, forward(ens, x)) for the ensemble
+    with that draw's dictionary, computed from pieces built once per
+    call: with G = F D for the fresh dictionary D and G_f = F D_f for
+    the fixed one (F the unitary DFT, D_f = I for identity), the draw
+    measures b with F S_omega^T b = (n/sqrt(m)) K ((G w) * (G_f w_f)),
+    K = F[:, omega] F[:, omega]^*, where w and w_f are the factors of x
+    riding through D and D_f, and its adjoint image is
+    (n/sqrt(m)) G_f^* diag(F S_omega^T b) conj(G), transposed when the
+    fresh dictionary is the left one. Only G is formed per draw; G_f^*
+    multiplies the sum of the draws once.
     """
     if average_over not in ("phi", "psi"):
         raise ValueError("average_over must be 'phi' or 'psi'")
@@ -365,17 +376,20 @@ def isotropy_check(
 
     gram = np.eye(n, dtype=complex) if fixed is None else fixed.conj().T @ fixed
     target = X @ gram.T if average_over == "phi" else gram @ X
-    phi_kind, psi_kind = (("gaussian", fixed_kind) if average_over == "phi"
-                          else (fixed_kind, "gaussian"))
+
+    F = dft_matrix(n)
+    G_fixed = F if fixed is None else F @ fixed
+    w, w_fixed = (x.u, x.v) if average_over == "phi" else (x.v, x.u)
+    h = G_fixed @ w_fixed
+    K = F[:, omega] @ F[:, omega].conj().T
 
     acc = np.zeros((n, n), dtype=complex)
     for k in range(draws):
-        fresh = _gaussian_dictionary(n, rng_for(seed, "draw", k))
-        phi, psi = (fresh, fixed) if average_over == "phi" else (fixed, fresh)
-        ens = Ensemble(n=n, m=m, omega=omega, phi_kind=phi_kind, psi_kind=psi_kind,
-                       seed=seed, phi=phi, psi=psi)
-        acc += adjoint_apply(ens, forward(ens, x))
-    mean = acc / draws
+        G = F @ _gaussian_dictionary(n, rng_for(seed, "draw", k))
+        d = K @ ((G @ w) * h)
+        acc += d[:, None] * G.conj()
+    half = G_fixed.conj().T @ acc
+    mean = (n * n / (m * draws)) * (half.T if average_over == "phi" else half)
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))
 
 

@@ -200,14 +200,16 @@ def hard_threshold(x, s: int) -> np.ndarray:
     return out
 
 
-def project_flat(x, mu: float, max_bisect: int = 120) -> np.ndarray:
+def project_flat(x, mu: float) -> np.ndarray:
     """Return the nearest-in-spirit vector with spectral flatness <= mu.
 
     Works on DFT magnitudes, preserving phases and the l2 norm: bins
     above the admissible ceiling sqrt(mu/n)*||x||_2 are clipped to it,
-    and the removed energy is restored by raising the low bins to a
-    common floor found by bisection (the one-shot limit of repeated
+    and the removed energy is restored by raising the low bins to the
+    exact water-filling floor (the one-shot limit of repeated
     clip-and-renormalize, which stalls when low bins are exactly zero).
+    The floor comes from the sorted clipped magnitudes in closed form,
+    O(n log n).
 
     Returns x unchanged (a copy) when it already satisfies the cap.
 
@@ -216,8 +218,8 @@ def project_flat(x, mu: float, max_bisect: int = 120) -> np.ndarray:
     ValueError
         If x is zero or mu is outside [1, n].
     FlatProjectionError
-        If the bisection cannot meet the contract; carries the last
-        iterate in ``last_iterate``.
+        If the result misses the cap by more than FLATNESS_SLACK;
+        carries the last iterate in ``last_iterate``.
     """
     x = as_signal(x)
     n = x.size
@@ -234,15 +236,17 @@ def project_flat(x, mu: float, max_bisect: int = 120) -> np.ndarray:
     cap = np.sqrt(mu / n) * nrm
     target = nrm * nrm
 
-    lo, hi = 0.0, cap
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        power = float(np.sum(np.clip(mags, mid, cap) ** 2))
-        if power < target:
-            lo = mid
-        else:
-            hi = mid
-    floor = 0.5 * (lo + hi)
+    # With c the clipped magnitudes in ascending order, raising every bin
+    # below f to f gives energy P(f) = sum max(c_i, f)^2, non-decreasing in
+    # f. With tail[k] = sum_{i >= k} c_i^2, P(c_k) = k c_k^2 + tail[k]; the
+    # first k where that reaches the target brackets the floor in
+    # (c_{k-1}, c_k], where P(f) = k f^2 + tail[k] (k = n: f = cap up to
+    # rounding). k = 0 only when clipping removed no energy (flatness
+    # within rounding of mu): then no bin is raised.
+    c = np.sort(np.minimum(mags, cap))
+    tail = np.append(np.cumsum((c * c)[::-1])[::-1], 0.0)
+    k = int(np.searchsorted(np.arange(n) * c * c + tail[:n], target))
+    floor = np.sqrt((target - tail[k]) / k) if k else 0.0
 
     shaped = np.clip(mags, floor, cap)
     phases = np.exp(1j * np.angle(spec))

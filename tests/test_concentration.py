@@ -15,7 +15,15 @@ from liftconv.concentration import (
     rop_form_samples,
 )
 from liftconv.fourier import dft_matrix
-from liftconv.measurement import Ensemble, LiftedPoint, forward, lifted_inner
+from liftconv.measurement import (
+    Ensemble,
+    LiftedPoint,
+    _gaussian_dictionary,
+    adjoint_apply,
+    forward,
+    lifted_inner,
+    sample_omega,
+)
 from liftconv.models import ModelSpec
 from liftconv.util import complex_gaussian, rng_for
 
@@ -198,6 +206,36 @@ def test_isotropy_check_is_deterministic():
     a = isotropy_check(6, 3, x, 50, seed=77, average_over="psi")
     b = isotropy_check(6, 3, x, 50, seed=77, average_over="psi")
     assert a == b
+
+
+@pytest.mark.parametrize("omega_mode", ["without_replacement", "iid_uniform"])
+@pytest.mark.parametrize("fixed_kind", ["gaussian", "identity"])
+@pytest.mark.parametrize("average_over", ["phi", "psi"])
+def test_isotropy_check_matches_per_draw_dense_adjoint(average_over, fixed_kind,
+                                                        omega_mode):
+    # replay the draw protocol through forward and the dense adjoint_apply,
+    # one Ensemble per draw, and compare the returned error
+    n, m, draws, seed = 12, 7, 40, 80
+    rng = rng_for(81, "iso")
+    x = LiftedPoint(complex_gaussian(rng, n), complex_gaussian(rng, n))
+    setup = rng_for(seed, "setup")
+    omega = sample_omega(n, m, omega_mode, setup)
+    fixed = None if fixed_kind == "identity" else _gaussian_dictionary(n, setup)
+    kinds = (("gaussian", fixed_kind) if average_over == "phi"
+             else (fixed_kind, "gaussian"))
+    acc = np.zeros((n, n), dtype=complex)
+    for k in range(draws):
+        fresh = _gaussian_dictionary(n, rng_for(seed, "draw", k))
+        phi, psi = (fresh, fixed) if average_over == "phi" else (fixed, fresh)
+        ens = Ensemble(n=n, m=m, omega=omega, phi_kind=kinds[0],
+                       psi_kind=kinds[1], seed=seed, phi=phi, psi=psi)
+        acc += adjoint_apply(ens, forward(ens, x))
+    gram = np.eye(n) if fixed is None else fixed.conj().T @ fixed
+    target = x.dense() @ gram.T if average_over == "phi" else gram @ x.dense()
+    ref = np.linalg.norm(acc / draws - target) / np.linalg.norm(target)
+    err = isotropy_check(n, m, x, draws, seed=seed, fixed_kind=fixed_kind,
+                         average_over=average_over, omega_mode=omega_mode)
+    assert err == pytest.approx(ref, rel=1e-12)
 
 
 def test_isotropy_check_validates():

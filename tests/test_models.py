@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_dft, unit_vec
+from helpers import bisect_project_flat, naive_dft, unit_vec
+from liftconv import models
+from liftconv.fourier import ifftu
 from liftconv.models import (
     FLATNESS_SLACK,
     InfeasibleModelError,
@@ -172,6 +174,54 @@ def test_project_flat_hits_hard_caps():
     assert spectral_flatness(out) <= 1.0 + FLATNESS_SLACK
 
 
+@st.composite
+def _flat_projection_cases(draw):
+    """(x, mu) pairs: generic, sparse, spectra with exactly-zero bins and
+    spectra with ties, at mu = 1, mu = n and in between."""
+    n = draw(st.sampled_from([8, 64, 128]))
+    rng = rng_for(draw(st.integers(0, 10**6)), "pf-oracle")
+    shape = draw(st.sampled_from(["gaussian", "sparse", "zero_bins", "ties"]))
+    if shape == "gaussian":
+        x = complex_gaussian(rng, n)
+    elif shape == "sparse":
+        x = np.zeros(n, dtype=complex)
+        s = int(rng.integers(1, 5))
+        x[rng.choice(n, size=s, replace=False)] = complex_gaussian(rng, s)
+    elif shape == "zero_bins":
+        # a constant plus an alternating sign: every bin but 0 and n/2 is
+        # exactly zero, so the floor must lift bins from zero
+        a, b = complex_gaussian(rng, 2)
+        x = a + b * (-1.0) ** np.arange(n)
+    else:
+        # two magnitude levels shared by many bins, random phases
+        levels = np.where(rng.random(n) < 0.25, 5.0, 1.0)
+        x = ifftu(levels * np.exp(2j * np.pi * rng.random(n)))
+    mu = draw(st.one_of(st.just(1.0), st.just(float(n)),
+                        st.floats(1.0, float(n), allow_nan=False)))
+    return x, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_flat_projection_cases())
+def test_project_flat_matches_bisection_oracle(case):
+    x, mu = case
+    out = project_flat(x, mu)
+    ref = bisect_project_flat(x, mu)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert spectral_flatness(out) <= mu + FLATNESS_SLACK
+
+
+def test_project_flat_cap_within_rounding_of_flatness():
+    # with mu one ulp below the flatness, clipping removes energy only at
+    # rounding level; often none at all, so no bin may be raised
+    for t in range(10):
+        x = complex_gaussian(rng_for(14, "pf-edge", t), 64)
+        mu = float(np.nextafter(spectral_flatness(x), 0.0))
+        out = project_flat(x, mu)
+        assert spectral_flatness(out) <= mu + FLATNESS_SLACK
+        assert np.linalg.norm(out - x) <= 1e-9 * np.linalg.norm(x)
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -212,7 +262,63 @@ def test_sample_model_handles_tight_cap():
     assert spectral_flatness(x) <= 1.0 + FLATNESS_SLACK
 
 
+def _counting(fn):
+    def wrapped(*args, **kwargs):
+        wrapped.calls += 1
+        return fn(*args, **kwargs)
+    wrapped.calls = 0
+    return wrapped
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(64, 4, mu=2.5),
+    ModelSpec(128, 3, mu=2.0),
+    ModelSpec(64, 6, mu=3.0, flavor="approximate"),
+], ids=["n64-s4", "n128-s3", "n64-s6-approx"])
+def test_sample_model_draws_match_bisection_projection(spec, monkeypatch):
+    # the closed-form floor and the bisection oracle drive the
+    # alternation to the same draws on the same streams, and exhaust the
+    # restart budget on the same streams (these caps sit below s)
+    def draws():
+        out = []
+        for t in range(12):
+            try:
+                out.append(sample_model(spec, rng_for(12, "parity", t)))
+            except InfeasibleModelError:
+                out.append(None)
+        return out
+
+    fast = draws()
+    oracle = _counting(bisect_project_flat)
+    monkeypatch.setattr(models, "project_flat", oracle)
+    slow = draws()
+    assert oracle.calls > 0
+    assert sum(a is not None for a in fast) >= 8
+    for a, b in zip(fast, slow):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(np.flatnonzero(a), np.flatnonzero(b))
+            assert np.linalg.norm(a - b) <= 1e-12
+
+
 # -- orthogonalization --------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec,seed", [(ModelSpec(64, 4, mu=3.0), 15),
+                                       (ModelSpec(16, 2, mu=1.8), 28)])
+def test_orthogonalize_pair_matches_bisection_projection(spec, seed, monkeypatch):
+    # a raw s-sparse u_hat is too peaky for the cap, so the partner is
+    # projected (once at n = 64, 25 times at n = 16) before it is admitted
+    rng = rng_for(seed, "orth-parity")
+    u = sample_model(spec, rng)
+    u_hat = sample_model(ModelSpec(spec.n, spec.s), rng)
+    fast = orthogonalize_pair(u, u_hat, spec)
+    oracle = _counting(bisect_project_flat)
+    monkeypatch.setattr(models, "project_flat", oracle)
+    slow = orthogonalize_pair(u, u_hat, spec)
+    assert oracle.calls > 0
+    assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
+    assert np.linalg.norm(fast - slow) <= 1e-12
 
 
 def test_orthogonalize_pair_contract():

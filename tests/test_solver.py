@@ -84,7 +84,7 @@ def test_spectral_init_contract():
     assert np.linalg.norm(init.v) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spectral_init_power_path_beyond_dense_guard():
+def test_spectral_init_dense_path_beyond_n_256():
     ens = Ensemble.generate(300, 8, phi_kind="identity", psi_kind="identity",
                             seed=98)
     b = complex_gaussian(rng_for(99, "b"), 8)
