@@ -40,8 +40,8 @@ from .concentration import (
 from .fourier import dft_matrix, fftu, ifftu
 from .measurement import (
     Ensemble,
+    FactoredOperator,
     LiftedPoint,
-    adjoint_actions,
     adjoint_apply,
     forward,
     forward_dense,

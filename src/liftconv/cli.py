@@ -16,7 +16,9 @@ sweep
     The output CSV is a pure function of the resolved config: cell
     seeds are derived from the cell coordinates and rows carry no
     timing, so reruns and different --workers counts produce identical
-    bytes. A .meta sidecar records the resolved config.
+    bytes. A .meta sidecar records the resolved config. A failed
+    estimator cell keeps its row with empty statistics, and the sweep
+    exits 3 once every row and the .meta are written.
 bounds
     Closed-form sample-complexity and entropy quantities for one
     parameter point.
@@ -62,11 +64,12 @@ from .measurement import (
     DICTIONARY_KINDS,
     OMEGA_MODES,
     Ensemble,
+    FactoredOperator,
     LiftedPoint,
+    adjoint_apply,
     forward,
     forward_dense,
     measurement_matrix,
-    partial_forward,
     r_matrix,
     xi_vector,
 )
@@ -94,7 +97,13 @@ RECOVER_FIELDS = (
     "success_rate", "rel_q50", "rel_q90", "seed",
 )
 
+
+class CellFailureError(RuntimeError):
+    """Some sweep cells failed; raised after every row has been written."""
+
+
 _NUMERIC_ERRORS = (
+    CellFailureError,
     InfeasibleModelError,
     OrthogonalizationError,
     SolverBreakdownError,
@@ -352,16 +361,24 @@ def _run_recover(opts, point: dict, seed: int):
     return ens, solve_opts, res, noise_ratio
 
 
-def _execute_cell(payload) -> dict:
-    """Run one sweep cell; top level so worker processes can import it."""
+def _execute_cell(payload) -> tuple:
+    """Run one sweep cell: (formatted row, failed). Top level so worker
+    processes can import it. A numeric failure in an estimator cell is
+    logged; its row keeps coordinates, trials and seed, no statistics."""
     cfg, cell = payload
     seed = cfg.cell_seed(cell)
+    failed = False
     if cfg.kind == "recover":
         row = _recover_cell(cfg, cell, seed)
     else:
-        rep = _run_estimate(cfg.kind, cfg, cell, seed)
-        row = rep.csv_dict(include_wall_time=False)
-    return {k: _fmt_cell_value(v) for k, v in row.items()}
+        try:
+            row = _run_estimate(cfg.kind, cfg, cell, seed).csv_dict(include_wall_time=False)
+        except _NUMERIC_ERRORS as exc:
+            log.error("cell %s failed: %s", cell, exc)
+            row = {"kind": cfg.kind, **{k: cell[k] for k in ESTIMATE_FIELDS if k in cell},
+                   "trials": cfg.trials, "seed": seed}
+            failed = True
+    return {k: _fmt_cell_value(v) for k, v in row.items()}, failed
 
 
 def _recover_cell(cfg: SweepConfig, cell: dict, seed: int) -> dict:
@@ -392,14 +409,16 @@ def run_sweep(cfg: SweepConfig, out_path: str, workers: int = 1) -> int:
 
     Rows appear in cell enumeration order whatever the worker count;
     each cell reseeds from its own coordinates, so the bytes written
-    depend only on the resolved config.
+    depend only on the resolved config. Returns the number of rows, or
+    raises CellFailureError after writing both files if any cell failed.
     """
     payloads = [(cfg, cell) for cell in cfg.cells()]
     if workers <= 1:
-        rows = [_execute_cell(p) for p in payloads]
+        results = [_execute_cell(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_cell, payloads))
+            results = list(pool.map(_execute_cell, payloads))
+    rows = [row for row, _ in results]
 
     fields = RECOVER_FIELDS if cfg.kind == "recover" else ESTIMATE_FIELDS
     with open(out_path, "w", newline="") as fh:
@@ -415,6 +434,10 @@ def run_sweep(cfg: SweepConfig, out_path: str, workers: int = 1) -> int:
     with open(out_path + ".meta", "w") as fh:
         for key in sorted(meta):
             fh.write(f"{key}={meta[key]}\n")
+    failed = sum(f for _, f in results)
+    if failed:
+        raise CellFailureError(
+            f"{failed} of {len(rows)} cells failed; their rows have empty statistics")
     return len(rows)
 
 
@@ -510,8 +533,6 @@ def _selftest_checks(seed: int):
     ens = Ensemble.generate(12, 5, seed=derive_seed(seed, "st-ens"))
     X = complex_gaussian(rng, (12, 12))
     b = complex_gaussian(rng, 5)
-    from .measurement import adjoint_apply
-
     lhs = np.vdot(b, forward_dense(ens, X))
     rhs = np.vdot(adjoint_apply(ens, b), X)
     out.append(("adjoint-balance", abs(lhs - rhs)))
@@ -528,11 +549,10 @@ def _selftest_checks(seed: int):
     out.append(("factorized-forward",
                 float(np.max(np.abs(r_matrix(ens8, p) @ xi_vector(ens8) - fwd)))))
 
-    mp = partial_forward(ens8, "left", v)
-    w = complex_gaussian(rng, 8)
+    op = FactoredOperator.of(ens8)
     c = complex_gaussian(rng, 4)
-    out.append(("partial-adjoint",
-                abs(np.vdot(c, mp.apply(w)) - np.vdot(mp.adjoint(c), w))))
+    gaps = (op.forward(u, v) - fwd, op.adjoint_image(c) - adjoint_apply(ens8, c))
+    out.append(("operator", max(float(np.max(np.abs(g))) for g in gaps)))
 
     m1 = complex_gaussian(rng, (6, 6))
     m2 = complex_gaussian(rng, (6, 6))

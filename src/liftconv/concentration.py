@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fourier import dft_matrix
 from .measurement import (
     Ensemble,
+    FactoredOperator,
     LiftedPoint,
-    forward,
     lifted_inner,
     sample_omega,
     _gaussian_dictionary,
+    _spectrum,
 )
 from .models import (
     InfeasibleModelError,
@@ -147,19 +147,23 @@ def _run_trials(kind, n, m, spec_u, spec_v, trials, seed, trial):
     return _finish_report(kind, devs, witness, seed, t0, n, m, spec_u, spec_v)
 
 
-def _decoupled_form(ens, p_hat, p, rng):
-    """<A'(p_hat), A''(p)> with independent dictionary copies per side.
+def _form(p_hat, p, op_hat, op_plain):
+    """<A'(p_hat), A''(p)>: the hatted pair measured by op_hat, the plain by op_plain."""
+    return np.vdot(op_hat.forward(p_hat.u, p_hat.v), op_plain.forward(p.u, p.v))
+
+
+def _decoupled_ops(ens, op, rng):
+    """(op_hat, op_plain): op of ens with independent dictionary copies per side.
 
     The hatted side gets a fresh phi, then the plain side a fresh psi,
     each drawn from rng only when that dictionary is not the identity.
     """
-    ens_hat = ens.with_dictionaries(
-        phi=None if ens.phi is None else _gaussian_dictionary(ens.n, rng)
-    )
-    ens_plain = ens.with_dictionaries(
-        psi=None if ens.psi is None else _gaussian_dictionary(ens.n, rng)
-    )
-    return np.vdot(forward(ens_hat, p_hat), forward(ens_plain, p))
+    op_hat, op_plain = op, op
+    if ens.phi is not None:
+        op_hat = replace(op, G_phi=_spectrum(_gaussian_dictionary(ens.n, rng)))
+    if ens.psi is not None:
+        op_plain = replace(op, G_psi=_spectrum(_gaussian_dictionary(ens.n, rng)))
+    return op_hat, op_plain
 
 
 def estimate_rip(
@@ -170,13 +174,13 @@ def estimate_rip(
     seed: int = 0,
 ) -> EstimateReport:
     """Sample max of | ||A(u v^T)||^2 - ||u v^T||_F^2 | / ||u v^T||_F^2."""
+    op = FactoredOperator.of(ens)
 
     def trial(t, rng):
         u = sample_model(spec_u, rng)
         v = sample_model(spec_v, rng)
-        p = LiftedPoint(u, v)
-        wsq = p.norm_f**2
-        dev = abs(np.linalg.norm(forward(ens, p)) ** 2 - wsq) / wsq
+        wsq = LiftedPoint(u, v).norm_f ** 2
+        dev = abs(np.linalg.norm(op.forward(u, v)) ** 2 - wsq) / wsq
         return dev, {"u": u, "v": v}
 
     return _run_trials("rip", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
@@ -198,6 +202,7 @@ def estimate_rap(
     With diagonal=True the hatted pair aliases the plain pair and the
     statistic reduces to the isometry deviation on the same draws.
     """
+    op = FactoredOperator.of(ens)
 
     def trial(t, rng):
         u = sample_model(spec_u, rng)
@@ -210,7 +215,7 @@ def estimate_rap(
         p = LiftedPoint(u, v)
         p_hat = LiftedPoint(u_hat, v_hat)
         denom = p.norm_f * p_hat.norm_f
-        val = np.vdot(forward(ens, p_hat), forward(ens, p)) - lifted_inner(p_hat, p)
+        val = _form(p_hat, p, op, op) - lifted_inner(p_hat, p)
         return abs(val) / denom, {"u": u, "v": v, "u_hat": u_hat, "v_hat": v_hat}
 
     return _run_trials("rap", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
@@ -243,6 +248,7 @@ def estimate_rop(
     """
     if orthogonality not in ("both", "either"):
         raise ValueError("orthogonality must be 'both' or 'either'")
+    op = FactoredOperator.of(ens)
     resamples = 0
 
     def trial(t, rng):
@@ -271,11 +277,8 @@ def estimate_rop(
             )
         p = LiftedPoint(u, v)
         p_hat = LiftedPoint(u_hat, v_hat)
-        if decoupled:
-            val = _decoupled_form(ens, p_hat, p, rng)
-        else:
-            val = np.vdot(forward(ens, p_hat), forward(ens, p))
-        dev = abs(val) / (p.norm_f * p_hat.norm_f)
+        ops = _decoupled_ops(ens, op, rng) if decoupled else (op, op)
+        dev = abs(_form(p_hat, p, *ops)) / (p.norm_f * p_hat.norm_f)
         return dev, {"u": u, "v": v, "u_hat": u_hat, "v_hat": v_hat}
 
     rep = _run_trials("rop", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
@@ -351,16 +354,8 @@ def isotropy_check(
     left dictionary is averaged out and (Phi^* Phi) X when the right
     one is. Returns ||mean - target||_F / ||target||_F.
 
-    Each draw is adjoint_apply(ens, forward(ens, x)) for the ensemble
-    with that draw's dictionary, computed from pieces built once per
-    call: with G = F D for the fresh dictionary D and G_f = F D_f for
-    the fixed one (F the unitary DFT, D_f = I for identity), the draw
-    measures b with F S_omega^T b = (n/sqrt(m)) K ((G w) * (G_f w_f)),
-    K = F[:, omega] F[:, omega]^*, where w and w_f are the factors of x
-    riding through D and D_f, and its adjoint image is
-    (n/sqrt(m)) G_f^* diag(F S_omega^T b) conj(G), transposed when the
-    fresh dictionary is the left one. Only G is formed per draw; G_f^*
-    multiplies the sum of the draws once.
+    Each draw is A^*(A(X)) for the factored operator of omega and the
+    fixed dictionary with the averaged factor swapped for that draw's.
     """
     if average_over not in ("phi", "psi"):
         raise ValueError("average_over must be 'phi' or 'psi'")
@@ -377,19 +372,15 @@ def isotropy_check(
     gram = np.eye(n, dtype=complex) if fixed is None else fixed.conj().T @ fixed
     target = X @ gram.T if average_over == "phi" else gram @ X
 
-    F = dft_matrix(n)
-    G_fixed = F if fixed is None else F @ fixed
-    w, w_fixed = (x.u, x.v) if average_over == "phi" else (x.v, x.u)
-    h = G_fixed @ w_fixed
-    K = F[:, omega] @ F[:, omega].conj().T
-
+    op = FactoredOperator.of(Ensemble(n, m, omega, fixed_kind, fixed_kind,
+                                      seed, phi=fixed, psi=fixed))
+    swap = "G_phi" if average_over == "phi" else "G_psi"
     acc = np.zeros((n, n), dtype=complex)
     for k in range(draws):
-        G = F @ _gaussian_dictionary(n, rng_for(seed, "draw", k))
-        d = K @ ((G @ w) * h)
-        acc += d[:, None] * G.conj()
-    half = G_fixed.conj().T @ acc
-    mean = (n * n / (m * draws)) * (half.T if average_over == "phi" else half)
+        G = _spectrum(_gaussian_dictionary(n, rng_for(seed, "draw", k)))
+        op_k = replace(op, **{swap: G})
+        acc += op_k.adjoint_image(op_k.forward(x.u, x.v))
+    mean = acc / draws
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))
 
 
@@ -444,8 +435,7 @@ def rop_form_samples(
         phi = _gaussian_dictionary(n, rng)
         psi = _gaussian_dictionary(n, rng)
         base = Ensemble(n=n, m=m, omega=omega, seed=seed, phi=phi, psi=psi)
-        if decoupled:
-            vals[k] = _decoupled_form(base, p_hat, p, rng)
-        else:
-            vals[k] = np.vdot(forward(base, p_hat), forward(base, p))
+        op = FactoredOperator.of(base)
+        ops = _decoupled_ops(base, op, rng) if decoupled else (op, op)
+        vals[k] = _form(p_hat, p, *ops)
     return vals

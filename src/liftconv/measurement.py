@@ -12,9 +12,9 @@ where F is the unitary DFT, Phi and Psi are n x n dictionaries, and
 omega is a list of m sample positions. Inner products are conjugate
 linear in the first argument throughout (numpy.vdot convention).
 
-Fast paths use FFTs; dense constructions (measurement_matrix,
-adjoint_apply, r_matrix) are guarded to small n and exist so the fast
-paths can be checked against them.
+The solver, the estimators and the isotropy check measure with
+FactoredOperator; the FFT paths (forward, partial_forward) and the dense
+constructions (guarded to small n) are the references it is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "forward_dense",
     "measurement_matrix",
     "adjoint_apply",
-    "adjoint_actions",
+    "FactoredOperator",
     "PartialMap",
     "partial_forward",
     "r_matrix",
@@ -182,15 +182,6 @@ class Ensemble:
     def psi_matrix(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex) if self.psi is None else self.psi
 
-    def with_dictionaries(self, phi=None, psi=None) -> "Ensemble":
-        """Copy sharing omega, with one or both dictionaries replaced."""
-        return Ensemble(
-            n=self.n, m=self.m, omega=self.omega.copy(),
-            phi_kind=self.phi_kind, psi_kind=self.psi_kind, seed=self.seed,
-            phi=self.phi if phi is None else phi,
-            psi=self.psi if psi is None else psi,
-        )
-
     # -- serialization ------------------------------------------------------
 
     def to_config(self) -> dict:
@@ -277,7 +268,8 @@ def adjoint_apply(ens: Ensemble, b: np.ndarray) -> np.ndarray:
     n, m = ens.n, ens.m
     if n > DENSE_GUARD:
         raise ValueError(
-            f"dense adjoint is limited to n <= {DENSE_GUARD}; use adjoint_actions"
+            f"dense adjoint is limited to n <= {DENSE_GUARD}; "
+            "use FactoredOperator.adjoint_image"
         )
     b = np.asarray(b, dtype=complex)
     if b.shape != (m,):
@@ -287,32 +279,6 @@ def adjoint_apply(ens: Ensemble, b: np.ndarray) -> np.ndarray:
     core = F.conj().T @ (d[:, None] * F.conj())
     left = core if ens.phi is None else ens.phi.conj().T @ core
     return (n / np.sqrt(m)) * (left if ens.psi is None else left @ ens.psi.conj())
-
-
-def adjoint_actions(ens: Ensemble, b: np.ndarray):
-    """Implicit adjoint T = sum_l b_l M_l as a pair (T @ w, T^* @ w).
-
-    O(n log n) plus one dictionary product per application; no guard.
-    """
-    n, m = ens.n, ens.m
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (m,):
-        raise ValueError("b must have length m")
-    d = fftu(_scatter(ens, b))
-    scale = n / np.sqrt(m)
-
-    def matvec(w: np.ndarray) -> np.ndarray:
-        t = w if ens.psi is None else ens.psi.conj() @ w
-        s = np.conj(fftu(np.conj(t)))          # conj(F) @ t
-        s = ifftu(d * s)                       # F^* diag(d)
-        return scale * (s if ens.phi is None else ens.phi.conj().T @ s)
-
-    def rmatvec(w: np.ndarray) -> np.ndarray:
-        t = w if ens.phi is None else ens.phi @ w
-        s = fftu(np.conj(d) * fftu(t))         # F diag(conj d) F
-        return scale * (s if ens.psi is None else ens.psi.T @ s)
-
-    return matvec, rmatvec
 
 
 @dataclass
@@ -360,6 +326,53 @@ def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
     else:
         fixed_hat = np.fft.fft(ens.apply_phi(fixed))
     return PartialMap(ens=ens, side=side, fixed_hat=fixed_hat)
+
+
+# -- factored operator --------------------------------------------------------
+
+
+def _spectrum(D: np.ndarray) -> np.ndarray:
+    return np.fft.fft(D, axis=0)  # F D, F the unnormalized DFT
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredOperator:
+    """The measurement as A(u v^T) = W @ ((G_phi @ u) * (G_psi @ v)).
+
+    G_phi = F Phi and G_psi = F Psi for the unnormalized DFT F, and
+    W = sqrt(n/m) F^-1[omega, :]: 2 n^2 + m n complex entries, built
+    once per ensemble by of(). dataclasses.replace swaps a dictionary.
+    """
+
+    G_phi: np.ndarray
+    G_psi: np.ndarray
+    W: np.ndarray
+
+    @classmethod
+    def of(cls, ens: Ensemble) -> "FactoredOperator":
+        n = ens.n
+        # reduce omega * k mod n in integers, so every angle lies in [0, 2 pi)
+        phase = np.outer(ens.omega, np.arange(n)) % n
+        W = np.sqrt(n / ens.m) * np.exp(2j * np.pi * phase / n) / n
+        return cls(_spectrum(ens.phi_matrix()), _spectrum(ens.psi_matrix()), W)
+
+    def forward(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A(u v^T); for n x k blocks u, v, one measurement per column pair."""
+        return self.W @ ((self.G_phi @ u) * (self.G_psi @ v))
+
+    def adjoint_image(self, b: np.ndarray) -> np.ndarray:
+        """A^*(b) = sum_l b_l M_l = G_phi^H diag(W^H b) conj(G_psi), n x n."""
+        d = np.conj(np.conj(b) @ self.W)
+        return self.G_phi.conj().T @ (d[:, None] * np.conj(self.G_psi))
+
+    def frozen(self, side: str, fixed: np.ndarray):
+        """Frozen-factor map w -> WH @ (G @ w) as its factors (WH, G).
+
+        side "left" freezes v = fixed, w -> A(w v^T); "right" freezes u = fixed.
+        """
+        if side == "left":
+            return self.W * (self.G_psi @ fixed), self.G_phi
+        return self.W * (self.G_phi @ fixed), self.G_psi
 
 
 # -- flattened operator pieces ----------------------------------------------

@@ -6,11 +6,12 @@ one factor frozen, the other is hard thresholded from a gradient step
 and refit exactly by least squares on the selected support. Because the
 half-step problems are underdetermined whenever m < n, a plain
 solve-then-threshold alternation stalls at interpolating fixed points;
-the support-restricted refits remove that failure mode. The frozen-factor
-map is the m x n matrix sqrt(n/m) F^-1[omega, :] diag(F Psi v) (F Phi)
-(swap Phi and Psi to free the right factor), kept in factored form.
-The adjoint image is built densely from the same factors, at every n:
-each solve holds 3 n^2 + m n complex entries.
+the support-restricted refits remove that failure mode. Every solve
+measures with one measurement.FactoredOperator: its frozen-factor map
+is the m x n matrix sqrt(n/m) F^-1[omega, :] diag(F Psi v) (F Phi)
+(swap Phi and Psi to free the right factor), kept in factored form, and
+its adjoint image of the data is built densely, at every n: each solve
+holds 3 n^2 + m n complex entries.
 
 Two further devices widen the basin of attraction. Sparsity
 continuation starts each attempt at a relaxed level (capped by m/3) and
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import Ensemble, LiftedPoint, forward, lifted_dist
+from .measurement import Ensemble, FactoredOperator, LiftedPoint, forward, lifted_dist
 from .models import ModelSpec, hard_threshold, project_flat, sample_model
 from .util import complex_gaussian, derive_seed, rng_for, unit
 
@@ -40,6 +41,12 @@ __all__ = [
     "success_metric",
     "plant_instance",
 ]
+
+
+# A later attempt replaces the kept one only if its residual is smaller
+# by more than this relative margin, so that attempts reaching the same
+# residual up to rounding (noisy data) keep the earliest.
+_ATTEMPT_MARGIN = 1e-9
 
 
 class SolverBreakdownError(RuntimeError):
@@ -123,7 +130,7 @@ def _thresholded_pair(u0: np.ndarray, v0: np.ndarray, k1: int, k2: int) -> Lifte
 def spectral_init(ens: Ensemble, b: np.ndarray, s1: int, s2: int) -> LiftedPoint:
     """Thresholded leading singular pair of the adjoint image of b.
 
-    The image comes from the per-solve constants, as in recover: 3 n^2 +
+    The image comes from the factored operator, as in recover: 3 n^2 +
     m n complex entries and one full dense SVD at every n (about 1.8 s
     at n = 1024 with one BLAS thread). Factors are hard thresholded to
     their sparsity levels and renormalized; the overall scale is left to
@@ -132,7 +139,7 @@ def spectral_init(ens: Ensemble, b: np.ndarray, s1: int, s2: int) -> LiftedPoint
     b = np.asarray(b, dtype=complex)
     if np.linalg.norm(b) == 0:
         raise ValueError("cannot initialize from zero measurements")
-    T = _adjoint_image(_solve_constants(ens), b)
+    T = FactoredOperator.of(ens).adjoint_image(b)
     return _thresholded_pair(*_leading_pair_dense(T), s1, s2)
 
 
@@ -190,41 +197,6 @@ def _attempt_init(n: int, T: np.ndarray, k1: int, k2: int, attempt: int,
 # -- half steps ---------------------------------------------------------------
 
 
-def _solve_constants(ens: Ensemble):
-    """(G_phi, G_psi, W) = (F Phi, F Psi, sqrt(n/m) F^-1[omega, :]), F = np.fft.fft.
-
-    forward(ens, u v^T) = W @ ((G_phi @ u) * (G_psi @ v)).
-    """
-    n = ens.n
-    # reduce omega * k mod n in integers, so every angle lies in [0, 2 pi)
-    phase = np.outer(ens.omega, np.arange(n)) % n
-    W = np.sqrt(n / ens.m) * np.exp(2j * np.pi * phase / n) / n
-    return (np.fft.fft(ens.phi_matrix(), axis=0),
-            np.fft.fft(ens.psi_matrix(), axis=0), W)
-
-
-def _adjoint_image(consts, b: np.ndarray) -> np.ndarray:
-    """Adjoint image T = A^*(b) = G_phi^H diag(W^H b) conj(G_psi), n x n.
-
-    The conjugate transpose of forward = W @ ((G_phi u) * (G_psi v)):
-    one n^3 product on top of the per-solve constants.
-    """
-    G_phi, G_psi, W = consts
-    d = np.conj(np.conj(b) @ W)
-    return G_phi.conj().T @ (d[:, None] * np.conj(G_psi))
-
-
-def _frozen_map(consts, side: str, fixed: np.ndarray):
-    """Frozen-factor map w -> WH @ (G @ w) as its factors (WH, G).
-
-    side "left" freezes v = fixed, w -> A(w v^T); "right" freezes u = fixed.
-    """
-    G_phi, G_psi, W = consts
-    if side == "left":
-        return W * (G_psi @ fixed), G_phi
-    return W * (G_phi @ fixed), G_psi
-
-
 def _adjoint(WH: np.ndarray, G: np.ndarray, r: np.ndarray) -> np.ndarray:
     """G^H (WH^H r), evaluated as conj((conj(r) @ WH) @ G) without copying."""
     return np.conj((np.conj(r) @ WH) @ G)
@@ -272,7 +244,7 @@ def _sparsity_schedule(s: int, m: int, n: int) -> list:
     return out
 
 
-def _run_attempt(ens, b, opts, consts, init: LiftedPoint, sched1, sched2):
+def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2):
     u, v = init.u.copy(), init.v.copy()
     half_log: list = []
     iters = 0
@@ -282,11 +254,11 @@ def _run_attempt(ens, b, opts, consts, init: LiftedPoint, sched1, sched2):
         converged = False
         for _ in range(opts.max_outer_iters):
             iters += 1
-            u = _half_step(*_frozen_map(consts, "left", v), b, u, s1_now, half_log)
+            u = _half_step(*op.frozen("left", v), b, u, s1_now, half_log)
             if np.linalg.norm(u) == 0:
                 raise SolverBreakdownError("left factor collapsed",
                                            LiftedPoint(u, v))
-            v = _half_step(*_frozen_map(consts, "right", u), b, v, s2_now, half_log)
+            v = _half_step(*op.frozen("right", u), b, v, s2_now, half_log)
             if np.linalg.norm(v) == 0:
                 raise SolverBreakdownError("right factor collapsed",
                                            LiftedPoint(u, v))
@@ -300,7 +272,7 @@ def _run_attempt(ens, b, opts, consts, init: LiftedPoint, sched1, sched2):
                 converged = True
                 break
             prev = cur
-    resid = float(np.linalg.norm(forward(ens, LiftedPoint(u, v)) - b))
+    resid = float(np.linalg.norm(op.forward(u, v) - b))
     return u, v, resid, iters, converged, half_log
 
 
@@ -319,13 +291,15 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     Runs up to opts.restarts + 1 attempts, each a full continuation
     sweep from a screened spectral initialization (deterministic for
     the first attempt, energy-weighted random screenings after). Keeps
-    the attempt with the smallest residual and stops early once the
-    residual falls below resid_stop * ||b||. An attempt that breaks down
+    the attempt with the smallest residual, the earliest one unless a
+    later residual is smaller by more than the relative margin
+    _ATTEMPT_MARGIN, and stops early once a residual falls below
+    resid_stop * ||b||. An attempt that breaks down
     counts in `attempts`; its error is re-raised only if every attempt
     broke down. All stochastic choices derive from opts.seed, never from
-    global state. The per-solve constants (F Phi, F Psi and the scaled
+    global state. The factored operator (F Phi, F Psi and the scaled
     inverse-DFT rows, 2 n^2 + m n complex entries) and the n x n adjoint
-    image of b built from them are made once per call, at every n: 3 n^2
+    image of b built from it are made once per call, at every n: 3 n^2
     + m n entries in all, about what the two Gaussian dictionaries the
     ensemble already stores take.
     """
@@ -340,8 +314,8 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     sched1 = [sched1[0]] * (depth - len(sched1)) + sched1
     sched2 = [sched2[0]] * (depth - len(sched2)) + sched2
 
-    consts = _solve_constants(ens)
-    T = _adjoint_image(consts, b)
+    op = FactoredOperator.of(ens)
+    T = op.adjoint_image(b)
     b_norm = float(np.linalg.norm(b))
     best = None
     breakdown = None
@@ -350,13 +324,14 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         attempts += 1
         init = _attempt_init(ens.n, T, sched1[0], sched2[0], a, opts.seed)
         try:
-            outcome = _run_attempt(ens, b, opts, consts, init, sched1, sched2)
+            outcome = _run_attempt(op, b, opts, init, sched1, sched2)
         except SolverBreakdownError as err:
             breakdown = err
             continue
-        if best is None or outcome[2] < best[2]:
+        if best is None or outcome[2] < (1.0 - _ATTEMPT_MARGIN) * best[2]:
             best = outcome
-        if best[2] <= opts.resid_stop * b_norm:
+        # no earlier residual met the stop, so this tests the smallest so far
+        if outcome[2] <= opts.resid_stop * b_norm:
             break
     if best is None:
         raise breakdown
@@ -366,12 +341,12 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         if opts.mu1 is not None:
             u = _flatness_step(ens, u, opts.mu1, opts.s1, "left")
             J = np.nonzero(v)[0] if np.any(v) else np.arange(ens.n)
-            v, _ = _refit(*_frozen_map(consts, "right", u), b, J)
+            v, _ = _refit(*op.frozen("right", u), b, J)
         if opts.mu2 is not None:
             v = _flatness_step(ens, v, opts.mu2, opts.s2, "right")
             J = np.nonzero(u)[0] if np.any(u) else np.arange(ens.n)
-            u, _ = _refit(*_frozen_map(consts, "left", v), b, J)
-        resid = float(np.linalg.norm(forward(ens, LiftedPoint(u, v)) - b))
+            u, _ = _refit(*op.frozen("left", v), b, J)
+        resid = float(np.linalg.norm(op.forward(u, v) - b))
 
     return SolveResult(
         u_hat=u,

@@ -188,6 +188,38 @@ def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path):
     assert _read(one) == _read(two)
 
 
+FAILING_CELL_CONFIG = """
+kind = rap
+n = 128
+m = 32
+s1 = 3
+s2 = 3
+mu2 = none,2.0
+trials = 25
+"""
+
+
+def test_failed_estimator_cell_keeps_its_row_and_exits_3(tmp_path):
+    # the mu2 = 2.0 cell cannot draw a flat partner on some trial streams
+    cfg_path = tmp_path / "flat.cfg"
+    cfg_path.write_text(FAILING_CELL_CONFIG)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", workers]) == 3
+        outs.append((_read(out), _read(str(out) + ".meta")))
+    assert outs[0] == outs[1]
+    with open(tmp_path / "w1.csv", newline="") as fh:
+        ok, failed = list(csv.DictReader(fh))
+    cfg = parse_config(FAILING_CELL_CONFIG)
+    assert float(ok["delta_hat"]) > 0 and ok["mu2"] == ""
+    assert failed["mu2"] == "2.0" and failed["trials"] == "25"
+    assert failed["seed"] == str(cfg.cell_seed(cfg.cells()[1]))
+    assert all(failed[k] == "" for k in ("delta_hat", "q50", "q90", "q99"))
+    assert "cells=2" in outs[0][1].decode()
+
+
 def test_recover_sweep_fields(tmp_path):
     out = tmp_path / "rec.csv"
     run_sweep(parse_config(RECOVER_CONFIG), str(out))

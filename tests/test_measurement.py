@@ -1,5 +1,7 @@
 """Measurement operator against naive oracles and its own dense forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from liftconv.measurement import (
     DENSE_GUARD,
     R_MATRIX_GUARD,
     Ensemble,
+    FactoredOperator,
     LiftedPoint,
-    adjoint_actions,
     adjoint_apply,
     forward,
     forward_dense,
@@ -114,14 +116,29 @@ def test_adjoint_balance(kinds):
         assert abs(lhs - rhs) < 1e-10 * np.linalg.norm(X) * np.linalg.norm(b)
 
 
-def test_adjoint_actions_match_dense_adjoint():
-    ens = Ensemble.generate(16, 7, seed=27)
-    b = complex_gaussian(rng_for(28, "b"), 7)
-    T = adjoint_apply(ens, b)
-    matvec, rmatvec = adjoint_actions(ens, b)
-    w = complex_gaussian(rng_for(29, "w"), 16)
-    assert np.allclose(matvec(w), T @ w, atol=1e-10)
-    assert np.allclose(rmatvec(w), T.conj().T @ w, atol=1e-10)
+@pytest.mark.parametrize("kinds", ENSEMBLES)
+@pytest.mark.parametrize("omega_mode", ["without_replacement", "iid_uniform"])
+def test_factored_operator_matches_fft_forward_and_dense_adjoint(kinds, omega_mode):
+    n, m = 16, 7
+    ens = Ensemble.generate(n, m, seed=27, omega_mode=omega_mode, **kinds)
+    op = FactoredOperator.of(ens)
+    rng = rng_for(28, "op")
+    U, V = complex_gaussian(rng, (n, 3)), complex_gaussian(rng, (n, 3))
+    b = complex_gaussian(rng, m)
+
+    def close(got, ref):
+        return np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    ref = np.stack([forward(ens, LiftedPoint(U[:, k], V[:, k])) for k in range(3)], axis=1)
+    assert close(op.forward(U, V), ref)  # one measurement per column pair
+    assert close(op.forward(U[:, 1], V[:, 1]), ref[:, 1])
+    assert close(op.adjoint_image(b), adjoint_apply(ens, b))
+    # swapping one factor measures with the swapped dictionary
+    ens_phi = Ensemble(n, m, ens.omega, "gaussian", ens.psi_kind,
+                       phi=complex_gaussian(rng, (n, n)), psi=ens.psi)
+    swapped = replace(op, G_phi=FactoredOperator.of(ens_phi).G_phi)
+    p = LiftedPoint(U[:, 0], V[:, 0])
+    assert close(swapped.forward(p.u, p.v), forward(ens_phi, p))
 
 
 def test_adjoint_handles_repeated_omega_entries():

@@ -1,6 +1,16 @@
 """The package's public names."""
 
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
 import liftconv
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(liftconv.__path__))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 PUBLIC_NAMES = {
     "BoundQuery", "SampleComplexity", "angle_preservation_bound",
@@ -11,7 +21,7 @@ PUBLIC_NAMES = {
     "estimate_rop", "exact_rip_small", "isotropy_check", "polarization_check",
     "rop_form_samples",
     "dft_matrix", "fftu", "ifftu",
-    "Ensemble", "LiftedPoint", "adjoint_actions", "adjoint_apply", "forward",
+    "Ensemble", "FactoredOperator", "LiftedPoint", "adjoint_apply", "forward",
     "forward_dense", "lifted_dist", "lifted_inner", "measurement_matrix",
     "partial_forward", "r_matrix", "sample_omega", "xi_vector",
     "FlatProjectionError", "InfeasibleModelError", "ModelSpec",
@@ -35,3 +45,26 @@ def test_every_public_name_resolves():
     exec("from liftconv import *", namespace)
     for name in liftconv.__all__:
         assert namespace[name] is getattr(liftconv, name)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_submodule_export_resolves(name):
+    mod = importlib.import_module(f"liftconv.{name}")
+    namespace = {}
+    exec(f"from liftconv.{name} import *", namespace)
+    for attr in getattr(mod, "__all__", ()):
+        assert namespace[attr] is getattr(mod, attr)
+
+
+def test_traced_benchmark_targets_resolve():
+    # the benchmark's tracer wraps these by name; read, never imported here
+    tree = ast.parse(TRACER.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    assert targets
+    for mod_name, attr in targets:
+        obj = importlib.import_module(f"liftconv.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{mod_name}.{attr}"

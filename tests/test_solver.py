@@ -6,6 +6,7 @@ import pytest
 import liftconv.solver as solver
 from liftconv.measurement import (
     Ensemble,
+    FactoredOperator,
     LiftedPoint,
     adjoint_apply,
     forward,
@@ -22,12 +23,9 @@ from liftconv.solver import (
     spectral_init,
     success_metric,
     _adjoint,
-    _adjoint_image,
-    _frozen_map,
     _leading_pair_dense,
     _refit,
     _screened_pair,
-    _solve_constants,
     _sparsity_schedule,
 )
 from liftconv.util import complex_gaussian, rng_for, unit
@@ -116,7 +114,7 @@ def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch):
     # above n = 256 the screened restarts still draw their own supports
     inits = []
 
-    def record(ens, b, opts, consts, init, sched1, sched2):
+    def record(op, b, opts, init, sched1, sched2):
         inits.append(init)
         return init.u, init.v, np.inf, 0, False, []
 
@@ -154,13 +152,13 @@ def test_frozen_factor_map_matches_fft_partial_map(side, phi_kind, psi_kind, ome
     rng = rng_for(121, "frozen")
     fixed, w, r = complex_gaussian(rng, n), complex_gaussian(rng, n), complex_gaussian(rng, m)
     pm = partial_forward(ens, side, fixed)
-    consts = _solve_constants(ens)
-    WH, G = _frozen_map(consts, side, fixed)
+    op = FactoredOperator.of(ens)
+    WH, G = op.frozen(side, fixed)
 
     def close(got, ref):
         return np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    assert close(_adjoint_image(consts, r), adjoint_apply(ens, r))
+    assert close(op.adjoint_image(r), adjoint_apply(ens, r))
     assert close(WH @ G, np.stack([pm.apply(e) for e in np.eye(n)], axis=1))
     assert close(WH @ (G @ w), pm.apply(w))
     assert close(_adjoint(WH, G, r), pm.adjoint(r))
@@ -238,12 +236,13 @@ def test_residuals_monotone_without_thresholding():
 
 def test_recover_builds_the_adjoint_image_once(monkeypatch):
     calls = []
+    real = FactoredOperator.adjoint_image
 
-    def counting(consts, b):
+    def counting(op, b):
         calls.append(1)
-        return _adjoint_image(consts, b)
+        return real(op, b)
 
-    monkeypatch.setattr(solver, "_adjoint_image", counting)
+    monkeypatch.setattr(FactoredOperator, "adjoint_image", counting)
     ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
     res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
     assert res.attempts == 15
@@ -257,7 +256,7 @@ def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch):
     def broken_first(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
-            raise SolverBreakdownError("left factor collapsed", args[4])
+            raise SolverBreakdownError("left factor collapsed", args[3])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_run_attempt", broken_first)
@@ -268,13 +267,35 @@ def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch):
 
     def always_broken(*args, **kwargs):
         calls.append(1)
-        raise SolverBreakdownError(f"breakdown {len(calls)}", args[4])
+        raise SolverBreakdownError(f"breakdown {len(calls)}", args[3])
 
     calls.clear()
     monkeypatch.setattr(solver, "_run_attempt", always_broken)
     with pytest.raises(SolverBreakdownError, match="breakdown 3"):
         recover(ens, b, SolveOptions(s1=2, s2=2, seed=101, restarts=2))
     assert len(calls) == 3
+
+
+def test_attempts_equal_up_to_rounding_keep_the_earliest(monkeypatch):
+    # residuals 1e-15 apart (relative) are one residual: the later,
+    # longer attempt must not replace the earlier one on rounding alone
+    ens, _, b, _ = plant_instance(16, 8, 2, 2, seed=122)
+    r0 = 0.5 * np.linalg.norm(b)
+    outcomes = iter([(r0, 60), (r0 * (1 - 1e-15), 75), (2 * r0, 90)])
+
+    def fake(*args):
+        resid, iters = next(outcomes)
+        return np.ones(16), np.ones(16), resid, iters, True, []
+
+    monkeypatch.setattr(solver, "_run_attempt", fake)
+    res = recover(ens, b, SolveOptions(s1=2, s2=2, restarts=2, seed=122))
+    assert res.attempts == 3
+    assert (res.iterations, res.residual_norm) == (60, r0)
+
+    # a later attempt that is better beyond the margin still wins
+    outcomes = iter([(r0, 60), (r0 * (1 - 1e-6), 75), (2 * r0, 90)])
+    res = recover(ens, b, SolveOptions(s1=2, s2=2, restarts=2, seed=122))
+    assert res.iterations == 75
 
 
 def test_recover_validates_inputs():
