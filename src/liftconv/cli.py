@@ -4,8 +4,10 @@ Subcommands
 -----------
 rip-estimate / rap-estimate / rop-estimate
     One Monte Carlo estimation run; prints the report as key=value
-    lines (wall_time included); --csv writes the same report as a
-    one-row CSV, replacing any old content.
+    lines (wall_time and resamples included); --csv writes the report
+    with its wall_time as a one-row CSV, replacing any old content.
+    rip-estimate measures the isometry deviation, rap-estimate the
+    angle deviation over independent pairs.
 isotropy
     Monte Carlo check that averaging A*A over one dictionary
     reproduces the closed-form expectation.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import logging
 import sys
 import time
@@ -126,11 +129,12 @@ _BASE_KEYS = frozenset(
 )
 _KIND_KEYS = {
     "rip": _BASE_KEYS,
-    "rap": _BASE_KEYS | {"diagonal"},
+    "rap": _BASE_KEYS,
     "rop": _BASE_KEYS | {"orthogonality", "decoupled"},
     "recover": _BASE_KEYS | {"noise", "success_threshold", "max_outer_iters",
                              "outer_tol", "enforce_flatness", "restarts"},
 }
+_ALL_KEYS = frozenset().union(*_KIND_KEYS.values())
 
 
 @dataclasses.dataclass
@@ -152,28 +156,19 @@ class SweepConfig:
     flavor: str = "exact"
     omega_mode: str = "without_replacement"
     orthogonality: str = "both"
-    diagonal: bool = False
     decoupled: bool = False
     success_threshold: float = 1e-4
-    max_outer_iters: int = 40
-    outer_tol: float = 1e-8
-    restarts: int = 14
+    max_outer_iters: int = SolveOptions.max_outer_iters
+    outer_tol: float = SolveOptions.outer_tol
+    restarts: int = SolveOptions.restarts
     enforce_flatness: bool = False
 
     def cells(self) -> list:
-        noise_axis = self.noise if self.kind == "recover" else [None]
-        out = []
-        for n in self.n:
-            for m in self.m:
-                for s1 in self.s1:
-                    for s2 in self.s2:
-                        for mu1 in self.mu1:
-                            for mu2 in self.mu2:
-                                for noise in noise_axis:
-                                    out.append({"n": n, "m": m, "s1": s1,
-                                                "s2": s2, "mu1": mu1,
-                                                "mu2": mu2, "noise": noise})
-        return out
+        """Grid points in _GRID_KEYS order, the last key varying fastest."""
+        axes = [getattr(self, key) for key in _GRID_KEYS]
+        if self.kind != "recover":
+            axes[-1] = [None]
+        return [dict(zip(_GRID_KEYS, point)) for point in itertools.product(*axes)]
 
     def cell_seed(self, cell: dict) -> int:
         return derive_seed(
@@ -216,7 +211,7 @@ def _scalar(key: str, tok: str):
             return int(tok)
         if key in ("mu1", "mu2", "noise", "success_threshold", "outer_tol"):
             return float(tok)
-        if key in ("diagonal", "decoupled", "enforce_flatness"):
+        if key in ("decoupled", "enforce_flatness"):
             if tok.lower() in ("true", "1", "yes"):
                 return True
             if tok.lower() in ("false", "0", "no"):
@@ -236,7 +231,7 @@ def _parse_lines(lines, raw: dict, origin: str):
             raise ConfigError(f"{origin}:{idx}: expected key=value, got {body!r}")
         key, _, value = body.partition("=")
         key = key.strip()
-        if key not in _KIND_KEYS["recover"] | _KIND_KEYS["rop"] | _KIND_KEYS["rap"]:
+        if key not in _ALL_KEYS:
             raise ConfigError(f"{origin}:{idx}: unknown key {key!r}")
         if key in raw:
             log.info("config override %s=%s (was %s, from %s)",
@@ -332,8 +327,7 @@ def _run_estimate(kind: str, opts, point: dict, seed: int):
     if kind == "rip":
         return estimate_rip(ens, spec_u, spec_v, opts.trials, seed=seed)
     if kind == "rap":
-        return estimate_rap(ens, spec_u, spec_v, opts.trials, seed=seed,
-                            diagonal=opts.diagonal)
+        return estimate_rap(ens, spec_u, spec_v, opts.trials, seed=seed)
     return estimate_rop(ens, spec_u, spec_v, opts.trials, seed=seed,
                         orthogonality=opts.orthogonality,
                         decoupled=opts.decoupled)
@@ -372,7 +366,7 @@ def _execute_cell(payload) -> tuple:
         row = _recover_cell(cfg, cell, seed)
     else:
         try:
-            row = _run_estimate(cfg.kind, cfg, cell, seed).csv_dict(include_wall_time=False)
+            row = _run_estimate(cfg.kind, cfg, cell, seed).csv_dict()
         except _NUMERIC_ERRORS as exc:
             log.error("cell %s failed: %s", cell, exc)
             row = {"kind": cfg.kind, **{k: cell[k] for k in ESTIMATE_FIELDS if k in cell},
@@ -458,19 +452,19 @@ def _write_csv_row(path: str, fields, row: dict):
 
 def _cmd_estimate(args, kind: str) -> int:
     rep = _run_estimate(kind, args, vars(args), args.seed)
-    row = rep.csv_dict(include_wall_time=True)
-    row["resamples"] = rep.resamples
-    _print_kv(row)
+    row = {**rep.csv_dict(), "wall_time": rep.wall_time}
+    _print_kv({**row, "resamples": rep.resamples})
     if args.csv:
-        _write_csv_row(args.csv, CSV_FIELDS, rep.csv_dict(include_wall_time=True))
+        _write_csv_row(args.csv, CSV_FIELDS, row)
     return 0
 
 
 def _cmd_isotropy(args) -> int:
-    rng_u = rng_for(args.seed, "iso-u")
-    rng_v = rng_for(args.seed, "iso-v")
-    u = sample_model(ModelSpec(args.n, args.s1, side="left"), rng_u)
-    v = sample_model(ModelSpec(args.n, args.s2, side="right"), rng_v)
+    # without --s1/--s2 the signals are dense
+    s1 = args.n if args.s1 is None else args.s1
+    s2 = args.n if args.s2 is None else args.s2
+    u = sample_model(ModelSpec(args.n, s1, side="left"), rng_for(args.seed, "iso-u"))
+    v = sample_model(ModelSpec(args.n, s2, side="right"), rng_for(args.seed, "iso-v"))
     err = isotropy_check(args.n, args.m, LiftedPoint(u, v), args.draws,
                          seed=args.seed, fixed_kind=args.fixed_kind,
                          average_over=args.average_over,
@@ -605,11 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in ("rip", "rap", "rop"):
         sp = sub.add_parser(f"{kind}-estimate", parents=[ens_p, mod_p],
                             help=f"Monte Carlo {kind} constant estimate")
-        sp.add_argument("--trials", type=int, default=100)
+        sp.add_argument("--trials", type=int, default=SweepConfig.trials)
         sp.add_argument("--csv", default=None, help="also write a one-row CSV")
-        if kind == "rap":
-            sp.add_argument("--diagonal", action="store_true",
-                            help="alias the second pair to the first")
         if kind == "rop":
             sp.add_argument("--orthogonality", choices=("both", "either"),
                             default="both")
@@ -630,9 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plant an instance and run the solver")
     sp.add_argument("--noise", type=float, default=0.0,
                     help="noise norm relative to the clean measurement")
-    sp.add_argument("--max-outer-iters", type=int, default=40)
-    sp.add_argument("--outer-tol", type=float, default=1e-8)
-    sp.add_argument("--restarts", type=int, default=14)
+    sp.add_argument("--max-outer-iters", type=int,
+                    default=SolveOptions.max_outer_iters)
+    sp.add_argument("--outer-tol", type=float, default=SolveOptions.outer_tol)
+    sp.add_argument("--restarts", type=int, default=SolveOptions.restarts)
     sp.add_argument("--enforce-flatness", action="store_true")
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=_cmd_recover)
@@ -670,11 +662,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "isotropy":
-        if args.s1 is None:
-            args.s1 = args.n
-        if args.s2 is None:
-            args.s2 = args.n
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -55,6 +55,10 @@ EXACT_RIP_N_GUARD = 16
 EXACT_RIP_S_GUARD = 4
 ISOTROPY_GUARD = 64
 
+# Fresh 4-tuples a rop trial may draw before its orthogonalization
+# failure is reported.
+_ROP_MAX_ATTEMPTS = 8
+
 CSV_FIELDS = (
     "kind", "n", "m", "s1", "s2", "mu1", "mu2", "trials",
     "delta_hat", "q50", "q90", "q99", "seed", "wall_time",
@@ -86,8 +90,9 @@ class EstimateReport:
     witness: dict = field(default_factory=dict, repr=False)
     deviations: np.ndarray | None = field(default=None, repr=False)
 
-    def csv_dict(self, include_wall_time: bool = True) -> dict:
-        row = {
+    def csv_dict(self) -> dict:
+        """The deterministic report fields, CSV_FIELDS without wall_time."""
+        return {
             "kind": self.kind,
             "n": self.n,
             "m": self.m,
@@ -102,9 +107,6 @@ class EstimateReport:
             "q99": self.quantiles[0.99],
             "seed": self.seed,
         }
-        if include_wall_time:
-            row["wall_time"] = self.wall_time
-        return row
 
 
 def _finish_report(kind, devs, witness, seed, t0, n, m, spec_u, spec_v):
@@ -192,26 +194,22 @@ def estimate_rap(
     spec_v: ModelSpec,
     trials: int,
     seed: int = 0,
-    diagonal: bool = False,
 ) -> EstimateReport:
     """Sample max of the normalized angle deviation
 
         | <A(u_hat v_hat^T), A(u v^T)> - <u_hat v_hat^T, u v^T> |
-          / (||u_hat v_hat^T||_F ||u v^T||_F).
+          / (||u_hat v_hat^T||_F ||u v^T||_F)
 
-    With diagonal=True the hatted pair aliases the plain pair and the
-    statistic reduces to the isometry deviation on the same draws.
+    over independent pairs. With the hatted pair equal to the plain one
+    this is the isometry deviation, which estimate_rip measures.
     """
     op = FactoredOperator.of(ens)
 
     def trial(t, rng):
         u = sample_model(spec_u, rng)
         v = sample_model(spec_v, rng)
-        if diagonal:
-            u_hat, v_hat = u, v
-        else:
-            u_hat = sample_model(spec_u, rng)
-            v_hat = sample_model(spec_v, rng)
+        u_hat = sample_model(spec_u, rng)
+        v_hat = sample_model(spec_v, rng)
         p = LiftedPoint(u, v)
         p_hat = LiftedPoint(u_hat, v_hat)
         denom = p.norm_f * p_hat.norm_f
@@ -229,7 +227,6 @@ def estimate_rop(
     seed: int = 0,
     orthogonality: str = "both",
     decoupled: bool = False,
-    max_attempts: int = 8,
 ) -> EstimateReport:
     """Sample max of |<A(u_hat v_hat^T), A(u v^T)>| over orthogonal pairs.
 
@@ -244,7 +241,8 @@ def estimate_rop(
     dictionaries are their own copy), the comparison form used to
     justify reducing to independent factors. Failed orthogonalizations
     resample the whole 4-tuple from the trial stream and are counted in
-    the report's resamples field.
+    the report's resamples field; a trial raises InfeasibleModelError
+    once its resample budget is spent.
     """
     if orthogonality not in ("both", "either"):
         raise ValueError("orthogonality must be 'both' or 'either'")
@@ -253,7 +251,7 @@ def estimate_rop(
 
     def trial(t, rng):
         nonlocal resamples
-        for attempt in range(max_attempts):
+        for _ in range(_ROP_MAX_ATTEMPTS):
             u = sample_model(spec_u, rng)
             v = sample_model(spec_v, rng)
             u_hat0 = sample_model(spec_u, rng)
@@ -273,7 +271,7 @@ def estimate_rop(
                 resamples += 1
         else:
             raise InfeasibleModelError(
-                f"orthogonalization failed {max_attempts} times in trial {t}"
+                f"orthogonalization failed {_ROP_MAX_ATTEMPTS} times in trial {t}"
             )
         p = LiftedPoint(u, v)
         p_hat = LiftedPoint(u_hat, v_hat)

@@ -9,7 +9,8 @@ Three families of admissible coefficient vectors:
   ``mu`` times the average bin energy.
 
 The module provides the membership predicates, the projections used to
-push a vector into a model set, a rejection/alternation sampler, and a
+push a vector into a model set, a sampler (a raw sparse draw, plus a
+project/threshold alternation when the flatness cap is below s), and a
 Gram-Schmidt routine that builds model-feasible orthogonal partners.
 """
 
@@ -45,6 +46,13 @@ ZERO_TOL = 1e-12
 
 # Numerical headroom on spectral-flatness membership tests.
 FLATNESS_SLACK = 1e-9
+
+# Budgets of the flat-model alternation: rounds per support, supports per
+# draw. orthogonalize_pair uses the same round budget and accepts a
+# partner whose overlap with u is at most _ORTH_TOL * ||u||.
+_MAX_ROUNDS = 50
+_MAX_RESTARTS = 20
+_ORTH_TOL = 1e-10
 
 
 class InfeasibleModelError(RuntimeError):
@@ -259,41 +267,33 @@ def project_flat(x, mu: float) -> np.ndarray:
     return out
 
 
-def sample_model(
-    spec: ModelSpec,
-    rng: np.random.Generator,
-    max_rounds: int = 50,
-    max_restarts: int = 20,
-) -> np.ndarray:
+def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw a unit-norm vector from the model described by spec.
 
     Construction: a uniformly random support of size spec.s is filled
-    with i.i.d. complex Gaussian entries. When a flatness cap is set,
-    the draw alternates between flat projection and re-thresholding
-    until both predicates pass; after ``max_rounds`` alternations the
-    support is resampled.
-
-    Note an exactly s-sparse vector always has flatness at most s, so
-    specs with mu >= s accept the raw Gaussian draw.
+    with i.i.d. complex Gaussian entries, and the draw is normalized.
+    An s-sparse vector always has flatness at most s, so with no cap or
+    mu >= s that draw is the answer. Only a cap mu < s runs the
+    alternation: flat projection and re-thresholding until both
+    predicates pass, with the support resampled after a budget of
+    rounds.
 
     Raises
     ------
     InfeasibleModelError
-        After ``max_restarts`` supports fail to produce a member.
+        When every support in the restart budget fails to produce a
+        member (mu < s only).
     """
     n, s = spec.n, spec.s
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         support = rng.choice(n, size=s, replace=False)
         x = np.zeros(n, dtype=complex)
         x[support] = complex_gaussian(rng, s)
         if np.linalg.norm(x) == 0:
             continue
-        if spec.mu is None:
-            x = unit(x)
-            if spec.admits(x):
-                return x
-            continue
-        for _ in range(max_rounds):
+        if spec.mu is None or spec.mu >= s:
+            return unit(x)
+        for _ in range(_MAX_ROUNDS):
             if spec.admits(x):
                 return unit(x)
             x = project_flat(x, spec.mu)
@@ -303,17 +303,11 @@ def sample_model(
             if np.linalg.norm(x) == 0:
                 break
     raise InfeasibleModelError(
-        f"no admissible draw for {spec} after {max_restarts} restarts"
+        f"no admissible draw for {spec} after {_MAX_RESTARTS} restarts"
     )
 
 
-def orthogonalize_pair(
-    u,
-    u_hat,
-    spec: ModelSpec,
-    max_rounds: int = 50,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
     """Turn u_hat into a unit-norm model member exactly orthogonal to u.
 
     Gram-Schmidt removes the u-component, the candidate is re-projected
@@ -328,7 +322,7 @@ def orthogonalize_pair(
         If u is zero.
     OrthogonalizationError
         If u_hat is parallel to u, or no feasible vector emerges within
-        ``max_rounds``.
+        the round budget.
     """
     u = as_signal(u, spec.n)
     u_hat = as_signal(u_hat, spec.n)
@@ -340,7 +334,7 @@ def orthogonalize_pair(
     if np.linalg.norm(w) <= 1e-12 * np.linalg.norm(u_hat):
         raise OrthogonalizationError("u_hat is parallel to u")
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         w = hard_threshold(w, spec.s)
         if spec.mu is not None and np.linalg.norm(w) > 0:
             if spectral_flatness(w) > spec.mu + FLATNESS_SLACK:
@@ -356,8 +350,8 @@ def orthogonalize_pair(
         if np.linalg.norm(w) == 0:
             raise OrthogonalizationError("candidate collapsed to zero")
         w = unit(w)
-        if spec.admits(w) and abs(np.vdot(u, w)) <= tol * nu:
+        if spec.admits(w) and abs(np.vdot(u, w)) <= _ORTH_TOL * nu:
             return w
     raise OrthogonalizationError(
-        f"no feasible orthogonal partner for {spec} after {max_rounds} rounds"
+        f"no feasible orthogonal partner for {spec} after {_MAX_ROUNDS} rounds"
     )

@@ -48,6 +48,10 @@ __all__ = [
 # residual up to rounding (noisy data) keep the earliest.
 _ATTEMPT_MARGIN = 1e-9
 
+# A solve stops restarting once an attempt's residual is at most this
+# fraction of ||b||.
+_RESID_STOP = 1e-7
+
 
 class SolverBreakdownError(RuntimeError):
     """Inner solver broke down; carries the current iterate pair."""
@@ -64,7 +68,6 @@ class SolveOptions:
     max_outer_iters: int = 40
     outer_tol: float = 1e-8
     restarts: int = 14
-    resid_stop: float = 1e-7
     seed: int = 0
     enforce_flatness: bool = False
     mu1: float | None = None
@@ -75,7 +78,7 @@ class SolveOptions:
             raise ValueError("sparsity levels must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("iteration caps must be positive")
-        if self.outer_tol <= 0 or self.resid_stop <= 0:
+        if self.outer_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
@@ -245,12 +248,12 @@ def _sparsity_schedule(s: int, m: int, n: int) -> list:
 
 
 def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2):
-    u, v = init.u.copy(), init.v.copy()
+    u, v = init.u, init.v
     half_log: list = []
     iters = 0
     converged = False
     for s1_now, s2_now in zip(sched1, sched2):
-        prev = LiftedPoint(u.copy(), v.copy())
+        prev = LiftedPoint(u, v)
         converged = False
         for _ in range(opts.max_outer_iters):
             iters += 1
@@ -265,7 +268,7 @@ def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2):
             # rebalance factor norms; the lifted point is unchanged
             ratio = np.sqrt(np.linalg.norm(v) / np.linalg.norm(u))
             u, v = u * ratio, v / ratio
-            cur = LiftedPoint(u.copy(), v.copy())
+            cur = LiftedPoint(u, v)
             norm_now = cur.norm_f
             if norm_now > 0 and lifted_dist(cur, prev) < opts.outer_tol * norm_now:
                 prev = cur
@@ -294,7 +297,7 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     the attempt with the smallest residual, the earliest one unless a
     later residual is smaller by more than the relative margin
     _ATTEMPT_MARGIN, and stops early once a residual falls below
-    resid_stop * ||b||. An attempt that breaks down
+    _RESID_STOP * ||b||. An attempt that breaks down
     counts in `attempts`; its error is re-raised only if every attempt
     broke down. All stochastic choices derive from opts.seed, never from
     global state. The factored operator (F Phi, F Psi and the scaled
@@ -331,7 +334,7 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         if best is None or outcome[2] < (1.0 - _ATTEMPT_MARGIN) * best[2]:
             best = outcome
         # no earlier residual met the stop, so this tests the smallest so far
-        if outcome[2] <= opts.resid_stop * b_norm:
+        if outcome[2] <= _RESID_STOP * b_norm:
             break
     if best is None:
         raise breakdown

@@ -10,6 +10,7 @@ from liftconv.cli import (
     ESTIMATE_FIELDS,
     RECOVER_FIELDS,
     SweepConfig,
+    build_parser,
     main,
     parse_config,
     run_sweep,
@@ -17,6 +18,7 @@ from liftconv.cli import (
 from liftconv.concentration import estimate_rip
 from liftconv.measurement import Ensemble
 from liftconv.models import ModelSpec
+from liftconv.solver import SolveOptions
 from liftconv.util import derive_seed, fmt_float
 
 RIP_CONFIG = """
@@ -69,11 +71,28 @@ def test_parse_config_mu_none_token():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ncolor=blue\n")
+    # the aliased angle statistic is the isometry statistic: kind=rip
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("kind=rap\nn=8\nm=4\ns1=1\ns2=1\ndiagonal=true\n")
 
 
 def test_parse_config_rejects_key_for_wrong_kind():
     with pytest.raises(ConfigError, match="does not apply"):
-        parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ndiagonal=true\n")
+        parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ndecoupled=true\n")
+
+
+def test_solver_and_trial_defaults_are_written_once():
+    opts = SolveOptions(s1=1, s2=1)
+    cfg = parse_config("kind=recover\nn=8\nm=4\ns1=1\ns2=1\n")
+    parser = build_parser()
+    args = parser.parse_args(["recover", "--n", "8", "--m", "4",
+                              "--s1", "1", "--s2", "1"])
+    for key in ("max_outer_iters", "outer_tol", "restarts"):
+        assert getattr(cfg, key) == getattr(args, key) == getattr(opts, key)
+    for kind in ("rip", "rap", "rop"):
+        est = parser.parse_args([f"{kind}-estimate", "--n", "8", "--m", "4",
+                                 "--s1", "1", "--s2", "1"])
+        assert est.trials == cfg.trials
 
 
 def test_parse_config_requires_core_keys():
@@ -296,6 +315,8 @@ def test_cli_exit_codes():
     assert main(["rip-estimate", "--n", "8"]) == 2        # missing arguments
     assert main(["sweep", "--config", "/no/such/file", "--out", "x.csv"]) == 2
     assert main(["--help"]) == 0
+    assert main(["rap-estimate", "--n", "8", "--m", "4", "--s1", "1",
+                 "--s2", "1", "--diagonal"]) == 2           # option removed
     # orthogonal partners cannot exist in a one-dimensional model
     assert main(["rop-estimate", "--n", "1", "--m", "1", "--s1", "1",
                  "--s2", "1", "--trials", "1"]) == 3

@@ -82,14 +82,6 @@ def test_trial_count_must_be_positive(ens):
 # -- the angle estimator ------------------------------------------------------
 
 
-def test_diagonal_angle_deviation_equals_isometry_deviation(ens):
-    # aliasing the hatted pair reduces the angle statistic to the
-    # isometry statistic on the same trial stream
-    rip = estimate_rip(ens, SPEC_U, SPEC_V, 40, seed=64)
-    rap = estimate_rap(ens, SPEC_U, SPEC_V, 40, seed=64, diagonal=True)
-    assert np.allclose(rap.deviations, rip.deviations, atol=1e-12)
-
-
 def test_rap_witness_replays(ens):
     rep = estimate_rap(ens, SPEC_U, SPEC_V, 40, seed=65)
     w = rep.witness

@@ -235,6 +235,26 @@ def test_sample_model_draws_admissible_unit_vectors(flavor, mu):
         assert spec.admits(x)
 
 
+@pytest.mark.parametrize("flavor", ["exact", "approximate"])
+@pytest.mark.parametrize("n, s, mu", [
+    (24, 3, None), (24, 3, 3.0), (24, 3, 5.5),
+    (8, 8, None), (8, 8, 8.0),
+    (8, 1, 1.0),
+])
+def test_sample_model_without_active_cap_is_the_raw_draw(n, s, mu, flavor):
+    # no cap, or a cap of at least s: the normalized support-and-Gaussian
+    # draw is returned as is, with no alternation on the stream
+    spec = ModelSpec(n, s, mu=mu, flavor=flavor)
+    for t in range(20):
+        rng = rng_for(16, "raw", n, s, t)
+        support = rng.choice(n, size=s, replace=False)
+        x = np.zeros(n, dtype=complex)
+        x[support] = complex_gaussian(rng, s)
+        got = sample_model(spec, rng_for(16, "raw", n, s, t))
+        assert np.array_equal(got, unit(x))
+        assert spec.admits(got)
+
+
 def test_sample_model_accepts_raw_draw_when_cap_is_loose():
     # an exactly s-sparse vector has flatness at most s
     spec = ModelSpec(16, 4, mu=4.0)
@@ -250,9 +270,10 @@ def test_sample_model_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_sample_model_reports_exhausted_budget():
+def test_sample_model_reports_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(models, "_MAX_RESTARTS", 0)
     with pytest.raises(InfeasibleModelError):
-        sample_model(ModelSpec(8, 2), rng_for(8, "budget"), max_restarts=0)
+        sample_model(ModelSpec(8, 2), rng_for(8, "budget"))
 
 
 def test_sample_model_handles_tight_cap():
