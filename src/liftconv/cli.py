@@ -180,14 +180,14 @@ class SweepConfig:
         )
 
     def resolved(self) -> dict:
-        """Canonical text form of every field, for the .meta sidecar."""
+        """Canonical text of the keys that apply to this kind, for the .meta sidecar."""
         out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
+        for key in _KIND_KEYS[self.kind]:
+            v = getattr(self, key)
             if isinstance(v, list):
-                out[f.name] = ",".join(_cfg_text(e) for e in v)
+                out[key] = ",".join(_cfg_text(e) for e in v)
             else:
-                out[f.name] = _cfg_text(v)
+                out[key] = _cfg_text(v)
         return out
 
 

@@ -6,12 +6,19 @@ one factor frozen, the other is hard thresholded from a gradient step
 and refit exactly by least squares on the selected support. Because the
 half-step problems are underdetermined whenever m < n, a plain
 solve-then-threshold alternation stalls at interpolating fixed points;
-the support-restricted refits remove that failure mode. Every solve
-measures with one measurement.FactoredOperator: its frozen-factor map
-is the m x n matrix sqrt(n/m) F^-1[omega, :] diag(F Psi v) (F Phi)
-(swap Phi and Psi to free the right factor), kept in factored form, and
-its adjoint image of the data is built densely, at every n: each solve
-holds 3 n^2 + m n complex entries.
+the support-restricted refits remove that failure mode. A refit on at
+most m columns solves the small normal equations of its m x |J| block
+when that block is well conditioned, as every block of the Gaussian
+C10 instances is; a wider support (|J| > m, as in the s >= n exact
+path) or a rank-deficient block (repeated omega positions, a sparse
+factor over an identity dictionary) keeps the minimum-norm
+np.linalg.lstsq solution.
+
+Every solve measures with one measurement.FactoredOperator: its
+frozen-factor map is the m x n matrix sqrt(n/m) F^-1[omega, :]
+diag(F Psi v) (F Phi) (swap Phi and Psi to free the right factor), kept
+in factored form, and its adjoint image of the data is built densely,
+at every n: each solve holds 3 n^2 + m n complex entries.
 
 Two further devices widen the basin of attraction. Sparsity
 continuation starts each attempt at a relaxed level (capped by m/3) and
@@ -47,6 +54,11 @@ __all__ = [
 # by more than this relative margin, so that attempts reaching the same
 # residual up to rounding (noisy data) keep the earliest.
 _ATTEMPT_MARGIN = 1e-9
+
+# A refit solves the normal equations only while the squared Frobenius
+# condition number of its block, at least cond(C)^2, stays below this:
+# squaring the conditioning then costs at most about 6 of 16 digits.
+_GRAM_COND_MAX = 1e6
 
 # A solve stops restarting once an attempt's residual is at most this
 # fraction of ||b||.
@@ -205,10 +217,35 @@ def _adjoint(WH: np.ndarray, G: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.conj((np.conj(r) @ WH) @ G)
 
 
+def _gram_solve(cols: np.ndarray, b: np.ndarray):
+    """Solution of the normal equations (C^H C) x = C^H b, or None.
+
+    None unless cond_F(C)^2 = ||C||_F^2 tr((C^H C)^-1), which lies
+    between cond(C)^2 and |J|^2 cond(C)^2, is below _GRAM_COND_MAX; a
+    numerically singular Gram matrix gives a huge trace of either sign.
+    """
+    cols_h = cols.conj().T
+    try:
+        inv = np.linalg.inv(cols_h @ cols)
+    except np.linalg.LinAlgError:
+        return None
+    cond_sq = np.vdot(cols, cols).real * inv.trace().real
+    return inv @ (cols_h @ b) if 0 < cond_sq < _GRAM_COND_MAX else None
+
+
 def _refit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
-    """Least-squares fit of b on the frozen-factor columns J: (w, A w)."""
+    """Least-squares fit of b on the frozen-factor columns J: (w, A w).
+
+    With |J| <= m and a well-conditioned block C = WH @ G[:, J] the fit
+    solves the |J| x |J| normal equations (_gram_solve). A wide support
+    (|J| > m) and a rank-deficient or ill-conditioned block, for example
+    repeated omega positions or a sparse factor over an identity
+    dictionary, keep the minimum-norm np.linalg.lstsq solution.
+    """
     cols = WH @ G[:, J]
-    sol, *_ = np.linalg.lstsq(cols, b, rcond=None)
+    sol = _gram_solve(cols, b) if len(J) <= len(b) else None
+    if sol is None:
+        sol, *_ = np.linalg.lstsq(cols, b, rcond=None)
     w = np.zeros(G.shape[1], dtype=complex)
     w[J] = sol
     return w, cols @ sol
@@ -219,9 +256,11 @@ def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
     """One factor update with the other frozen, on the map A = WH @ G.
 
     Hard-thresholding-pursuit rounds select the top-s support of
-    w + A^H (b - A w) and refit exactly on it, until the support repeats
-    or 8 rounds have run. With s >= n that is one exact least-squares
-    solve, so the data residual cannot increase.
+    w + A^H (b - A w) and refit exactly on it (_refit: a Gram solve for
+    a well-conditioned block of at most m columns, minimum-norm lstsq
+    otherwise), until the support repeats or 8 rounds have run. With
+    s >= n that is one exact least-squares solve, so the data residual
+    cannot increase.
     """
     Aw = WH @ (G @ w)
     J_prev = None
@@ -258,20 +297,21 @@ def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2):
         for _ in range(opts.max_outer_iters):
             iters += 1
             u = _half_step(*op.frozen("left", v), b, u, s1_now, half_log)
-            if np.linalg.norm(u) == 0:
+            nu = np.linalg.norm(u)
+            if nu == 0:
                 raise SolverBreakdownError("left factor collapsed",
                                            LiftedPoint(u, v))
             v = _half_step(*op.frozen("right", u), b, v, s2_now, half_log)
-            if np.linalg.norm(v) == 0:
+            nv = np.linalg.norm(v)
+            if nv == 0:
                 raise SolverBreakdownError("right factor collapsed",
                                            LiftedPoint(u, v))
-            # rebalance factor norms; the lifted point is unchanged
-            ratio = np.sqrt(np.linalg.norm(v) / np.linalg.norm(u))
+            # rebalance factor norms; the lifted point, of norm nu * nv,
+            # is unchanged
+            ratio = np.sqrt(nv / nu)
             u, v = u * ratio, v / ratio
             cur = LiftedPoint(u, v)
-            norm_now = cur.norm_f
-            if norm_now > 0 and lifted_dist(cur, prev) < opts.outer_tol * norm_now:
-                prev = cur
+            if lifted_dist(cur, prev) < opts.outer_tol * nu * nv:
                 converged = True
                 break
             prev = cur

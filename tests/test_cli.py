@@ -180,14 +180,37 @@ def test_rip_sweep_layout_and_replayability(tmp_path):
     assert row["delta_hat"] == fmt_float(rep.delta_hat)
 
 
+def _meta(out) -> dict:
+    return dict(line.split("=", 1)
+                for line in _read(str(out) + ".meta").decode().splitlines())
+
+
 def test_sweep_meta_sidecar(tmp_path):
     out = tmp_path / "rip.csv"
     run_sweep(parse_config(RIP_CONFIG), str(out))
-    meta = dict(line.split("=", 1)
-                for line in _read(str(out) + ".meta").decode().splitlines())
+    meta = _meta(out)
     assert meta["kind"] == "rip" and meta["cells"] == "2"
     assert meta["m"] == "4,6" and "version" in meta
     assert "workers" not in meta
+    # only the keys a rip config accepts
+    for key in ("decoupled", "orthogonality", "enforce_flatness", "max_outer_iters",
+                "noise", "outer_tol", "restarts", "success_threshold"):
+        assert key not in meta
+
+    rop = tmp_path / "rop.csv"
+    run_sweep(parse_config(RIP_CONFIG.replace("kind = rip", "kind = rop")
+                           + "decoupled = true\n"), str(rop))
+    meta = _meta(rop)
+    assert meta["orthogonality"] == "both" and meta["decoupled"] == "true"
+    assert "restarts" not in meta and "outer_tol" not in meta
+
+    rec = tmp_path / "recover.csv"
+    run_sweep(parse_config(RECOVER_CONFIG), str(rec))
+    meta = _meta(rec)
+    assert meta["restarts"] == "2" and meta["max_outer_iters"] == "8"
+    for key in ("noise", "outer_tol", "success_threshold", "enforce_flatness"):
+        assert key in meta
+    assert "orthogonality" not in meta and "decoupled" not in meta
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):

@@ -137,13 +137,16 @@ def test_spectral_init_rejects_zero_data():
 # -- frozen-factor maps ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("phi_kind,psi_kind,omega_mode", [
+FROZEN_CASES = [
     ("gaussian", "gaussian", "without_replacement"),
     ("identity", "gaussian", "without_replacement"),
     ("gaussian", "identity", "iid_uniform"),
     ("identity", "identity", "iid_uniform"),
-])
+]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("phi_kind,psi_kind,omega_mode", FROZEN_CASES)
 def test_frozen_factor_map_matches_fft_partial_map(side, phi_kind, psi_kind, omega_mode):
     n, m = 32, 20
     ens = Ensemble.generate(n, m, phi_kind, psi_kind, seed=120, omega_mode=omega_mode)
@@ -165,6 +168,71 @@ def test_frozen_factor_map_matches_fft_partial_map(side, phi_kind, psi_kind, ome
     w_fit, Aw = _refit(WH, G, r, np.array([3, 7, 19]))
     assert np.count_nonzero(w_fit) == 3
     assert close(Aw, pm.apply(w_fit))
+
+
+def _min_norm_fit(WH, G, b, J):
+    cols = WH @ G[:, J]
+    sol, *_ = np.linalg.lstsq(cols, b, rcond=None)
+    return sol, cols @ sol
+
+
+def _close(got, ref, tol=1e-10):
+    return np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("phi_kind,psi_kind,omega_mode", FROZEN_CASES)
+def test_refit_matches_min_norm_least_squares(side, phi_kind, psi_kind, omega_mode):
+    n, m = 32, 20
+    ens = Ensemble.generate(n, m, phi_kind, psi_kind, seed=120, omega_mode=omega_mode)
+    rng = rng_for(123, "refit")
+    WH, G = FactoredOperator.of(ens).frozen(side, complex_gaussian(rng, n))
+    b = complex_gaussian(rng, m)
+    for k in (1, 3, m // 3, m, m + 5):
+        J = np.sort(rng.choice(n, size=k, replace=False))
+        w, Aw = _refit(WH, G, b, J)
+        sol, fit = _min_norm_fit(WH, G, b, J)
+        assert not np.any(np.delete(w, J))
+        if k > m:
+            # a wide support keeps the minimum-norm lstsq solution itself
+            assert np.array_equal(w[J], sol) and np.array_equal(Aw, fit)
+        else:
+            assert _close(w[J], sol) and _close(Aw, fit)
+
+
+def test_refit_keeps_the_min_norm_solution_on_a_rank_deficient_block():
+    # four distinct sample positions: five columns span at most rank 4,
+    # where a plain Gram solve returns some least-squares solution, not
+    # the minimum-norm one
+    n, m = 16, 8
+    ens = Ensemble(n=n, m=m, omega=np.array([0, 0, 3, 3, 5, 5, 9, 9]),
+                   phi_kind="identity", psi_kind="identity", seed=0)
+    rng = rng_for(124, "rank-deficient")
+    WH, G = FactoredOperator.of(ens).frozen("left", complex_gaussian(rng, n))
+    b = complex_gaussian(rng, m)
+    J = np.array([1, 4, 6, 8, 11])
+    assert np.linalg.matrix_rank(WH @ G[:, J]) == 4
+    w, Aw = _refit(WH, G, b, J)
+    sol, fit = _min_norm_fit(WH, G, b, J)
+    assert _close(w[J], sol) and _close(Aw, fit)
+
+
+def test_recover_refits_without_lstsq_on_a_c10_instance(monkeypatch):
+    # the Gaussian-dictionary blocks of the C10 grid are well conditioned,
+    # so every refit takes the Gram solve
+    calls = []
+    real = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    ens, truth, b, _ = plant_instance(128, 32, 3, 3, seed=7005, mu1=3.0, mu2=3.0)
+    res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=7005))
+    assert len(calls) == 0
+    assert res.attempts == 13
+    assert success_metric(res.point, truth, b, 0.0, ens)[0] <= 1e-4
 
 
 # -- continuation schedule ------------------------------------------------------
