@@ -67,6 +67,7 @@ from .models import (
     spectral_flatness,
 )
 from .solver import (
+    AttemptRecord,
     SolveOptions,
     SolveResult,
     SolverBreakdownError,
@@ -75,7 +76,7 @@ from .solver import (
     spectral_init,
     success_metric,
 )
-from .util import derive_seed, rng_for
+from .util import ZeroVectorError, derive_seed, rng_for
 
 __version__ = "0.1.0"
 

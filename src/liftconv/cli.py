@@ -12,7 +12,10 @@ isotropy
     Monte Carlo check that averaging A*A over one dictionary
     reproduces the closed-form expectation.
 recover
-    Plant a sparse pair, measure it, run the alternating solver.
+    Plant a sparse pair, measure it, run the alternating solver; prints
+    the result as key=value lines, with the attempts and the half-steps
+    they took after the CSV fields; --csv writes a one-row CSV without
+    those two.
 sweep
     Grid of estimation or recovery cells from a key=value config file.
     The output CSV is a pure function of the resolved config: cell
@@ -27,7 +30,8 @@ bounds
 selftest
     Fast exact identity checks of the operator plumbing.
 
-Exit codes: 0 success, 2 bad arguments or config, 3 numeric failure.
+Exit codes: 0 success, 2 bad arguments or config, 3 numeric failure
+(including a zero vector met partway through a draw or a solve).
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ from .measurement import (
     xi_vector,
 )
 from .models import (
+    FlatProjectionError,
     InfeasibleModelError,
     ModelSpec,
     OrthogonalizationError,
@@ -89,7 +94,7 @@ from .solver import (
     recover,
     success_metric,
 )
-from .util import complex_gaussian, derive_seed, fmt_float, rng_for
+from .util import ZeroVectorError, complex_gaussian, derive_seed, fmt_float, rng_for
 
 log = logging.getLogger("liftconv")
 
@@ -107,9 +112,11 @@ class CellFailureError(RuntimeError):
 
 _NUMERIC_ERRORS = (
     CellFailureError,
+    FlatProjectionError,
     InfeasibleModelError,
     OrthogonalizationError,
     SolverBreakdownError,
+    ZeroVectorError,
     np.linalg.LinAlgError,
     ArithmeticError,
 )
@@ -481,7 +488,8 @@ def _cmd_recover(args) -> int:
     row = res.csv_dict(ens, opts, args.seed)
     row["noise_ratio"] = noise_ratio
     row["wall_time"] = time.perf_counter() - t0
-    _print_kv(row)
+    half_steps = sum(rec.half_steps for rec in res.attempt_log)
+    _print_kv({**row, "attempts": res.attempts, "half_steps": half_steps})
     if args.csv:
         _write_csv_row(args.csv, list(row), row)
     return 0
@@ -664,12 +672,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _NUMERIC_ERRORS as exc:
+        # before ValueError: ZeroVectorError is one
+        log.error("numeric failure: %s", exc)
+        return 3
     except (ConfigError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        log.error("numeric failure: %s", exc)
-        return 3
 
 
 def main_entry():

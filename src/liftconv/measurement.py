@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import dft_matrix, fftu, ifftu
-from .util import complex_gaussian, rng_for
+from .util import ZeroVectorError, complex_gaussian, rng_for
 
 __all__ = [
     "DENSE_GUARD",
@@ -74,7 +74,16 @@ def lifted_inner(p_hat: LiftedPoint, p: LiftedPoint) -> complex:
 
 
 def lifted_dist(p: LiftedPoint, q: LiftedPoint) -> float:
-    """Frobenius distance between two factored rank-one matrices."""
+    """Frobenius distance between two factored rank-one matrices.
+
+    Computed as sqrt(||p||^2 + ||q||^2 - 2 Re<p, q>), which takes no
+    factor differences, so it does not depend on how scale and phase are
+    split between the factors; but it loses digits near p = q: the
+    terms of order ||p||^2 cancel, so a relative distance r keeps about
+    16 + 2 log10(r) digits and reads exactly 0 below about 1e-8. The
+    solver measures its steps between iterates from the factor
+    differences instead.
+    """
     sq = (
         p.norm_f**2
         + q.norm_f**2
@@ -320,7 +329,7 @@ def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
     if fixed.shape != (ens.n,):
         raise ValueError("fixed factor must have length n")
     if np.linalg.norm(fixed) == 0:
-        raise ValueError("fixed factor must be nonzero")
+        raise ZeroVectorError("fixed factor must be nonzero")
     if side == "left":
         fixed_hat = np.fft.fft(ens.apply_psi(fixed))
     else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import fftu, ifftu
-from .util import complex_gaussian, unit
+from .util import ZeroVectorError, complex_gaussian, unit
 
 __all__ = [
     "ZERO_TOL",
@@ -142,14 +142,14 @@ def spectral_flatness(x) -> float:
 
     Raises
     ------
-    ValueError
-        If x is the zero vector.
+    ZeroVectorError
+        If x is the zero vector (a ValueError).
     """
     x = as_signal(x)
     spectrum = np.abs(np.fft.fft(x)) ** 2
     total = spectrum.sum()
     if total == 0:
-        raise ValueError("spectral flatness of the zero vector is undefined")
+        raise ZeroVectorError("spectral flatness of the zero vector is undefined")
     return float(x.size * spectrum.max() / total)
 
 
@@ -177,15 +177,15 @@ def in_tilde_gamma(x, s: int) -> bool:
 
     Raises
     ------
-    ValueError
-        If x is the zero vector.
+    ZeroVectorError
+        If x is the zero vector (a ValueError).
     """
     x = as_signal(x)
     if not 1 <= s <= x.size:
         raise ValueError("need 1 <= s <= n")
     l2 = np.linalg.norm(x)
     if l2 == 0:
-        raise ValueError("membership undefined for the zero vector")
+        raise ZeroVectorError("membership undefined for the zero vector")
     # relative slack so boundary cases (equal-modulus supports) are stable
     return float(np.abs(x).sum()) <= np.sqrt(s) * l2 * (1 + 1e-12)
 
@@ -224,7 +224,7 @@ def project_flat(x, mu: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        If x is zero or mu is outside [1, n].
+        If mu is outside [1, n]; ZeroVectorError if x is zero.
     FlatProjectionError
         If the result misses the cap by more than FLATNESS_SLACK;
         carries the last iterate in ``last_iterate``.
@@ -235,7 +235,7 @@ def project_flat(x, mu: float) -> np.ndarray:
         raise ValueError("need 1 <= mu <= n")
     nrm = np.linalg.norm(x)
     if nrm == 0:
-        raise ValueError("cannot flatten the zero vector")
+        raise ZeroVectorError("cannot flatten the zero vector")
     if spectral_flatness(x) <= mu:
         return x.copy()
 
@@ -318,8 +318,8 @@ def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
 
     Raises
     ------
-    ValueError
-        If u is zero.
+    ZeroVectorError
+        If u is zero (a ValueError).
     OrthogonalizationError
         If u_hat is parallel to u, or no feasible vector emerges within
         the round budget.
@@ -328,7 +328,7 @@ def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
     u_hat = as_signal(u_hat, spec.n)
     nu = np.linalg.norm(u)
     if nu == 0:
-        raise ValueError("u must be nonzero")
+        raise ZeroVectorError("u must be nonzero")
 
     w = u_hat - (np.vdot(u, u_hat) / nu**2) * u
     if np.linalg.norm(w) <= 1e-12 * np.linalg.norm(u_hat):

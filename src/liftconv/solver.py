@@ -22,11 +22,18 @@ at every n: each solve holds 3 n^2 + m n complex entries.
 
 Two further devices widen the basin of attraction. Sparsity
 continuation starts each attempt at a relaxed level (capped by m/3) and
-halves it down to the requested one; and the attempt is restarted from
-a reseeded support screening whenever the final residual stays large,
-which is how failed basins announce themselves. Restarts draw from a
-stream derived from SolveOptions.seed, so a solve is a deterministic
-function of (ensemble, data, options).
+halves it down to the requested one. A relaxed level is only a warm
+start: the next level rethresholds to a smaller support and refits from
+scratch, so it stops once consecutive iterates are within
+max(outer_tol, _WARM_TOL) of each other, and only the final level
+iterates to outer_tol. The step between iterates is measured from the
+factor differences (_step_norm), which keeps its digits where
+lifted_dist cancels. And the attempt is restarted from a reseeded
+support screening whenever the final residual stays large, which is
+how failed basins announce themselves. Restarts draw from a stream
+derived from SolveOptions.seed, so a solve is a deterministic function
+of (ensemble, data, options); SolveResult.attempt_log records what
+each attempt did.
 """
 
 from __future__ import annotations
@@ -37,9 +44,10 @@ import numpy as np
 
 from .measurement import Ensemble, FactoredOperator, LiftedPoint, forward, lifted_dist
 from .models import ModelSpec, hard_threshold, project_flat, sample_model
-from .util import complex_gaussian, derive_seed, rng_for, unit
+from .util import ZeroVectorError, complex_gaussian, derive_seed, rng_for, unit
 
 __all__ = [
+    "AttemptRecord",
     "SolveOptions",
     "SolveResult",
     "SolverBreakdownError",
@@ -64,6 +72,11 @@ _GRAM_COND_MAX = 1e6
 # fraction of ||b||.
 _RESID_STOP = 1e-7
 
+# Every continuation level but the last stops once the step between
+# consecutive iterates is below max(outer_tol, _WARM_TOL) * ||X||: the
+# next level rethresholds and refits, discarding the digits beyond this.
+_WARM_TOL = 1e-4
+
 
 class SolverBreakdownError(RuntimeError):
     """Inner solver broke down; carries the current iterate pair."""
@@ -75,6 +88,10 @@ class SolverBreakdownError(RuntimeError):
 
 @dataclass
 class SolveOptions:
+    """Solver settings. outer_tol is the final continuation level's
+    tolerance on the relative step between consecutive iterates; the
+    relaxed levels before it stop at max(outer_tol, _WARM_TOL)."""
+
     s1: int
     s2: int
     max_outer_iters: int = 40
@@ -99,6 +116,17 @@ class SolveOptions:
 
 
 @dataclass
+class AttemptRecord:
+    """What one attempt of recover did, as kept in SolveResult.attempt_log."""
+
+    init: str           # "screened", "weighted", "uniform" or "gaussian"
+    level_iters: list   # outer iterations at each continuation level reached
+    half_steps: int
+    resid_rel: float | None  # final residual / ||b||; None after a breakdown
+    stop: str           # "resid_stop", "done" or "breakdown"
+
+
+@dataclass
 class SolveResult:
     u_hat: np.ndarray
     v_hat: np.ndarray
@@ -106,12 +134,16 @@ class SolveResult:
     converged: bool
     residual_norm: float
     relative_error: float | None = None
-    attempts: int = 1
     residual_half_steps: list = field(default_factory=list)
+    attempt_log: list = field(default_factory=list)
 
     @property
     def point(self) -> LiftedPoint:
         return LiftedPoint(self.u_hat, self.v_hat)
+
+    @property
+    def attempts(self) -> int:
+        return len(self.attempt_log)
 
     def csv_dict(self, ens: Ensemble, opts: SolveOptions, seed) -> dict:
         return {
@@ -153,7 +185,7 @@ def spectral_init(ens: Ensemble, b: np.ndarray, s1: int, s2: int) -> LiftedPoint
     """
     b = np.asarray(b, dtype=complex)
     if np.linalg.norm(b) == 0:
-        raise ValueError("cannot initialize from zero measurements")
+        raise ZeroVectorError("cannot initialize from zero measurements")
     T = FactoredOperator.of(ens).adjoint_image(b)
     return _thresholded_pair(*_leading_pair_dense(T), s1, s2)
 
@@ -189,6 +221,12 @@ def _screened_pair(T: np.ndarray, k1: int, k2: int, rng=None, weighted: bool = T
     return LiftedPoint(unit(u), unit(v))
 
 
+def _init_flavor(attempt: int) -> str:
+    if attempt == 0:
+        return "screened"
+    return ("weighted", "uniform", "gaussian")[(attempt - 1) % 3]
+
+
 def _attempt_init(n: int, T: np.ndarray, k1: int, k2: int, attempt: int,
                   seed: int) -> LiftedPoint:
     """Initialization pool for restarts.
@@ -198,15 +236,13 @@ def _attempt_init(n: int, T: np.ndarray, k1: int, k2: int, attempt: int,
     random pairs, so repeated restarts explore genuinely different
     basins even when the adjoint image misranks the true support.
     """
-    if attempt == 0:
+    flavor = _init_flavor(attempt)
+    if flavor == "screened":
         return _screened_pair(T, k1, k2)
     rng = rng_for(seed, "restart", attempt)
-    flavor = (attempt - 1) % 3
-    if flavor == 0:
-        return _screened_pair(T, k1, k2, rng, weighted=True)
-    if flavor == 1:
-        return _screened_pair(T, k1, k2, rng, weighted=False)
-    return LiftedPoint(unit(complex_gaussian(rng, n)), unit(complex_gaussian(rng, n)))
+    if flavor == "gaussian":
+        return LiftedPoint(unit(complex_gaussian(rng, n)), unit(complex_gaussian(rng, n)))
+    return _screened_pair(T, k1, k2, rng, weighted=flavor == "weighted")
 
 
 # -- half steps ---------------------------------------------------------------
@@ -286,16 +322,42 @@ def _sparsity_schedule(s: int, m: int, n: int) -> list:
     return out
 
 
-def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2):
+def _step_norm(u, v, u0, v0, v_norm: float, u0_norm: float) -> float:
+    """||u v^T - u0 v0^T||_F from the factor differences du, dv.
+
+    The step is du v^T + u0 dv^T, of squared norm ||du||^2 ||v||^2 +
+    ||u0||^2 ||dv||^2 + 2 Re(<du, u0> <v, dv>): every term is of the
+    order of the step, so nothing of order ||X||^2 cancels as it does in
+    lifted_dist. It still cancels when the step is much smaller than du
+    and dv (u0 v0^T rescaled or rephased between its factors), which the
+    solver's rebalanced, refit iterates do not do.
+    """
+    du, dv = u - u0, v - v0
+    sq = (np.vdot(du, du).real * v_norm**2 + u0_norm**2 * np.vdot(dv, dv).real
+          + 2.0 * (np.vdot(du, u0) * np.vdot(v, dv)).real)
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2,
+                 level_iters: list, half_log: list):
+    """One continuation sweep from init: (u, v, residual, converged).
+
+    Appends the outer iterations of each level to level_iters and the
+    residual after each half-step to half_log as it goes, so that both
+    stay readable after a SolverBreakdownError.
+    """
     u, v = init.u, init.v
-    half_log: list = []
-    iters = 0
+    u_norm = np.linalg.norm(u)
+    last = len(sched1) - 1
+    warm_tol = max(opts.outer_tol, _WARM_TOL)
     converged = False
-    for s1_now, s2_now in zip(sched1, sched2):
-        prev = LiftedPoint(u, v)
+    for level, (s1_now, s2_now) in enumerate(zip(sched1, sched2)):
+        tol = opts.outer_tol if level == last else warm_tol
+        level_iters.append(0)
         converged = False
         for _ in range(opts.max_outer_iters):
-            iters += 1
+            level_iters[-1] += 1
+            u0, v0, u0_norm = u, v, u_norm
             u = _half_step(*op.frozen("left", v), b, u, s1_now, half_log)
             nu = np.linalg.norm(u)
             if nu == 0:
@@ -307,16 +369,15 @@ def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2):
                 raise SolverBreakdownError("right factor collapsed",
                                            LiftedPoint(u, v))
             # rebalance factor norms; the lifted point, of norm nu * nv,
-            # is unchanged
+            # is unchanged and both factors now have norm sqrt(nu * nv)
             ratio = np.sqrt(nv / nu)
             u, v = u * ratio, v / ratio
-            cur = LiftedPoint(u, v)
-            if lifted_dist(cur, prev) < opts.outer_tol * nu * nv:
+            u_norm = np.sqrt(nu * nv)
+            if _step_norm(u, v, u0, v0, u_norm, u0_norm) < tol * nu * nv:
                 converged = True
                 break
-            prev = cur
     resid = float(np.linalg.norm(op.forward(u, v) - b))
-    return u, v, resid, iters, converged, half_log
+    return u, v, resid, converged
 
 
 def _flatness_step(ens: Ensemble, w: np.ndarray, mu: float, s: int, side: str) -> np.ndarray:
@@ -332,15 +393,16 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     """Alternating restricted least squares with restarts and continuation.
 
     Runs up to opts.restarts + 1 attempts, each a full continuation
-    sweep from a screened spectral initialization (deterministic for
-    the first attempt, energy-weighted random screenings after). Keeps
+    sweep from the restart pool of _attempt_init (the deterministic
+    energy screening first). Keeps
     the attempt with the smallest residual, the earliest one unless a
     later residual is smaller by more than the relative margin
     _ATTEMPT_MARGIN, and stops early once a residual falls below
-    _RESID_STOP * ||b||. An attempt that breaks down
-    counts in `attempts`; its error is re-raised only if every attempt
-    broke down. All stochastic choices derive from opts.seed, never from
-    global state. The factored operator (F Phi, F Psi and the scaled
+    _RESID_STOP * ||b||. Every attempt, one that breaks down included,
+    counts in `attempts` and leaves an AttemptRecord in `attempt_log`;
+    a breakdown is re-raised only if every attempt broke down. All
+    stochastic choices derive from opts.seed, never from global state.
+    The factored operator (F Phi, F Psi and the scaled
     inverse-DFT rows, 2 n^2 + m n complex entries) and the n x n adjoint
     image of b built from it are made once per call, at every n: 3 n^2
     + m n entries in all, about what the two Gaussian dictionaries the
@@ -350,7 +412,7 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     if b.shape != (ens.m,):
         raise ValueError("b must have length m")
     if np.linalg.norm(b) == 0:
-        raise ValueError("cannot initialize from zero measurements")
+        raise ZeroVectorError("cannot initialize from zero measurements")
     sched1 = _sparsity_schedule(opts.s1, ens.m, ens.n)
     sched2 = _sparsity_schedule(opts.s2, ens.m, ens.n)
     depth = max(len(sched1), len(sched2))
@@ -362,19 +424,26 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     b_norm = float(np.linalg.norm(b))
     best = None
     breakdown = None
-    attempts = 0
+    attempt_log = []
     for a in range(opts.restarts + 1):
-        attempts += 1
         init = _attempt_init(ens.n, T, sched1[0], sched2[0], a, opts.seed)
+        flavor = _init_flavor(a)
+        level_iters, half_log = [], []
         try:
-            outcome = _run_attempt(op, b, opts, init, sched1, sched2)
+            u, v, resid, converged = _run_attempt(op, b, opts, init, sched1, sched2,
+                                                  level_iters, half_log)
         except SolverBreakdownError as err:
             breakdown = err
+            attempt_log.append(AttemptRecord(flavor, level_iters, len(half_log),
+                                             None, "breakdown"))
             continue
-        if best is None or outcome[2] < (1.0 - _ATTEMPT_MARGIN) * best[2]:
-            best = outcome
         # no earlier residual met the stop, so this tests the smallest so far
-        if outcome[2] <= _RESID_STOP * b_norm:
+        stop = "resid_stop" if resid <= _RESID_STOP * b_norm else "done"
+        attempt_log.append(AttemptRecord(flavor, level_iters, len(half_log),
+                                         resid / b_norm, stop))
+        if best is None or resid < (1.0 - _ATTEMPT_MARGIN) * best[2]:
+            best = (u, v, resid, sum(level_iters), converged, half_log)
+        if stop == "resid_stop":
             break
     if best is None:
         raise breakdown
@@ -397,8 +466,8 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         iterations=iters,
         converged=converged,
         residual_norm=resid,
-        attempts=attempts,
         residual_half_steps=half_log,
+        attempt_log=attempt_log,
     )
 
 
@@ -417,11 +486,11 @@ def success_metric(
     """
     truth_norm = p_true.norm_f
     if truth_norm == 0:
-        raise ValueError("ground truth must be nonzero")
+        raise ZeroVectorError("ground truth must be nonzero")
     rel = lifted_dist(p_hat, p_true) / truth_norm
     sig = float(np.linalg.norm(forward(ens, p_true)))
     if sig == 0:
-        raise ValueError("planted point has zero measurement")
+        raise ZeroVectorError("planted point has zero measurement")
     return rel, float(z_norm) / sig
 
 

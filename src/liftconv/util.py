@@ -13,7 +13,18 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "rng_for", "fmt_float", "unit", "complex_gaussian"]
+__all__ = ["ZeroVectorError", "derive_seed", "rng_for", "fmt_float", "unit",
+           "complex_gaussian"]
+
+
+class ZeroVectorError(ValueError):
+    """A computation met the zero vector where it needs a nonzero one.
+
+    Raised by the zero-vector guards (normalization, flatness,
+    initialization from the data, the error metric), which fire on
+    degenerate draws or iterates in the middle of a run; the command
+    line reports it as a numeric failure, not as bad input.
+    """
 
 
 def _canon(part) -> str:
@@ -52,7 +63,7 @@ def unit(x: np.ndarray) -> np.ndarray:
     """x scaled to unit Euclidean norm."""
     nrm = np.linalg.norm(x)
     if nrm == 0:
-        raise ValueError("cannot normalize the zero vector")
+        raise ZeroVectorError("cannot normalize the zero vector")
     return x / nrm
 
 

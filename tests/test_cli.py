@@ -18,6 +18,7 @@ from liftconv.cli import (
 from liftconv.concentration import estimate_rip
 from liftconv.measurement import Ensemble
 from liftconv.models import ModelSpec
+import liftconv.solver as solver
 from liftconv.solver import SolveOptions
 from liftconv.util import derive_seed, fmt_float
 
@@ -303,6 +304,20 @@ def test_cli_recover_roundtrip(capsys):
     assert "rel_error=" in out and "noise_ratio=" in out
 
 
+def test_cli_recover_prints_its_work_outside_the_csv(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    code = main(["recover", "--n", "16", "--m", "12", "--s1", "1",
+                 "--s2", "1", "--seed", "3", "--restarts", "2", "--csv", str(path)])
+    assert code == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    assert 1 <= int(printed["attempts"]) <= 3
+    assert int(printed["half_steps"]) >= 2 * int(printed["iterations"])
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert "attempts" not in rows[0] and "half_steps" not in rows[0]
+    assert rows[0]["iterations"] == printed["iterations"]
+
+
 def test_cli_isotropy_defaults_to_dense_signals(capsys):
     code = main(["isotropy", "--n", "6", "--m", "3", "--draws", "20",
                  "--seed", "2"])
@@ -343,6 +358,17 @@ def test_cli_exit_codes():
     # orthogonal partners cannot exist in a one-dimensional model
     assert main(["rop-estimate", "--n", "1", "--m", "1", "--s1", "1",
                  "--s2", "1", "--trials", "1"]) == 3
+
+
+def test_cli_numeric_value_errors_exit_3_and_bad_input_exits_2(monkeypatch):
+    # a degenerate draw: the planted pair, hence the data, is zero, and
+    # the solver's zero-vector guard fires partway through the run
+    monkeypatch.setattr(solver, "sample_model", lambda spec, rng: np.zeros(spec.n))
+    assert main(["recover", "--n", "16", "--m", "8", "--s1", "1",
+                 "--s2", "1"]) == 3
+    # m > n is bad input, also a ValueError
+    assert main(["rap-estimate", "--n", "16", "--m", "32", "--s1", "1",
+                 "--s2", "1"]) == 2
 
 
 def test_cli_rejects_bad_config_file(tmp_path):

@@ -114,9 +114,9 @@ def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch):
     # above n = 256 the screened restarts still draw their own supports
     inits = []
 
-    def record(op, b, opts, init, sched1, sched2):
+    def record(op, b, opts, init, *schedules_and_logs):
         inits.append(init)
-        return init.u, init.v, np.inf, 0, False, []
+        return init.u, init.v, np.inf, False
 
     monkeypatch.setattr(solver, "_run_attempt", record)
     ens, _, b, _ = plant_instance(300, 24, 2, 2, seed=1)
@@ -254,6 +254,126 @@ def test_sparsity_schedule_always_ends_at_target():
             assert all(a > b for a, b in zip(sched, sched[1:]))
 
 
+# -- stopping rules -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1e-7, 1e-8, 1e-9])
+def test_step_norm_keeps_the_digits_lifted_dist_cancels(r):
+    rng = rng_for(1, "dist")
+    u, v, du = (complex_gaussian(rng, 128) for _ in range(3))
+    u1 = u + r * np.linalg.norm(u) * du / np.linalg.norm(du)
+    exact = r * np.linalg.norm(u) * np.linalg.norm(v)
+    step = solver._step_norm(u1, v, u, v, np.linalg.norm(v), np.linalg.norm(u))
+    assert abs(step - exact) <= 1e-6 * exact
+    if r < 1e-7:
+        # the closed form ||p||^2 + ||q||^2 - 2 Re<p, q> cancels to 0 here
+        assert lifted_dist(LiftedPoint(u1, v), LiftedPoint(u, v)) == 0.0
+
+
+def test_step_norm_matches_the_dense_difference():
+    rng = rng_for(2, "dist")
+    u, v, u0, v0 = (complex_gaussian(rng, 16) for _ in range(4))
+    dense = np.linalg.norm(np.outer(u, v) - np.outer(u0, v0))
+    step = solver._step_norm(u, v, u0, v0, np.linalg.norm(v), np.linalg.norm(u0))
+    assert step == pytest.approx(dense, rel=1e-12)
+
+
+def _relative_steps_per_level(monkeypatch, ens, b, opts):
+    """Solve, recording step / ||X|| per outer iteration, split by level."""
+    steps = []
+    real = solver._step_norm
+
+    def recording(u, v, u0, v0, v_norm, u0_norm):
+        step = real(u, v, u0, v0, v_norm, u0_norm)
+        steps.append(step / (np.linalg.norm(u) * np.linalg.norm(v)))
+        return step
+
+    monkeypatch.setattr(solver, "_step_norm", recording)
+    res = recover(ens, b, opts)
+    levels = []
+    for count in res.attempt_log[0].level_iters:
+        levels.append(steps[:count])
+        steps = steps[count:]
+    return res, levels
+
+
+def _assert_level_stopped_at(level_steps, tol):
+    # the level ran until the first step below tol, and not past it
+    assert level_steps[-1] < tol
+    assert all(step >= tol for step in level_steps[:-1])
+
+
+def test_relaxed_levels_stop_at_warm_start_precision(monkeypatch):
+    ens, truth, b, _ = plant_instance(128, 64, 3, 3, seed=7000, mu1=3.0, mu2=3.0)
+    opts = SolveOptions(s1=3, s2=3, seed=7000)
+    res, levels = _relative_steps_per_level(monkeypatch, ens, b, opts)
+    assert res.attempts == 1
+    rec = res.attempt_log[0]
+    assert len(rec.level_iters) == len(_sparsity_schedule(3, 64, 128)) == 3
+    # the relaxed levels (s = 12, 6) stop on the warm tolerance, not the cap
+    assert all(k < opts.max_outer_iters for k in rec.level_iters[:-1])
+    for level_steps in levels[:-1]:
+        _assert_level_stopped_at(level_steps, solver._WARM_TOL)
+    # the final level still converges to outer_tol and meets the residual stop
+    _assert_level_stopped_at(levels[-1], opts.outer_tol)
+    assert res.converged and rec.stop == "resid_stop"
+    assert res.residual_norm <= solver._RESID_STOP * np.linalg.norm(b)
+    assert rec.resid_rel == res.residual_norm / np.linalg.norm(b)
+    assert success_metric(res.point, truth, b, 0.0, ens)[0] <= 1e-6
+
+
+def test_a_loose_outer_tol_also_governs_the_relaxed_levels(monkeypatch):
+    # with outer_tol above _WARM_TOL every level stops at outer_tol
+    ens, _, b, _ = plant_instance(128, 64, 3, 3, seed=7000, mu1=3.0, mu2=3.0)
+    opts = SolveOptions(s1=3, s2=3, seed=7000, outer_tol=1e-3, restarts=0)
+    res, levels = _relative_steps_per_level(monkeypatch, ens, b, opts)
+    assert len(levels) == 3
+    for level_steps in levels:
+        _assert_level_stopped_at(level_steps, 1e-3)
+
+
+def test_attempt_log_records_every_attempt():
+    ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
+    res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
+    log = res.attempt_log
+    assert len(log) == res.attempts == 15
+    assert [rec.init for rec in log[:5]] == [
+        "screened", "weighted", "uniform", "gaussian", "weighted"]
+    depth = len(_sparsity_schedule(3, 8, 32))
+    b_norm = np.linalg.norm(b)
+    for rec in log:
+        assert rec.stop == "done"
+        assert len(rec.level_iters) == depth
+        assert rec.half_steps == 2 * sum(rec.level_iters)
+        assert rec.resid_rel > solver._RESID_STOP
+    # the kept attempt is the earliest with the smallest residual
+    kept = min(log, key=lambda rec: rec.resid_rel)
+    assert res.iterations == sum(kept.level_iters)
+    assert res.residual_norm == pytest.approx(kept.resid_rel * b_norm, rel=1e-12)
+
+
+def test_attempt_log_keeps_the_work_of_a_broken_attempt(monkeypatch):
+    real = solver._run_attempt
+    calls = []
+
+    def broken_first(op, b, opts, init, sched1, sched2, level_iters, half_log):
+        calls.append(1)
+        if len(calls) == 1:
+            level_iters.append(1)
+            half_log.append(1.0)
+            raise SolverBreakdownError("right factor collapsed", init)
+        return real(op, b, opts, init, sched1, sched2, level_iters, half_log)
+
+    monkeypatch.setattr(solver, "_run_attempt", broken_first)
+    ens, _, b, _ = plant_instance(32, 24, 2, 2, seed=101)
+    res = recover(ens, b, SolveOptions(s1=2, s2=2, seed=101))
+    broken = res.attempt_log[0]
+    assert (broken.stop, broken.resid_rel) == ("breakdown", None)
+    assert (broken.level_iters, broken.half_steps) == ([1], 1)
+    assert res.attempt_log[-1].stop == "resid_stop"
+    assert res.attempts == len(res.attempt_log) >= 2
+
+
 # -- recovery ------------------------------------------------------------------
 
 
@@ -351,9 +471,10 @@ def test_attempts_equal_up_to_rounding_keep_the_earliest(monkeypatch):
     r0 = 0.5 * np.linalg.norm(b)
     outcomes = iter([(r0, 60), (r0 * (1 - 1e-15), 75), (2 * r0, 90)])
 
-    def fake(*args):
+    def fake(op, b, opts, init, sched1, sched2, level_iters, half_log):
         resid, iters = next(outcomes)
-        return np.ones(16), np.ones(16), resid, iters, True, []
+        level_iters.append(iters)
+        return np.ones(16), np.ones(16), resid, True
 
     monkeypatch.setattr(solver, "_run_attempt", fake)
     res = recover(ens, b, SolveOptions(s1=2, s2=2, restarts=2, seed=122))

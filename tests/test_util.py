@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from liftconv.util import complex_gaussian, derive_seed, fmt_float, rng_for, unit
+from liftconv.util import (
+    ZeroVectorError,
+    complex_gaussian,
+    derive_seed,
+    fmt_float,
+    rng_for,
+    unit,
+)
 
 
 def test_derive_seed_is_stable():
@@ -60,6 +67,12 @@ def test_unit_normalizes():
 
 def test_unit_rejects_zero():
     with pytest.raises(ValueError):
+        unit(np.zeros(3))
+
+
+def test_zero_vector_guard_is_a_value_error_of_its_own():
+    assert issubclass(ZeroVectorError, ValueError)
+    with pytest.raises(ZeroVectorError, match="zero vector"):
         unit(np.zeros(3))
 
 
