@@ -378,10 +378,11 @@ class FactoredOperator:
         """Frozen-factor map w -> WH @ (G @ w) as its factors (WH, G).
 
         side "left" freezes v = fixed, w -> A(w v^T); "right" freezes u = fixed.
+        The fixed factor is imaged from its nonzero entries only.
         """
-        if side == "left":
-            return self.W * (self.G_psi @ fixed), self.G_phi
-        return self.W * (self.G_phi @ fixed), self.G_psi
+        G_fixed, G = (self.G_psi, self.G_phi) if side == "left" else (self.G_phi, self.G_psi)
+        S = np.flatnonzero(fixed)
+        return self.W * (G_fixed[:, S] @ fixed[S]), G
 
 
 # -- flattened operator pieces ----------------------------------------------

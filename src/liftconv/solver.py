@@ -25,15 +25,17 @@ continuation starts each attempt at a relaxed level (capped by m/3) and
 halves it down to the requested one. A relaxed level is only a warm
 start: the next level rethresholds to a smaller support and refits from
 scratch, so it stops once consecutive iterates are within
-max(outer_tol, _WARM_TOL) of each other, and only the final level
-iterates to outer_tol. The step between iterates is measured from the
-factor differences (_step_norm), which keeps its digits where
-lifted_dist cancels. And the attempt is restarted from a reseeded
-support screening whenever the final residual stays large, which is
-how failed basins announce themselves. Restarts draw from a stream
-derived from SolveOptions.seed, so a solve is a deterministic function
-of (ensemble, data, options); SolveResult.attempt_log records what
-each attempt did.
+max(outer_tol, _WARM_TOL) of each other. The final level iterates to
+outer_tol only while its residual is at most _POLISH_RESID * ||b||; a
+failed basin, whose residual stays above that, stops at the warm
+tolerance too, since no polishing makes it win. The step between
+iterates is measured from the factor differences (_step_norm), which
+keeps its digits where lifted_dist cancels. And the attempt is
+restarted from a reseeded support screening whenever the final
+residual stays large, which is how failed basins announce themselves.
+Restarts draw from a stream derived from SolveOptions.seed, so a solve
+is a deterministic function of (ensemble, data, options);
+SolveResult.attempt_log records what each attempt did.
 """
 
 from __future__ import annotations
@@ -75,7 +77,15 @@ _RESID_STOP = 1e-7
 # Every continuation level but the last stops once the step between
 # consecutive iterates is below max(outer_tol, _WARM_TOL) * ||X||: the
 # next level rethresholds and refits, discarding the digits beyond this.
+# So does the final level of a failed basin (_POLISH_RESID).
 _WARM_TOL = 1e-4
+
+# The final level polishes to outer_tol only while the residual is at
+# most this fraction of ||b||. Failed basins sit far above it and stop
+# at the warm tolerance instead: on 30 C10 instances (n=128, s=3, mu=3,
+# m from 16 to 64), after 8 final-level half-steps, failing attempts
+# are at 0.31 ||b|| or more and successful ones at 1.3e-2 ||b|| or less.
+_POLISH_RESID = 0.1
 
 
 class SolverBreakdownError(RuntimeError):
@@ -89,8 +99,10 @@ class SolverBreakdownError(RuntimeError):
 @dataclass
 class SolveOptions:
     """Solver settings. outer_tol is the final continuation level's
-    tolerance on the relative step between consecutive iterates; the
-    relaxed levels before it stop at max(outer_tol, _WARM_TOL)."""
+    tolerance on the relative step between consecutive iterates, in
+    force while the residual is at most _POLISH_RESID * ||b|| (0.1); the
+    relaxed levels, and the final level above that residual, stop at
+    max(outer_tol, _WARM_TOL)."""
 
     s1: int
     s2: int
@@ -121,6 +133,7 @@ class AttemptRecord:
 
     init: str           # "screened", "weighted", "uniform" or "gaussian"
     level_iters: list   # outer iterations at each continuation level reached
+    level_stops: list   # "outer_tol", "warm" or "cap" per finished level
     half_steps: int
     resid_rel: float | None  # final residual / ||b||; None after a breakdown
     stop: str           # "resid_stop", "done" or "breakdown"
@@ -128,6 +141,10 @@ class AttemptRecord:
 
 @dataclass
 class SolveResult:
+    """The kept attempt's estimate. iterations counts its outer
+    iterations over all levels; converged tells whether its final level
+    stopped on its step test rather than at max_outer_iters."""
+
     u_hat: np.ndarray
     v_hat: np.ndarray
     iterations: int
@@ -288,27 +305,30 @@ def _refit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
 
 
 def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
-               s: int, log: list) -> np.ndarray:
-    """One factor update with the other frozen, on the map A = WH @ G.
+               Aw: np.ndarray, s: int, log: list):
+    """One factor update with the other frozen, on the map A = WH @ G: (w, A w).
 
+    Aw is A w for the current iterate, as the previous refit left it.
     Hard-thresholding-pursuit rounds select the top-s support of
     w + A^H (b - A w) and refit exactly on it (_refit: a Gram solve for
     a well-conditioned block of at most m columns, minimum-norm lstsq
     otherwise), until the support repeats or 8 rounds have run. With
     s >= n that is one exact least-squares solve, so the data residual
-    cannot increase.
+    cannot increase. Appends ||b - A w|| of the returned w to log.
     """
-    Aw = WH @ (G @ w)
     J_prev = None
     for _ in range(8):
-        g = _adjoint(WH, G, b - Aw)
+        r = b - Aw
+        g = _adjoint(WH, G, r)
         J = np.sort(np.argsort(-np.abs(w + g))[:s])
-        if J_prev is not None and np.array_equal(J, J_prev):
+        if J_prev is not None and (J == J_prev).all():
             break
         w, Aw = _refit(WH, G, b, J)
         J_prev = J
-    log.append(float(np.linalg.norm(Aw - b)))
-    return w
+    else:
+        r = b - Aw
+    log.append(float(np.linalg.norm(r)))
+    return w, Aw
 
 
 def _sparsity_schedule(s: int, m: int, n: int) -> list:
@@ -339,31 +359,43 @@ def _step_norm(u, v, u0, v0, v_norm: float, u0_norm: float) -> float:
 
 
 def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2,
-                 level_iters: list, half_log: list):
+                 level_iters: list, level_stops: list, half_log: list):
     """One continuation sweep from init: (u, v, residual, converged).
 
-    Appends the outer iterations of each level to level_iters and the
-    residual after each half-step to half_log as it goes, so that both
-    stay readable after a SolverBreakdownError.
+    A level stops once the step between consecutive iterates falls below
+    its tolerance times ||X||, or after opts.max_outer_iters outer
+    iterations. The relaxed levels use max(outer_tol, _WARM_TOL). The
+    final level uses outer_tol while the residual after the iteration's
+    last half-step is at most _POLISH_RESID * ||b||, and the warm
+    tolerance above it: a failed basin is not polished. Each half-step
+    takes the measurement A(u v^T) its predecessor's refit computed (the
+    rebalancing leaves it unchanged), so the attempt's residual is its
+    last logged half-step residual. converged tells whether the final
+    level stopped on its step test.
+
+    Appends the outer iterations of each level to level_iters, the stop
+    reason of each finished level ("outer_tol", "warm" or "cap") to
+    level_stops and the residual after each half-step to half_log as it
+    goes, so that all three stay readable after a SolverBreakdownError.
     """
     u, v = init.u, init.v
+    Aw = op.forward(u, v)
     u_norm = np.linalg.norm(u)
+    polish_resid = _POLISH_RESID * np.linalg.norm(b)
     last = len(sched1) - 1
     warm_tol = max(opts.outer_tol, _WARM_TOL)
-    converged = False
     for level, (s1_now, s2_now) in enumerate(zip(sched1, sched2)):
-        tol = opts.outer_tol if level == last else warm_tol
         level_iters.append(0)
-        converged = False
+        stop = "cap"
         for _ in range(opts.max_outer_iters):
             level_iters[-1] += 1
             u0, v0, u0_norm = u, v, u_norm
-            u = _half_step(*op.frozen("left", v), b, u, s1_now, half_log)
+            u, Aw = _half_step(*op.frozen("left", v), b, u, Aw, s1_now, half_log)
             nu = np.linalg.norm(u)
             if nu == 0:
                 raise SolverBreakdownError("left factor collapsed",
                                            LiftedPoint(u, v))
-            v = _half_step(*op.frozen("right", u), b, v, s2_now, half_log)
+            v, Aw = _half_step(*op.frozen("right", u), b, v, Aw, s2_now, half_log)
             nv = np.linalg.norm(v)
             if nv == 0:
                 raise SolverBreakdownError("right factor collapsed",
@@ -373,11 +405,13 @@ def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2,
             ratio = np.sqrt(nv / nu)
             u, v = u * ratio, v / ratio
             u_norm = np.sqrt(nu * nv)
+            polish = level == last and half_log[-1] <= polish_resid
+            tol = opts.outer_tol if polish else warm_tol
             if _step_norm(u, v, u0, v0, u_norm, u0_norm) < tol * nu * nv:
-                converged = True
+                stop = "outer_tol" if polish else "warm"
                 break
-    resid = float(np.linalg.norm(op.forward(u, v) - b))
-    return u, v, resid, converged
+        level_stops.append(stop)
+    return u, v, half_log[-1], level_stops[-1] != "cap"
 
 
 def _flatness_step(ens: Ensemble, w: np.ndarray, mu: float, s: int, side: str) -> np.ndarray:
@@ -428,19 +462,19 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     for a in range(opts.restarts + 1):
         init = _attempt_init(ens.n, T, sched1[0], sched2[0], a, opts.seed)
         flavor = _init_flavor(a)
-        level_iters, half_log = [], []
+        level_iters, level_stops, half_log = [], [], []
         try:
             u, v, resid, converged = _run_attempt(op, b, opts, init, sched1, sched2,
-                                                  level_iters, half_log)
+                                                  level_iters, level_stops, half_log)
         except SolverBreakdownError as err:
             breakdown = err
-            attempt_log.append(AttemptRecord(flavor, level_iters, len(half_log),
-                                             None, "breakdown"))
+            attempt_log.append(AttemptRecord(flavor, level_iters, level_stops,
+                                             len(half_log), None, "breakdown"))
             continue
         # no earlier residual met the stop, so this tests the smallest so far
         stop = "resid_stop" if resid <= _RESID_STOP * b_norm else "done"
-        attempt_log.append(AttemptRecord(flavor, level_iters, len(half_log),
-                                         resid / b_norm, stop))
+        attempt_log.append(AttemptRecord(flavor, level_iters, level_stops,
+                                         len(half_log), resid / b_norm, stop))
         if best is None or resid < (1.0 - _ATTEMPT_MARGIN) * best[2]:
             best = (u, v, resid, sum(level_iters), converged, half_log)
         if stop == "resid_stop":

@@ -13,7 +13,7 @@ from liftconv.measurement import (
     lifted_dist,
     partial_forward,
 )
-from liftconv.models import ModelSpec, spectral_flatness
+from liftconv.models import ModelSpec, hard_threshold, spectral_flatness
 from liftconv.solver import (
     SolveOptions,
     SolveResult,
@@ -154,20 +154,22 @@ def test_frozen_factor_map_matches_fft_partial_map(side, phi_kind, psi_kind, ome
         assert np.unique(ens.omega).size < m  # repeated sample positions
     rng = rng_for(121, "frozen")
     fixed, w, r = complex_gaussian(rng, n), complex_gaussian(rng, n), complex_gaussian(rng, m)
-    pm = partial_forward(ens, side, fixed)
     op = FactoredOperator.of(ens)
-    WH, G = op.frozen(side, fixed)
 
     def close(got, ref):
         return np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     assert close(op.adjoint_image(r), adjoint_apply(ens, r))
-    assert close(WH @ G, np.stack([pm.apply(e) for e in np.eye(n)], axis=1))
-    assert close(WH @ (G @ w), pm.apply(w))
-    assert close(_adjoint(WH, G, r), pm.adjoint(r))
-    w_fit, Aw = _refit(WH, G, r, np.array([3, 7, 19]))
-    assert np.count_nonzero(w_fit) == 3
-    assert close(Aw, pm.apply(w_fit))
+    # a dense fixed factor, and a 3-sparse one as the solver's iterates are
+    for fixed in (fixed, hard_threshold(fixed, 3)):
+        pm = partial_forward(ens, side, fixed)
+        WH, G = op.frozen(side, fixed)
+        assert close(WH @ G, np.stack([pm.apply(e) for e in np.eye(n)], axis=1))
+        assert close(WH @ (G @ w), pm.apply(w))
+        assert close(_adjoint(WH, G, r), pm.adjoint(r))
+        w_fit, Aw = _refit(WH, G, r, np.array([3, 7, 19]))
+        assert np.count_nonzero(w_fit) == 3
+        assert close(Aw, pm.apply(w_fit))
 
 
 def _min_norm_fit(WH, G, b, J):
@@ -316,10 +318,36 @@ def test_relaxed_levels_stop_at_warm_start_precision(monkeypatch):
         _assert_level_stopped_at(level_steps, solver._WARM_TOL)
     # the final level still converges to outer_tol and meets the residual stop
     _assert_level_stopped_at(levels[-1], opts.outer_tol)
+    assert rec.level_stops == ["warm", "warm", "outer_tol"]
     assert res.converged and rec.stop == "resid_stop"
     assert res.residual_norm <= solver._RESID_STOP * np.linalg.norm(b)
     assert rec.resid_rel == res.residual_norm / np.linalg.norm(b)
     assert success_metric(res.point, truth, b, 0.0, ens)[0] <= 1e-6
+
+
+def test_a_failed_basin_stops_at_warm_precision(monkeypatch):
+    # m = 16 is below the C10 phase transition: every attempt fails, far
+    # above _POLISH_RESID * ||b||, so no final level polishes to outer_tol
+    ens, _, b, _ = plant_instance(128, 16, 3, 3, seed=7000, mu1=3.0, mu2=3.0)
+    opts = SolveOptions(s1=3, s2=3, seed=7000)
+    res, levels = _relative_steps_per_level(monkeypatch, ens, b, opts)
+    assert res.attempts == 15
+    assert all(rec.resid_rel >= 0.41 for rec in res.attempt_log)
+    assert all(rec.level_stops[-1] in ("warm", "cap") for rec in res.attempt_log)
+    # attempt 0's final level stops at its first step below _WARM_TOL,
+    # after 11 iterations where polishing to outer_tol ran 25
+    _assert_level_stopped_at(levels[-1], solver._WARM_TOL)
+    assert len(levels[-1]) == 11
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_the_residual_is_the_carried_measurement(m):
+    # half-steps carry A(u v^T) from refit to refit; the reported residual
+    # is that of the returned point
+    ens, _, b, _ = plant_instance(128, m, 3, 3, seed=7000, mu1=3.0, mu2=3.0)
+    res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=7000))
+    direct = np.linalg.norm(forward(ens, res.point) - b)
+    assert abs(res.residual_norm - direct) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_a_loose_outer_tol_also_governs_the_relaxed_levels(monkeypatch):
@@ -344,6 +372,7 @@ def test_attempt_log_records_every_attempt():
     for rec in log:
         assert rec.stop == "done"
         assert len(rec.level_iters) == depth
+        assert len(rec.level_stops) == len(rec.level_iters)
         assert rec.half_steps == 2 * sum(rec.level_iters)
         assert rec.resid_rel > solver._RESID_STOP
     # the kept attempt is the earliest with the smallest residual
@@ -356,13 +385,15 @@ def test_attempt_log_keeps_the_work_of_a_broken_attempt(monkeypatch):
     real = solver._run_attempt
     calls = []
 
-    def broken_first(op, b, opts, init, sched1, sched2, level_iters, half_log):
+    def broken_first(op, b, opts, init, sched1, sched2, level_iters, level_stops,
+                     half_log):
         calls.append(1)
         if len(calls) == 1:
             level_iters.append(1)
             half_log.append(1.0)
             raise SolverBreakdownError("right factor collapsed", init)
-        return real(op, b, opts, init, sched1, sched2, level_iters, half_log)
+        return real(op, b, opts, init, sched1, sched2, level_iters, level_stops,
+                    half_log)
 
     monkeypatch.setattr(solver, "_run_attempt", broken_first)
     ens, _, b, _ = plant_instance(32, 24, 2, 2, seed=101)
@@ -370,6 +401,8 @@ def test_attempt_log_keeps_the_work_of_a_broken_attempt(monkeypatch):
     broken = res.attempt_log[0]
     assert (broken.stop, broken.resid_rel) == ("breakdown", None)
     assert (broken.level_iters, broken.half_steps) == ([1], 1)
+    # the level cut short by the breakdown has no stop reason
+    assert broken.level_stops == []
     assert res.attempt_log[-1].stop == "resid_stop"
     assert res.attempts == len(res.attempt_log) >= 2
 
@@ -471,7 +504,7 @@ def test_attempts_equal_up_to_rounding_keep_the_earliest(monkeypatch):
     r0 = 0.5 * np.linalg.norm(b)
     outcomes = iter([(r0, 60), (r0 * (1 - 1e-15), 75), (2 * r0, 90)])
 
-    def fake(op, b, opts, init, sched1, sched2, level_iters, half_log):
+    def fake(op, b, opts, init, sched1, sched2, level_iters, level_stops, half_log):
         resid, iters = next(outcomes)
         level_iters.append(iters)
         return np.ones(16), np.ones(16), resid, True
