@@ -73,23 +73,36 @@ def lifted_inner(p_hat: LiftedPoint, p: LiftedPoint) -> complex:
     return complex(np.vdot(p_hat.u, p.u) * np.vdot(p_hat.v, p.v))
 
 
+def _r_factor(a: np.ndarray, b: np.ndarray):
+    """(r11, r12, r22) of [a b] = Q R by two-column Gram-Schmidt.
+
+    R is upper triangular with R^H R the Gram matrix of [a b]; a zero
+    column a gives R = [[0, 0], [0, ||b||]].
+    """
+    r11 = float(np.linalg.norm(a))
+    if r11 == 0:
+        return 0.0, 0j, float(np.linalg.norm(b))
+    q = a / r11
+    r12 = complex(np.vdot(q, b))
+    return r11, r12, float(np.linalg.norm(b - r12 * q))
+
+
 def lifted_dist(p: LiftedPoint, q: LiftedPoint) -> float:
     """Frobenius distance between two factored rank-one matrices.
 
-    Computed as sqrt(||p||^2 + ||q||^2 - 2 Re<p, q>), which takes no
-    factor differences, so it does not depend on how scale and phase are
-    split between the factors; but it loses digits near p = q: the
-    terms of order ||p||^2 cancel, so a relative distance r keeps about
-    16 + 2 log10(r) digits and reads exactly 0 below about 1e-8. The
-    solver measures its steps between iterates from the factor
-    differences instead.
+    With [u_p u_q] = Qa Ra and [v_p v_q] = Qb Rb (two-column Gram-Schmidt),
+    u_p v_p^T - u_q v_q^T = Qa Ra diag(1, -1) Rb^T Qb^T, and Qa, Qb^T
+    preserve the Frobenius norm, so the distance is that of the 2 x 2
+    matrix Ra diag(1, -1) Rb^T. Its entries cancel terms of the order of
+    ||p|| rather than ||p||^2 (as sqrt(||p||^2 + ||q||^2 - 2 Re<p, q>)
+    does), so a relative distance r keeps about 16 + log10(r) digits, and
+    the result does not depend on how scale and phase are split between
+    the factors.
     """
-    sq = (
-        p.norm_f**2
-        + q.norm_f**2
-        - 2.0 * np.real(lifted_inner(p, q))
-    )
-    return float(np.sqrt(max(sq, 0.0)))
+    a11, a12, a22 = _r_factor(p.u, q.u)
+    b11, b12, b22 = _r_factor(p.v, q.v)
+    return float(np.sqrt(abs(a11 * b11 - a12 * b12) ** 2 + abs(a12 * b22) ** 2
+                         + (a22 * abs(b12)) ** 2 + (a22 * b22) ** 2))
 
 
 def sample_omega(n: int, m: int, mode: str, rng: np.random.Generator) -> np.ndarray:

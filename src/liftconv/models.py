@@ -9,9 +9,16 @@ Three families of admissible coefficient vectors:
   ``mu`` times the average bin energy.
 
 The module provides the membership predicates, the projections used to
-push a vector into a model set, a sampler (a raw sparse draw, plus a
-project/threshold alternation when the flatness cap is below s), and a
-Gram-Schmidt routine that builds model-feasible orthogonal partners.
+push a vector into a model set, a sampler, and a Gram-Schmidt routine
+that builds model-feasible orthogonal partners.
+
+The flatness cap constrains an s-sparse vector only when mu < s: every
+DFT bin obeys |(Fx)_k| <= ||x||_1 <= sqrt(s) ||x||_2, so a vector with at
+most s nonzeros has flatness at most s. The sampler and the partner
+routine build their candidates with at most s nonzeros, so they do
+flatness work (tests, projections) only when ModelSpec.cap_binds.
+ModelSpec.admits still tests flatness whenever a cap is set, since it
+takes arbitrary inputs.
 """
 
 from __future__ import annotations
@@ -101,6 +108,13 @@ class ModelSpec:
     side : str
         Which dictionary this coefficient vector rides through,
         "left" or "right". Metadata only; it does not change sampling.
+
+    A cap mu >= s admits every s-sparse vector (its flatness is at most
+    s), so cap_binds is False and sampling and orthogonalization skip
+    their flatness work. admits keeps its flatness test for any cap: an
+    arbitrary input may carry entries below ZERO_TOL * peak, which in_gamma
+    counts as zero but which can lift the flatness past s (by about
+    2 sqrt(s) n 1e-12, more than FLATNESS_SLACK once n is about 500).
     """
 
     n: int
@@ -120,6 +134,11 @@ class ModelSpec:
             raise ValueError("flavor must be 'exact' or 'approximate'")
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+
+    @property
+    def cap_binds(self) -> bool:
+        """True when the flatness cap can exclude an s-sparse vector (mu < s)."""
+        return self.mu is not None and self.mu < self.s
 
     def admits(self, x: np.ndarray) -> bool:
         """Membership test for this model, with flatness headroom."""
@@ -272,11 +291,11 @@ def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
     Construction: a uniformly random support of size spec.s is filled
     with i.i.d. complex Gaussian entries, and the draw is normalized.
-    An s-sparse vector always has flatness at most s, so with no cap or
-    mu >= s that draw is the answer. Only a cap mu < s runs the
-    alternation: flat projection and re-thresholding until both
-    predicates pass, with the support resampled after a budget of
-    rounds.
+    An s-sparse vector always has flatness at most s, so when the cap
+    does not bind (no cap, or mu >= s) that draw is the answer. Only a
+    cap mu < s runs the alternation: flat projection and re-thresholding
+    until both predicates pass, with the support resampled after a
+    budget of rounds.
 
     Raises
     ------
@@ -291,7 +310,7 @@ def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
         x[support] = complex_gaussian(rng, s)
         if np.linalg.norm(x) == 0:
             continue
-        if spec.mu is None or spec.mu >= s:
+        if not spec.cap_binds:
             return unit(x)
         for _ in range(_MAX_ROUNDS):
             if spec.admits(x):
@@ -316,6 +335,13 @@ def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
     sparsity. When u vanishes on that support the candidate is already
     orthogonal and the final step is skipped.
 
+    The candidate keeps at most s nonzeros throughout: it is hard
+    thresholded, and the restricted Gram-Schmidt step and the
+    normalization stay on its support. So when the cap does not bind
+    (spec.cap_binds is False) it is a model member by construction, and
+    the round runs no flatness test, no projection and no membership
+    test; only the overlap with u is checked.
+
     Raises
     ------
     ZeroVectorError
@@ -334,9 +360,10 @@ def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
     if np.linalg.norm(w) <= 1e-12 * np.linalg.norm(u_hat):
         raise OrthogonalizationError("u_hat is parallel to u")
 
+    binds = spec.cap_binds
     for _ in range(_MAX_ROUNDS):
         w = hard_threshold(w, spec.s)
-        if spec.mu is not None and np.linalg.norm(w) > 0:
+        if binds and np.linalg.norm(w) > 0:
             if spectral_flatness(w) > spec.mu + FLATNESS_SLACK:
                 w = hard_threshold(project_flat(w, spec.mu), spec.s)
         support = np.flatnonzero(w)
@@ -350,7 +377,7 @@ def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
         if np.linalg.norm(w) == 0:
             raise OrthogonalizationError("candidate collapsed to zero")
         w = unit(w)
-        if spec.admits(w) and abs(np.vdot(u, w)) <= _ORTH_TOL * nu:
+        if abs(np.vdot(u, w)) <= _ORTH_TOL * nu and (not binds or spec.admits(w)):
             return w
     raise OrthogonalizationError(
         f"no feasible orthogonal partner for {spec} after {_MAX_ROUNDS} rounds"

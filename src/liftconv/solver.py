@@ -30,7 +30,7 @@ outer_tol only while its residual is at most _POLISH_RESID * ||b||; a
 failed basin, whose residual stays above that, stops at the warm
 tolerance too, since no polishing makes it win. The step between
 iterates is measured from the factor differences (_step_norm), which
-keeps its digits where lifted_dist cancels. And the attempt is
+keeps its digits at small steps. And the attempt is
 restarted from a reseeded support screening whenever the final
 residual stays large, which is how failed basins announce themselves.
 Restarts draw from a stream derived from SolveOptions.seed, so a solve
@@ -151,7 +151,6 @@ class SolveResult:
     converged: bool
     residual_norm: float
     relative_error: float | None = None
-    residual_half_steps: list = field(default_factory=list)
     attempt_log: list = field(default_factory=list)
 
     @property
@@ -348,9 +347,10 @@ def _step_norm(u, v, u0, v0, v_norm: float, u0_norm: float) -> float:
     The step is du v^T + u0 dv^T, of squared norm ||du||^2 ||v||^2 +
     ||u0||^2 ||dv||^2 + 2 Re(<du, u0> <v, dv>): every term is of the
     order of the step, so nothing of order ||X||^2 cancels as it does in
-    lifted_dist. It still cancels when the step is much smaller than du
-    and dv (u0 v0^T rescaled or rephased between its factors), which the
-    solver's rebalanced, refit iterates do not do.
+    the closed form ||p||^2 + ||q||^2 - 2 Re<p, q>. It still cancels
+    when the step is much smaller than du and dv (u0 v0^T rescaled or
+    rephased between its factors), which the solver's rebalanced, refit
+    iterates do not do.
     """
     du, dv = u - u0, v - v0
     sq = (np.vdot(du, du).real * v_norm**2 + u0_norm**2 * np.vdot(dv, dv).real
@@ -476,12 +476,12 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         attempt_log.append(AttemptRecord(flavor, level_iters, level_stops,
                                          len(half_log), resid / b_norm, stop))
         if best is None or resid < (1.0 - _ATTEMPT_MARGIN) * best[2]:
-            best = (u, v, resid, sum(level_iters), converged, half_log)
+            best = (u, v, resid, sum(level_iters), converged)
         if stop == "resid_stop":
             break
     if best is None:
         raise breakdown
-    u, v, resid, iters, converged, half_log = best
+    u, v, resid, iters, converged = best
 
     if opts.enforce_flatness:
         if opts.mu1 is not None:
@@ -500,7 +500,6 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         iterations=iters,
         converged=converged,
         residual_norm=resid,
-        residual_half_steps=half_log,
         attempt_log=attempt_log,
     )
 

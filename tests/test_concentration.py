@@ -1,5 +1,7 @@
 """Monte Carlo estimators: replay contracts, oracles, and determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from liftconv.measurement import (
     sample_omega,
 )
 from liftconv.models import ModelSpec
-from liftconv.util import complex_gaussian, rng_for
+from liftconv.util import complex_gaussian, derive_seed, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +128,51 @@ def test_rop_decoupled_is_deterministic(ens):
     a = estimate_rop(ens, SPEC_U, SPEC_V, 10, seed=69, decoupled=True)
     b = estimate_rop(ens, SPEC_U, SPEC_V, 10, seed=69, decoupled=True)
     assert np.array_equal(a.deviations, b.deviations)
+
+
+# 40-trial estimate_rop runs at the C9 point (n=64, m=32, s=4, mu2=4):
+# delta_hat and the q50/q90/q99 quantiles as float.hex, the witness
+# trial and the first 16 hex digits of the sha256 of its u, v, u_hat,
+# v_hat bytes. Recorded from the implementation that tested flatness in
+# every round of orthogonalize_pair; a cap mu2 = s cannot bind, so
+# skipping that work must leave every byte as it was.
+_ROP_C9_RECORD = {
+    (901, "both"): ("0x1.7e0aa2e420121p-2", ("0x1.151bf7954bb38p-3",
+                    "0x1.36d731e3839bbp-2", "0x1.7b7f3f5773382p-2"),
+                    35, "46b5d5ec3c88279d"),
+    (901, "either"): ("0x1.7e0aa2e420121p-2", ("0x1.3c764d86d5fc6p-3",
+                      "0x1.36d731e3839bcp-2", "0x1.7b7f3f5773382p-2"),
+                      35, "46b5d5ec3c88279d"),
+    (902, "both"): ("0x1.48ecac481bbc5p-2", ("0x1.07230f10ab26ep-3",
+                    "0x1.e595a934b4524p-3", "0x1.34a53124918dep-2"),
+                    21, "aa25a6d47df978ed"),
+    (902, "either"): ("0x1.48ecac481bbc5p-2", ("0x1.1e259b0c53eafp-3",
+                      "0x1.e5cd1faa0e5f2p-3", "0x1.285cdb266cc50p-2"),
+                      21, "aa25a6d47df978ed"),
+    (903, "both"): ("0x1.fae96d1541e88p-2", ("0x1.37907c1aac6bcp-3",
+                    "0x1.1e486df985a2cp-2", "0x1.bbaea2d8a3885p-2"),
+                    33, "7de83bae42a0aa8e"),
+    (903, "either"): ("0x1.fae96d1541e88p-2", ("0x1.288cb7f64c79ep-3",
+                      "0x1.1e486df985a2bp-2", "0x1.bbaea2d8a3885p-2"),
+                      33, "7de83bae42a0aa8e"),
+}
+
+
+@pytest.mark.parametrize("seed, orthogonality", sorted(_ROP_C9_RECORD))
+def test_rop_at_c9_matches_its_recorded_bytes(seed, orthogonality):
+    ens = Ensemble.generate(64, 32, seed=derive_seed(900, "ens"))
+    rep = estimate_rop(ens, ModelSpec(64, 4, side="left"),
+                       ModelSpec(64, 4, mu=4.0, side="right"), 40, seed=seed,
+                       orthogonality=orthogonality)
+    w = rep.witness
+    digest = hashlib.sha256(b"".join(
+        np.ascontiguousarray(w[k]).tobytes() for k in ("u", "v", "u_hat", "v_hat")
+    )).hexdigest()[:16]
+    got = (rep.delta_hat.hex(),
+           tuple(rep.quantiles[q].hex() for q in (0.5, 0.9, 0.99)),
+           w["trial"], digest)
+    assert got == _ROP_C9_RECORD[seed, orthogonality]
+    assert rep.resamples == 0
 
 
 # -- explicit-matrix estimator and its exact oracle ----------------------------

@@ -300,6 +300,28 @@ def test_lifted_dist_matches_dense_norm():
     )
 
 
+@pytest.mark.parametrize("r", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_lifted_dist_keeps_the_digits_of_small_distances(r):
+    # q moves u by a relative r and splits the scale 3 e^{0.7i} between
+    # its factors, so the distance is exactly ||du|| ||v||; a relative
+    # distance r keeps about 16 + log10(r) digits
+    rng = rng_for(3, "lifted-dist")
+    u, v, du = (complex_gaussian(rng, 128) for _ in range(3))
+    du *= r * np.linalg.norm(u) / np.linalg.norm(du)
+    c = 3.0 * np.exp(0.7j)
+    p, q = LiftedPoint(u, v), LiftedPoint(c * (u + du), v / c)
+    exact = np.linalg.norm(du) * np.linalg.norm(v)
+    for got in (lifted_dist(p, q), lifted_dist(q, p)):
+        assert abs(got - exact) <= (1e-15 / r) * exact
+
+
+def test_lifted_dist_to_a_zero_factor_is_the_other_norm():
+    p = _point(55, 7)
+    for zero in (LiftedPoint(0 * p.u, p.v), LiftedPoint(p.u, 0 * p.v)):
+        assert lifted_dist(zero, p) == pytest.approx(p.norm_f, rel=1e-14)
+        assert lifted_dist(p, zero) == pytest.approx(p.norm_f, rel=1e-14)
+
+
 def test_norm_f_is_frobenius_norm():
     p = _point(54, 9)
     assert p.norm_f == pytest.approx(np.linalg.norm(p.dense()), rel=1e-12)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import bisect_project_flat, naive_dft, unit_vec
@@ -53,6 +53,68 @@ def test_flatness_is_scale_invariant():
 def test_flatness_rejects_zero():
     with pytest.raises(ValueError):
         spectral_flatness(np.zeros(4))
+
+
+@st.composite
+def _sparse_cases(draw):
+    """(x, s) with x in in_tilde_gamma at level s: s-sparse Gaussian draws,
+    s equal-modulus entries on one DFT mode (flatness exactly s), and such
+    a mode plus a tail on every other entry that uses up to all of the
+    l1/l2 test's slack."""
+    n = draw(st.sampled_from([4, 16, 64, 128, 512]))
+    s = draw(st.integers(1, min(n, 8)))
+    rng = rng_for(draw(st.integers(0, 10**6)), "cap-bound")
+    support = rng.choice(n, size=s, replace=False)
+    shape = draw(st.sampled_from(["sparse", "mode", "mode_tail"]))
+    x = np.zeros(n, dtype=complex)
+    if shape == "sparse":
+        x[support] = complex_gaussian(rng, s)
+    else:
+        mode = np.exp(2j * np.pi * rng.integers(n) * np.arange(n) / n)
+        x[support] = mode[support]
+        if shape == "mode_tail" and s < n:
+            # ||x||_1 / (sqrt(s) ||x||_2) is about 1 + (n - s) eps / s
+            eps = draw(st.floats(0.0, 1.0)) * 1e-12 * s / (n - s)
+            tail = np.ones(n, dtype=bool)
+            tail[support] = False
+            x[tail] = eps * mode[tail]
+    return x, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sparse_cases())
+def test_flatness_of_a_sparse_vector_is_at_most_s(case):
+    # |(Fx)_k| <= ||x||_1 <= sqrt(s) ||x||_2 bounds the flatness by s;
+    # in_tilde_gamma allows ||x||_1 up to sqrt(s) ||x||_2 (1 + 1e-12),
+    # and that slack enters the flatness squared: a mode with a tail at
+    # the edge of the slack reaches s (1 + 2e-12), plus rounding
+    x, s = case
+    assume(np.any(x) and in_tilde_gamma(x, s))
+    if np.count_nonzero(x) <= s:
+        assert spectral_flatness(x) <= s * (1 + 1e-12)
+    else:
+        assert spectral_flatness(x) <= s * (1 + 2.01e-12)
+
+
+def test_admits_keeps_its_flatness_test_when_the_cap_cannot_bind():
+    # 4 entries on one DFT mode plus a tail just below ZERO_TOL * peak on
+    # the 2044 others: in_gamma counts 4 nonzeros, but the tail lifts the
+    # flatness to about 4 + 2 * 2044e-12 > 4 + FLATNESS_SLACK
+    n = 2048
+    x = 0.9e-12 * np.exp(2j * np.pi * 5 * np.arange(n) / n)
+    x[[3, 200, 901, 1500]] /= 0.9e-12
+    spec = ModelSpec(n, 4, mu=4.0)
+    assert in_gamma(x, 4) and not spec.cap_binds
+    assert spectral_flatness(x) > 4.0 + FLATNESS_SLACK
+    assert not spec.admits(x)
+
+
+def test_cap_binds_only_below_the_sparsity_level():
+    assert not ModelSpec(16, 4).cap_binds
+    assert not ModelSpec(16, 4, mu=4.0).cap_binds
+    assert not ModelSpec(16, 4, mu=9.5).cap_binds
+    assert ModelSpec(16, 4, mu=3.99).cap_binds
+    assert ModelSpec(16, 4, mu=1.0, flavor="approximate").cap_binds
 
 
 # -- sparsity predicates ------------------------------------------------------
@@ -351,6 +413,39 @@ def test_orthogonalize_pair_contract():
         assert abs(np.vdot(u, w)) <= 1e-10
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         assert spec.admits(w)
+
+
+@pytest.mark.parametrize("flavor", ["exact", "approximate"])
+@pytest.mark.parametrize("n, s, mu", [(64, 4, 4.0), (64, 4, 6.5), (16, 2, 16.0),
+                                      (32, 5, 5.0)])
+def test_orthogonalize_pair_does_no_flatness_work_when_the_cap_cannot_bind(
+        n, s, mu, flavor, monkeypatch):
+    # the partner stays s-sparse, so a cap mu >= s cannot exclude it: the
+    # result is bitwise the uncapped one, found without a flatness test
+    flatness = _counting(spectral_flatness)
+    monkeypatch.setattr(models, "spectral_flatness", flatness)
+    for t in range(10):
+        rng = rng_for(17, "orth-cap", n, s, t)
+        u = sample_model(ModelSpec(n, s), rng)
+        # overlapping supports, so thresholding and the restricted
+        # Gram-Schmidt step both act
+        u_hat = u + sample_model(ModelSpec(n, s), rng)
+        got = orthogonalize_pair(u, u_hat, ModelSpec(n, s, mu=mu, flavor=flavor))
+        ref = orthogonalize_pair(u, u_hat, ModelSpec(n, s, flavor=flavor))
+        assert np.array_equal(got, ref)
+    assert flatness.calls == 0
+
+
+def test_orthogonalize_pair_tests_flatness_when_the_cap_binds(monkeypatch):
+    spec = ModelSpec(64, 4, mu=3.0)
+    rng = rng_for(15, "orth-parity")
+    u = sample_model(spec, rng)
+    u_hat = sample_model(ModelSpec(64, 4), rng)
+    flatness = _counting(spectral_flatness)
+    monkeypatch.setattr(models, "spectral_flatness", flatness)
+    w = orthogonalize_pair(u, u_hat, spec)
+    assert flatness.calls > 0
+    assert spectral_flatness(w) <= 3.0 + FLATNESS_SLACK
 
 
 def test_orthogonalize_pair_keeps_disjoint_input():
