@@ -15,7 +15,8 @@ recover
     Plant a sparse pair, measure it, run the alternating solver; prints
     the result as key=value lines, with the attempts and the half-steps
     they took after the CSV fields; --csv writes a one-row CSV without
-    those two.
+    those two. --enforce-flatness passes the planted --mu1/--mu2 caps to
+    the solver, one flatness post-step per capped side; it needs a cap.
 sweep
     Grid of estimation or recovery cells from a key=value config file.
     The output CSV is a pure function of the resolved config: cell
@@ -290,6 +291,12 @@ def _validate_cells(cfg: SweepConfig):
         raise ConfigError(f"omega_mode must be one of {OMEGA_MODES}")
     if cfg.orthogonality not in ("both", "either"):
         raise ConfigError("orthogonality must be 'both' or 'either'")
+    if cfg.kind == "recover":
+        try:
+            SolveOptions(s1=1, s2=1, max_outer_iters=cfg.max_outer_iters,
+                         outer_tol=cfg.outer_tol, restarts=cfg.restarts)
+        except ValueError as exc:
+            raise ConfigError(f"bad solver settings: {exc}") from None
     for cell in cfg.cells():
         try:
             ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"], flavor=cfg.flavor)
@@ -342,7 +349,8 @@ def _run_estimate(kind: str, opts, point: dict, seed: int):
 
 def _run_recover(opts, point: dict, seed: int):
     """Plant, solve and score one instance at a grid point (opts as in
-    _run_estimate); returns the ensemble, options, result and noise ratio."""
+    _run_estimate): (result, relative error, noise ratio). The planted
+    caps reach the solver only with enforce_flatness."""
     flat = opts.enforce_flatness
     ens, truth, b, z_norm = plant_instance(
         point["n"], point["m"], point["s1"], point["s2"], seed=seed,
@@ -354,12 +362,11 @@ def _run_recover(opts, point: dict, seed: int):
                               max_outer_iters=opts.max_outer_iters,
                               outer_tol=opts.outer_tol,
                               restarts=opts.restarts, seed=seed,
-                              enforce_flatness=flat,
                               mu1=point["mu1"] if flat else None,
                               mu2=point["mu2"] if flat else None)
     res = recover(ens, b, solve_opts)
-    res.relative_error, noise_ratio = success_metric(res.point, truth, b, z_norm, ens)
-    return ens, solve_opts, res, noise_ratio
+    rel, noise_ratio = success_metric(res.point, truth, b, z_norm, ens)
+    return res, rel, noise_ratio
 
 
 def _execute_cell(payload) -> tuple:
@@ -387,8 +394,7 @@ def _recover_cell(cfg: SweepConfig, cell: dict, seed: int) -> dict:
     successes = 0
     for t in range(cfg.trials):
         try:
-            _, _, res, _ = _run_recover(cfg, cell, derive_seed(seed, "instance", t))
-            rel = res.relative_error
+            _, rel, _ = _run_recover(cfg, cell, derive_seed(seed, "instance", t))
         except _NUMERIC_ERRORS:
             rel = float("inf")
         rels.append(rel)
@@ -483,11 +489,16 @@ def _cmd_isotropy(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    if args.enforce_flatness and args.mu1 is None and args.mu2 is None:
+        raise ConfigError("--enforce-flatness needs --mu1 or --mu2")
     t0 = time.perf_counter()
-    ens, opts, res, noise_ratio = _run_recover(args, vars(args), args.seed)
-    row = res.csv_dict(ens, opts, args.seed)
-    row["noise_ratio"] = noise_ratio
-    row["wall_time"] = time.perf_counter() - t0
+    res, rel, noise_ratio = _run_recover(args, vars(args), args.seed)
+    flat = args.enforce_flatness
+    row = {"n": args.n, "m": args.m, "s1": args.s1, "s2": args.s2,
+           "mu1": args.mu1 if flat else None, "mu2": args.mu2 if flat else None,
+           "seed": args.seed, "rel_error": rel, "iterations": res.iterations,
+           "converged": int(res.converged), "residual_norm": res.residual_norm,
+           "noise_ratio": noise_ratio, "wall_time": time.perf_counter() - t0}
     half_steps = sum(rec.half_steps for rec in res.attempt_log)
     _print_kv({**row, "attempts": res.attempts, "half_steps": half_steps})
     if args.csv:

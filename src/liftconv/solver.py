@@ -102,7 +102,8 @@ class SolveOptions:
     tolerance on the relative step between consecutive iterates, in
     force while the residual is at most _POLISH_RESID * ||b|| (0.1); the
     relaxed levels, and the final level above that residual, stop at
-    max(outer_tol, _WARM_TOL)."""
+    max(outer_tol, _WARM_TOL). A flatness cap mu1 (mu2), from 1 to n,
+    adds one flatness post-step on the left (right) factor."""
 
     s1: int
     s2: int
@@ -110,7 +111,6 @@ class SolveOptions:
     outer_tol: float = 1e-8
     restarts: int = 14
     seed: int = 0
-    enforce_flatness: bool = False
     mu1: float | None = None
     mu2: float | None = None
 
@@ -123,20 +123,21 @@ class SolveOptions:
             raise ValueError("tolerances must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        if self.enforce_flatness and self.mu1 is None and self.mu2 is None:
-            raise ValueError("enforce_flatness requires mu1 or mu2")
+        if any(mu is not None and not mu >= 1 for mu in (self.mu1, self.mu2)):
+            raise ValueError("flatness caps must be at least 1")
 
 
 @dataclass
 class AttemptRecord:
-    """What one attempt of recover did, as kept in SolveResult.attempt_log."""
+    """What one attempt of recover did, as kept in SolveResult.attempt_log;
+    _run_attempt fills it as it runs, so a breakdown keeps the work done."""
 
-    init: str           # "screened", "weighted", "uniform" or "gaussian"
-    level_iters: list   # outer iterations at each continuation level reached
-    level_stops: list   # "outer_tol", "warm" or "cap" per finished level
-    half_steps: int
-    resid_rel: float | None  # final residual / ||b||; None after a breakdown
-    stop: str           # "resid_stop", "done" or "breakdown"
+    init: str  # "screened", "weighted", "uniform" or "gaussian"
+    level_iters: list = field(default_factory=list)  # outer iterations per level reached
+    level_stops: list = field(default_factory=list)  # "outer_tol", "warm" or "cap"
+    half_steps: int = 0
+    resid_rel: float | None = None  # final residual / ||b||; None after a breakdown
+    stop: str = "breakdown"         # "resid_stop", "done" or "breakdown"
 
 
 @dataclass
@@ -150,7 +151,6 @@ class SolveResult:
     iterations: int
     converged: bool
     residual_norm: float
-    relative_error: float | None = None
     attempt_log: list = field(default_factory=list)
 
     @property
@@ -160,21 +160,6 @@ class SolveResult:
     @property
     def attempts(self) -> int:
         return len(self.attempt_log)
-
-    def csv_dict(self, ens: Ensemble, opts: SolveOptions, seed) -> dict:
-        return {
-            "n": ens.n,
-            "m": ens.m,
-            "s1": opts.s1,
-            "s2": opts.s2,
-            "mu1": "" if opts.mu1 is None else opts.mu1,
-            "mu2": "" if opts.mu2 is None else opts.mu2,
-            "seed": seed,
-            "rel_error": "" if self.relative_error is None else self.relative_error,
-            "iterations": self.iterations,
-            "converged": int(self.converged),
-            "residual_norm": self.residual_norm,
-        }
 
 
 # -- initialization -----------------------------------------------------------
@@ -304,8 +289,9 @@ def _refit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
 
 
 def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
-               Aw: np.ndarray, s: int, log: list):
-    """One factor update with the other frozen, on the map A = WH @ G: (w, A w).
+               Aw: np.ndarray, s: int):
+    """One factor update with the other frozen, on the map A = WH @ G:
+    (w, A w, ||b - A w||).
 
     Aw is A w for the current iterate, as the previous refit left it.
     Hard-thresholding-pursuit rounds select the top-s support of
@@ -313,7 +299,7 @@ def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
     a well-conditioned block of at most m columns, minimum-norm lstsq
     otherwise), until the support repeats or 8 rounds have run. With
     s >= n that is one exact least-squares solve, so the data residual
-    cannot increase. Appends ||b - A w|| of the returned w to log.
+    cannot increase.
     """
     J_prev = None
     for _ in range(8):
@@ -326,8 +312,7 @@ def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
         J_prev = J
     else:
         r = b - Aw
-    log.append(float(np.linalg.norm(r)))
-    return w, Aw
+    return w, Aw, float(np.linalg.norm(r))
 
 
 def _sparsity_schedule(s: int, m: int, n: int) -> list:
@@ -358,9 +343,8 @@ def _step_norm(u, v, u0, v0, v_norm: float, u0_norm: float) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2,
-                 level_iters: list, level_stops: list, half_log: list):
-    """One continuation sweep from init: (u, v, residual, converged).
+def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecord):
+    """One continuation sweep from init over the (s1, s2) levels: (u, v, residual).
 
     A level stops once the step between consecutive iterates falls below
     its tolerance times ||X||, or after opts.max_outer_iters outer
@@ -369,33 +353,34 @@ def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2,
     last half-step is at most _POLISH_RESID * ||b||, and the warm
     tolerance above it: a failed basin is not polished. Each half-step
     takes the measurement A(u v^T) its predecessor's refit computed (the
-    rebalancing leaves it unchanged), so the attempt's residual is its
-    last logged half-step residual. converged tells whether the final
-    level stopped on its step test.
+    rebalancing leaves it unchanged), so the attempt's residual is that
+    of its last half-step.
 
-    Appends the outer iterations of each level to level_iters, the stop
-    reason of each finished level ("outer_tol", "warm" or "cap") to
-    level_stops and the residual after each half-step to half_log as it
-    goes, so that all three stay readable after a SolverBreakdownError.
+    Fills rec as it goes: the outer iterations of each level in
+    level_iters, the stop reason of each finished level ("outer_tol",
+    "warm" or "cap") in level_stops, and half_steps, so that all three
+    stay readable after a SolverBreakdownError.
     """
     u, v = init.u, init.v
     Aw = op.forward(u, v)
     u_norm = np.linalg.norm(u)
     polish_resid = _POLISH_RESID * np.linalg.norm(b)
-    last = len(sched1) - 1
+    last = len(levels) - 1
     warm_tol = max(opts.outer_tol, _WARM_TOL)
-    for level, (s1_now, s2_now) in enumerate(zip(sched1, sched2)):
-        level_iters.append(0)
+    for level, (s1_now, s2_now) in enumerate(levels):
+        rec.level_iters.append(0)
         stop = "cap"
         for _ in range(opts.max_outer_iters):
-            level_iters[-1] += 1
+            rec.level_iters[-1] += 1
             u0, v0, u0_norm = u, v, u_norm
-            u, Aw = _half_step(*op.frozen("left", v), b, u, Aw, s1_now, half_log)
+            u, Aw, _ = _half_step(*op.frozen("left", v), b, u, Aw, s1_now)
+            rec.half_steps += 1
             nu = np.linalg.norm(u)
             if nu == 0:
                 raise SolverBreakdownError("left factor collapsed",
                                            LiftedPoint(u, v))
-            v, Aw = _half_step(*op.frozen("right", u), b, v, Aw, s2_now, half_log)
+            v, Aw, resid = _half_step(*op.frozen("right", u), b, v, Aw, s2_now)
+            rec.half_steps += 1
             nv = np.linalg.norm(v)
             if nv == 0:
                 raise SolverBreakdownError("right factor collapsed",
@@ -405,13 +390,13 @@ def _run_attempt(op, b, opts, init: LiftedPoint, sched1, sched2,
             ratio = np.sqrt(nv / nu)
             u, v = u * ratio, v / ratio
             u_norm = np.sqrt(nu * nv)
-            polish = level == last and half_log[-1] <= polish_resid
+            polish = level == last and resid <= polish_resid
             tol = opts.outer_tol if polish else warm_tol
             if _step_norm(u, v, u0, v0, u_norm, u0_norm) < tol * nu * nv:
                 stop = "outer_tol" if polish else "warm"
                 break
-        level_stops.append(stop)
-    return u, v, half_log[-1], level_stops[-1] != "cap"
+        rec.level_stops.append(stop)
+    return u, v, resid
 
 
 def _flatness_step(ens: Ensemble, w: np.ndarray, mu: float, s: int, side: str) -> np.ndarray:
@@ -433,9 +418,12 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     later residual is smaller by more than the relative margin
     _ATTEMPT_MARGIN, and stops early once a residual falls below
     _RESID_STOP * ||b||. Every attempt, one that breaks down included,
-    counts in `attempts` and leaves an AttemptRecord in `attempt_log`;
-    a breakdown is re-raised only if every attempt broke down. All
-    stochastic choices derive from opts.seed, never from global state.
+    counts in `attempts` and leaves its AttemptRecord in `attempt_log`;
+    a breakdown is re-raised only if every attempt broke down. Each side
+    whose cap (opts.mu1, opts.mu2) is set then takes one flatness
+    post-step (_flatness_step, and a refit of the other factor); a cap
+    above n is rejected before the first attempt. All stochastic
+    choices derive from opts.seed, never from global state.
     The factored operator (F Phi, F Psi and the scaled
     inverse-DFT rows, 2 n^2 + m n complex entries) and the n x n adjoint
     image of b built from it are made once per call, at every n: 3 n^2
@@ -447,11 +435,13 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         raise ValueError("b must have length m")
     if np.linalg.norm(b) == 0:
         raise ZeroVectorError("cannot initialize from zero measurements")
+    if any(mu is not None and mu > ens.n for mu in (opts.mu1, opts.mu2)):
+        raise ValueError("flatness caps must be at most n")
     sched1 = _sparsity_schedule(opts.s1, ens.m, ens.n)
     sched2 = _sparsity_schedule(opts.s2, ens.m, ens.n)
     depth = max(len(sched1), len(sched2))
-    sched1 = [sched1[0]] * (depth - len(sched1)) + sched1
-    sched2 = [sched2[0]] * (depth - len(sched2)) + sched2
+    levels = list(zip([sched1[0]] * (depth - len(sched1)) + sched1,
+                      [sched2[0]] * (depth - len(sched2)) + sched2))
 
     op = FactoredOperator.of(ens)
     T = op.adjoint_image(b)
@@ -460,30 +450,26 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     breakdown = None
     attempt_log = []
     for a in range(opts.restarts + 1):
-        init = _attempt_init(ens.n, T, sched1[0], sched2[0], a, opts.seed)
-        flavor = _init_flavor(a)
-        level_iters, level_stops, half_log = [], [], []
+        init = _attempt_init(ens.n, T, *levels[0], a, opts.seed)
+        rec = AttemptRecord(_init_flavor(a))
+        attempt_log.append(rec)
         try:
-            u, v, resid, converged = _run_attempt(op, b, opts, init, sched1, sched2,
-                                                  level_iters, level_stops, half_log)
+            u, v, resid = _run_attempt(op, b, opts, init, levels, rec)
         except SolverBreakdownError as err:
             breakdown = err
-            attempt_log.append(AttemptRecord(flavor, level_iters, level_stops,
-                                             len(half_log), None, "breakdown"))
             continue
+        rec.resid_rel = resid / b_norm
         # no earlier residual met the stop, so this tests the smallest so far
-        stop = "resid_stop" if resid <= _RESID_STOP * b_norm else "done"
-        attempt_log.append(AttemptRecord(flavor, level_iters, level_stops,
-                                         len(half_log), resid / b_norm, stop))
+        rec.stop = "resid_stop" if resid <= _RESID_STOP * b_norm else "done"
         if best is None or resid < (1.0 - _ATTEMPT_MARGIN) * best[2]:
-            best = (u, v, resid, sum(level_iters), converged)
-        if stop == "resid_stop":
+            best = (u, v, resid, rec)
+        if rec.stop == "resid_stop":
             break
     if best is None:
         raise breakdown
-    u, v, resid, iters, converged = best
+    u, v, resid, kept = best
 
-    if opts.enforce_flatness:
+    if opts.mu1 is not None or opts.mu2 is not None:
         if opts.mu1 is not None:
             u = _flatness_step(ens, u, opts.mu1, opts.s1, "left")
             J = np.nonzero(v)[0] if np.any(v) else np.arange(ens.n)
@@ -497,8 +483,8 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     return SolveResult(
         u_hat=u,
         v_hat=v,
-        iterations=iters,
-        converged=converged,
+        iterations=sum(kept.level_iters),
+        converged=kept.level_stops[-1] != "cap",
         residual_norm=resid,
         attempt_log=attempt_log,
     )

@@ -132,6 +132,13 @@ def test_parse_config_validates_cells():
         parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ntrials=0\n")
 
 
+@pytest.mark.parametrize("setting", ["restarts=-1", "max_outer_iters=0", "outer_tol=0"])
+def test_parse_config_rejects_bad_solver_settings(setting):
+    # rejected with the config, not inside the first cell after planting
+    with pytest.raises(ConfigError, match="bad solver settings"):
+        parse_config(f"kind=recover\nn=8\nm=4\ns1=1\ns2=1\n{setting}\n")
+
+
 def test_cells_enumeration_order():
     cfg = parse_config("kind=rip\nn=8\nm=4,6\ns1=1,2\ns2=1\n")
     coords = [(c["m"], c["s1"]) for c in cfg.cells()]
@@ -318,6 +325,20 @@ def test_cli_recover_prints_its_work_outside_the_csv(tmp_path, capsys):
     assert rows[0]["iterations"] == printed["iterations"]
 
 
+def test_cli_recover_csv_row(tmp_path):
+    path = tmp_path / "one.csv"
+    assert main(["recover", "--n", "16", "--m", "12", "--s1", "2", "--s2", "2",
+                 "--seed", "115", "--csv", str(path)]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    row = rows[0]
+    assert row["n"] == "16" and row["m"] == "12"
+    assert row["converged"] in ("0", "1")
+    assert set(row) == {"n", "m", "s1", "s2", "mu1", "mu2", "seed",
+                        "rel_error", "iterations", "converged",
+                        "residual_norm", "noise_ratio", "wall_time"}
+
+
 def test_cli_isotropy_defaults_to_dense_signals(capsys):
     code = main(["isotropy", "--n", "6", "--m", "3", "--draws", "20",
                  "--seed", "2"])
@@ -353,6 +374,9 @@ def test_cli_exit_codes():
     assert main(["rip-estimate", "--n", "8"]) == 2        # missing arguments
     assert main(["sweep", "--config", "/no/such/file", "--out", "x.csv"]) == 2
     assert main(["--help"]) == 0
+    # the planted caps are what --enforce-flatness passes to the solver
+    assert main(["recover", "--n", "16", "--m", "8", "--s1", "1", "--s2", "1",
+                 "--enforce-flatness"]) == 2
     assert main(["rap-estimate", "--n", "8", "--m", "4", "--s1", "1",
                  "--s2", "1", "--diagonal"]) == 2           # option removed
     # orthogonal partners cannot exist in a one-dimensional model

@@ -114,9 +114,10 @@ def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch):
     # above n = 256 the screened restarts still draw their own supports
     inits = []
 
-    def record(op, b, opts, init, *schedules_and_logs):
+    def record(op, b, opts, init, levels, rec):
         inits.append(init)
-        return init.u, init.v, np.inf, False
+        rec.level_stops.append("cap")
+        return init.u, init.v, np.inf
 
     monkeypatch.setattr(solver, "_run_attempt", record)
     ens, _, b, _ = plant_instance(300, 24, 2, 2, seed=1)
@@ -260,7 +261,7 @@ def test_sparsity_schedule_always_ends_at_target():
 
 
 @pytest.mark.parametrize("r", [1e-7, 1e-8, 1e-9])
-def test_step_norm_keeps_the_digits_lifted_dist_cancels(r):
+def test_step_norm_and_lifted_dist_match_the_exact_small_distance(r):
     rng = rng_for(1, "dist")
     u, v, du = (complex_gaussian(rng, 128) for _ in range(3))
     u1 = u + r * np.linalg.norm(u) * du / np.linalg.norm(du)
@@ -378,6 +379,7 @@ def test_attempt_log_records_every_attempt():
     # the kept attempt is the earliest with the smallest residual
     kept = min(log, key=lambda rec: rec.resid_rel)
     assert res.iterations == sum(kept.level_iters)
+    assert res.converged == (kept.level_stops[-1] != "cap")
     assert res.residual_norm == pytest.approx(kept.resid_rel * b_norm, rel=1e-12)
 
 
@@ -385,15 +387,13 @@ def test_attempt_log_keeps_the_work_of_a_broken_attempt(monkeypatch):
     real = solver._run_attempt
     calls = []
 
-    def broken_first(op, b, opts, init, sched1, sched2, level_iters, level_stops,
-                     half_log):
+    def broken_first(op, b, opts, init, levels, rec):
         calls.append(1)
         if len(calls) == 1:
-            level_iters.append(1)
-            half_log.append(1.0)
+            rec.level_iters.append(1)
+            rec.half_steps += 1
             raise SolverBreakdownError("right factor collapsed", init)
-        return real(op, b, opts, init, sched1, sched2, level_iters, level_stops,
-                    half_log)
+        return real(op, b, opts, init, levels, rec)
 
     monkeypatch.setattr(solver, "_run_attempt", broken_first)
     ens, _, b, _ = plant_instance(32, 24, 2, 2, seed=101)
@@ -449,17 +449,17 @@ def test_residuals_monotone_without_thresholding(monkeypatch):
     # can only go down
     ens, _, b, _ = plant_instance(16, 8, 2, 2, seed=107)
     opts = SolveOptions(s1=16, s2=16, restarts=0, max_outer_iters=6, seed=107)
-    logs = []
-    real = solver._run_attempt
+    hs = []
+    real = solver._half_step
 
     def recording(*args):
-        logs.append(args[-1])  # half_log, filled as the attempt runs
-        return real(*args)
+        w, Aw, resid = real(*args)
+        hs.append(resid)
+        return w, Aw, resid
 
-    monkeypatch.setattr(solver, "_run_attempt", recording)
-    recover(ens, b, opts)
-    assert len(logs) == 1
-    hs = logs[0]
+    monkeypatch.setattr(solver, "_half_step", recording)
+    res = recover(ens, b, opts)
+    assert res.attempts == 1
     assert len(hs) >= 2
     assert all(hs[i + 1] <= hs[i] + 1e-10 for i in range(len(hs) - 1))
 
@@ -513,10 +513,11 @@ def test_attempts_equal_up_to_rounding_keep_the_earliest(monkeypatch):
     r0 = 0.5 * np.linalg.norm(b)
     outcomes = iter([(r0, 60), (r0 * (1 - 1e-15), 75), (2 * r0, 90)])
 
-    def fake(op, b, opts, init, sched1, sched2, level_iters, level_stops, half_log):
+    def fake(op, b, opts, init, levels, rec):
         resid, iters = next(outcomes)
-        level_iters.append(iters)
-        return np.ones(16), np.ones(16), resid, True
+        rec.level_iters.append(iters)
+        rec.level_stops.append("outer_tol")
+        return np.ones(16), np.ones(16), resid
 
     monkeypatch.setattr(solver, "_run_attempt", fake)
     res = recover(ens, b, SolveOptions(s1=2, s2=2, restarts=2, seed=122))
@@ -541,8 +542,7 @@ def test_enforce_flatness_with_vacuous_caps_preserves_recovery():
     # caps at the ambient dimension make the image flattening a no-op,
     # so the post-pass reduces to support refits and success survives
     ens, truth, b, _ = plant_instance(32, 24, 3, 3, seed=109, mu1=3.0, mu2=3.0)
-    opts = SolveOptions(s1=3, s2=3, seed=109, enforce_flatness=True,
-                        mu1=32.0, mu2=32.0)
+    opts = SolveOptions(s1=3, s2=3, seed=109, mu1=32.0, mu2=32.0)
     res = recover(ens, b, opts)
     rel, _ = success_metric(res.point, truth, b, 0.0, ens)
     assert rel <= 1e-6
@@ -554,13 +554,31 @@ def test_enforce_flatness_tight_caps_reshape_the_estimate():
     # finite, deterministic result that actually moved the estimate
     ens, truth, b, _ = plant_instance(32, 24, 3, 3, seed=109, mu1=3.0, mu2=3.0)
     base = recover(ens, b, SolveOptions(s1=3, s2=3, seed=109))
-    opts = SolveOptions(s1=3, s2=3, seed=109, enforce_flatness=True,
-                        mu1=2.0, mu2=2.0)
+    opts = SolveOptions(s1=3, s2=3, seed=109, mu1=2.0, mu2=2.0)
     res = recover(ens, b, opts)
     again = recover(ens, b, opts)
     assert np.isfinite(res.residual_norm)
     assert np.array_equal(res.u_hat, again.u_hat)
     assert lifted_dist(res.point, base.point) > 0
+
+
+def test_flatness_caps_are_rejected_before_the_first_attempt(monkeypatch):
+    # project_flat needs 1 <= mu <= n; a cap outside that must not wait
+    # for the post-step, after every attempt has run
+    calls = []
+    real = solver._run_attempt
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_run_attempt", counting)
+    ens, _, b, _ = plant_instance(32, 24, 3, 3, seed=109)
+    with pytest.raises(ValueError, match="at least 1"):
+        recover(ens, b, SolveOptions(s1=3, s2=3, seed=109, mu1=0.5))
+    with pytest.raises(ValueError, match="at most n"):
+        recover(ens, b, SolveOptions(s1=3, s2=3, seed=109, mu2=33.0))
+    assert calls == []
 
 
 def test_solve_options_validation():
@@ -571,7 +589,7 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(s1=1, s2=1, outer_tol=0.0)
     with pytest.raises(ValueError):
-        SolveOptions(s1=1, s2=1, enforce_flatness=True)
+        SolveOptions(s1=1, s2=1, mu2=float("nan"))
 
 
 # -- scoring -------------------------------------------------------------------
@@ -606,15 +624,3 @@ def test_success_metric_noise_ratio_and_validation():
     with pytest.raises(ValueError):
         success_metric(truth, zero, b, z_norm, ens)
 
-
-def test_solve_result_csv_row():
-    ens, truth, b, _ = plant_instance(16, 12, 2, 2, seed=115)
-    opts = SolveOptions(s1=2, s2=2, seed=115)
-    res = recover(ens, b, opts)
-    res.relative_error = 1e-9
-    row = res.csv_dict(ens, opts, seed=115)
-    assert row["n"] == 16 and row["m"] == 12
-    assert row["converged"] in (0, 1)
-    assert set(row) == {"n", "m", "s1", "s2", "mu1", "mu2", "seed",
-                        "rel_error", "iterations", "converged",
-                        "residual_norm"}
