@@ -158,21 +158,67 @@ _ROP_C9_RECORD = {
 }
 
 
+def _report_bytes(rep):
+    """(delta_hat, (q50, q90, q99)) as float.hex, the witness trial and a
+    sha256 prefix of the witness's u, v (and u_hat, v_hat) bytes."""
+    w = rep.witness
+    digest = hashlib.sha256(b"".join(
+        np.ascontiguousarray(w[k]).tobytes()
+        for k in ("u", "v", "u_hat", "v_hat") if k in w
+    )).hexdigest()[:16]
+    return (rep.delta_hat.hex(),
+            tuple(rep.quantiles[q].hex() for q in (0.5, 0.9, 0.99)),
+            w["trial"], digest)
+
+
 @pytest.mark.parametrize("seed, orthogonality", sorted(_ROP_C9_RECORD))
 def test_rop_at_c9_matches_its_recorded_bytes(seed, orthogonality):
     ens = Ensemble.generate(64, 32, seed=derive_seed(900, "ens"))
     rep = estimate_rop(ens, ModelSpec(64, 4, side="left"),
                        ModelSpec(64, 4, mu=4.0, side="right"), 40, seed=seed,
                        orthogonality=orthogonality)
-    w = rep.witness
-    digest = hashlib.sha256(b"".join(
-        np.ascontiguousarray(w[k]).tobytes() for k in ("u", "v", "u_hat", "v_hat")
-    )).hexdigest()[:16]
-    got = (rep.delta_hat.hex(),
-           tuple(rep.quantiles[q].hex() for q in (0.5, 0.9, 0.99)),
-           w["trial"], digest)
-    assert got == _ROP_C9_RECORD[seed, orthogonality]
+    assert _report_bytes(rep) == _ROP_C9_RECORD[seed, orthogonality]
     assert rep.resamples == 0
+
+
+# estimate_rap at C9 (n=64, m=32, s=4, mu2=4), at C8 (n=128, m=32, s=2,
+# mu2=4) and at the flat spec mu2=3.5 < s, whose right draws run the
+# project/threshold alternation, and estimate_rip at C8, recorded as
+# _report_bytes from the implementation that called np.linalg.norm and
+# drew complex Gaussians in two calls. The trial path's norms and draws
+# must evaluate exactly what those did. A case is (estimator, n, ensemble
+# seed, s, mu2, trials, seed), with m = 32.
+_C8_SEED = derive_seed(800, "ens", 32)
+_C9_SEED = derive_seed(900, "ens")
+_ESTIMATE_CASES = {
+    "rap-c9": (estimate_rap, 64, _C9_SEED, 4, 4.0, 40, 911),
+    "rap-c8": (estimate_rap, 128, _C8_SEED, 2, 4.0, 40, 811),
+    "rap-flat": (estimate_rap, 64, _C9_SEED, 4, 3.5, 10, 921),
+    "rip-c8": (estimate_rip, 128, _C8_SEED, 2, 4.0, 40, 812),
+}
+_ESTIMATE_RECORD = {
+    "rap-c9": ("0x1.377e6682daa46p-2", ("0x1.0735eb9b9dbb9p-3",
+               "0x1.e016a8b78a7c0p-3", "0x1.351cdf69f2921p-2"),
+               23, "215b517ae289f448"),
+    "rap-c8": ("0x1.3903c3f3f8baap-2", ("0x1.06fcc36d84b20p-3",
+               "0x1.e84604f372948p-3", "0x1.299f198f84d12p-2"),
+               39, "87cc7433bde7eee3"),
+    "rap-flat": ("0x1.a04a6151d51f9p-3", ("0x1.3854cf8a46feep-3",
+                 "0x1.875fc146e8b18p-3", "0x1.9dcc8483f0ae3p-3"),
+                 8, "4b194afd9b72db2c"),
+    "rip-c8": ("0x1.bb36315bb2e35p-2", ("0x1.3ffa9c7b9fc01p-3",
+               "0x1.2542ecf10829dp-2", "0x1.abb680cb145a1p-2"),
+               3, "35a5a5a8a05a3de9"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ESTIMATE_RECORD))
+def test_estimates_match_their_recorded_bytes(label):
+    estimator, n, ens_seed, s, mu2, trials, seed = _ESTIMATE_CASES[label]
+    ens = Ensemble.generate(n, 32, seed=ens_seed)
+    rep = estimator(ens, ModelSpec(n, s, side="left"),
+                    ModelSpec(n, s, mu=mu2, side="right"), trials, seed=seed)
+    assert _report_bytes(rep) == _ESTIMATE_RECORD[label]
 
 
 # -- explicit-matrix estimator and its exact oracle ----------------------------

@@ -1,5 +1,6 @@
 """Model membership, projections, sampling, and orthogonalization."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -323,6 +324,23 @@ def test_sample_model_accepts_raw_draw_when_cap_is_loose():
     x = sample_model(spec, rng_for(6, "loose"))
     assert np.count_nonzero(x) == 4
     assert spectral_flatness(x) <= 4.0 + FLATNESS_SLACK
+
+
+def test_flat_draws_match_their_recorded_bytes():
+    # 20 draws at (64, 4, mu=2.5), one stream each, through the
+    # project/threshold alternation; stream 7 exhausts its budget. The
+    # sha256 prefix of the other 19 was recorded from the implementation
+    # that took np.linalg.norm twice per draw and drew complex Gaussians
+    # in two calls.
+    spec = ModelSpec(64, 4, mu=2.5)
+    h = hashlib.sha256()
+    failed = []
+    for t in range(20):
+        try:
+            h.update(sample_model(spec, rng_for(12, "parity", t)).tobytes())
+        except InfeasibleModelError:
+            failed.append(t)
+    assert (h.hexdigest()[:16], failed) == ("d600954a31239a31", [7])
 
 
 def test_sample_model_reproducible():

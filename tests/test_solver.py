@@ -1,5 +1,7 @@
 """Recovery solver: planted instances, invariances, and failure modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,34 @@ def test_recover_solves_easy_instance():
     assert rel <= 1e-6
     assert res.residual_norm <= 1e-6 * np.linalg.norm(b)
     assert res.iterations >= 1 and res.attempts >= 1
+
+
+# Slice instances t = 0 (n=128, s=3, mu=3, seed 7000) at m = 16, a failing
+# basin that runs all 15 attempts, and m = 64, solved at attempt 0:
+# sha256 prefixes of the factor bytes and of the attempt log (every
+# field, resid_rel as float.hex), the residual as float.hex, iterations
+# and half-steps. Recorded from the half-step path that called
+# np.linalg.norm, np.argsort/np.sort and np.flatnonzero.
+_SLICE_RECORD = {
+    16: ("ac48ea1eb02c795d", "f3accc21ab38d60c", "0x1.a7fa13e0bc6b8p-2", 57, 1018),
+    64: ("ff313f7061101d85", "cca4543ce733134b", "0x1.2a5e301da2ffap-33", 30, 60),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_SLICE_RECORD))
+def test_recover_on_the_slice_matches_its_recorded_bytes(m):
+    ens, _, b, _ = plant_instance(128, m, 3, 3, seed=7000, mu1=3, mu2=3)
+    res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=7000))
+    log = [(r.init, tuple(r.level_iters), tuple(r.level_stops), r.half_steps,
+            None if r.resid_rel is None else r.resid_rel.hex(), r.stop)
+           for r in res.attempt_log]
+    got = (hashlib.sha256(res.u_hat.tobytes() + res.v_hat.tobytes()).hexdigest()[:16],
+           hashlib.sha256(repr(log).encode()).hexdigest()[:16],
+           res.residual_norm.hex(), res.iterations, sum(r.half_steps for r in res.attempt_log))
+    assert got == _SLICE_RECORD[m]
+    if m == 64:
+        assert log == [("screened", (24, 2, 4), ("warm", "warm", "outer_tol"), 60,
+                        "0x1.3012c70584d00p-33", "resid_stop")]
 
 
 def test_recover_is_deterministic():
