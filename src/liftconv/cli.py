@@ -42,6 +42,7 @@ import csv
 import dataclasses
 import itertools
 import logging
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -297,6 +298,8 @@ def _validate_cells(cfg: SweepConfig):
                          outer_tol=cfg.outer_tol, restarts=cfg.restarts)
         except ValueError as exc:
             raise ConfigError(f"bad solver settings: {exc}") from None
+        if not cfg.success_threshold >= 0:
+            raise ConfigError("success_threshold must be nonnegative")
     for cell in cfg.cells():
         try:
             ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"], flavor=cfg.flavor)
@@ -309,8 +312,8 @@ def _validate_cells(cfg: SweepConfig):
         if (cfg.kind == "recover" and cfg.enforce_flatness
                 and cell["mu1"] is None and cell["mu2"] is None):
             raise ConfigError("enforce_flatness needs mu1 or mu2 in every cell")
-        if cfg.kind == "recover" and cell["noise"] < 0:
-            raise ConfigError("noise must be nonnegative")
+        if cfg.kind == "recover" and not 0 <= cell["noise"] < math.inf:
+            raise ConfigError("noise must be finite and nonnegative")
 
 
 # -- sweep execution ----------------------------------------------------------
@@ -352,18 +355,18 @@ def _run_recover(opts, point: dict, seed: int):
     _run_estimate): (result, relative error, noise ratio). The planted
     caps reach the solver only with enforce_flatness."""
     flat = opts.enforce_flatness
-    ens, truth, b, z_norm = plant_instance(
-        point["n"], point["m"], point["s1"], point["s2"], seed=seed,
-        phi_kind=opts.phi, psi_kind=opts.psi,
-        mu1=point["mu1"], mu2=point["mu2"],
-        noise_level=point["noise"], flavor=opts.flavor,
-        omega_mode=opts.omega_mode)
     solve_opts = SolveOptions(s1=point["s1"], s2=point["s2"],
                               max_outer_iters=opts.max_outer_iters,
                               outer_tol=opts.outer_tol,
                               restarts=opts.restarts, seed=seed,
                               mu1=point["mu1"] if flat else None,
                               mu2=point["mu2"] if flat else None)
+    ens, truth, b, z_norm = plant_instance(
+        point["n"], point["m"], point["s1"], point["s2"], seed=seed,
+        phi_kind=opts.phi, psi_kind=opts.psi,
+        mu1=point["mu1"], mu2=point["mu2"],
+        noise_level=point["noise"], flavor=opts.flavor,
+        omega_mode=opts.omega_mode)
     res = recover(ens, b, solve_opts)
     rel, noise_ratio = success_metric(res.point, truth, b, z_norm, ens)
     return res, rel, noise_ratio

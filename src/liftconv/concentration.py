@@ -37,7 +37,7 @@ from .models import (
     orthogonalize_pair,
     sample_model,
 )
-from .util import derive_seed, rng_for
+from .util import derive_seed, rng_for, vnorm
 
 __all__ = [
     "EstimateReport",
@@ -182,7 +182,7 @@ def estimate_rip(
         u = sample_model(spec_u, rng)
         v = sample_model(spec_v, rng)
         wsq = LiftedPoint(u, v).norm_f ** 2
-        dev = abs(np.linalg.norm(op.forward(u, v)) ** 2 - wsq) / wsq
+        dev = abs(vnorm(op.forward(u, v)) ** 2 - wsq) / wsq
         return dev, {"u": u, "v": v}
 
     return _run_trials("rip", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)

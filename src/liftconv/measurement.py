@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import dft_matrix, fftu, ifftu
-from .util import ZeroVectorError, complex_gaussian, rng_for
+from .util import ZeroVectorError, complex_gaussian, rng_for, vnorm
 
 __all__ = [
     "DENSE_GUARD",
@@ -62,7 +62,7 @@ class LiftedPoint:
     @property
     def norm_f(self) -> float:
         """Frobenius norm of u v^T."""
-        return float(np.linalg.norm(self.u) * np.linalg.norm(self.v))
+        return vnorm(self.u) * vnorm(self.v)
 
     def dense(self) -> np.ndarray:
         return np.outer(self.u, self.v)
@@ -394,7 +394,7 @@ class FactoredOperator:
         The fixed factor is imaged from its nonzero entries only.
         """
         G_fixed, G = (self.G_psi, self.G_phi) if side == "left" else (self.G_phi, self.G_psi)
-        S = np.flatnonzero(fixed)
+        S = fixed.nonzero()[0]
         return self.W * (G_fixed[:, S] @ fixed[S]), G
 
 

@@ -19,6 +19,15 @@ routine build their candidates with at most s nonzeros, so they do
 flatness work (tests, projections) only when ModelSpec.cap_binds.
 ModelSpec.admits still tests flatness whenever a cap is set, since it
 takes arbitrary inputs.
+
+sample_model and orthogonalize_pair run several times per Monte Carlo
+trial on short vectors, where NumPy's Python-level wrappers cost more
+than the arithmetic. So they, hard_threshold and as_signal take norms
+with util.vnorm, call the array methods (argsort, nonzero, all) in place
+of the np.* wrappers and np.zeros in place of np.zeros_like, and
+normalize by the norm they already took for their zero test. Each
+evaluates the same kernels in the same order, so every draw is
+bit-identical to the wrapper form.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import fftu, ifftu
-from .util import ZeroVectorError, complex_gaussian, unit
+from .util import ZeroVectorError, complex_gaussian, unit, vnorm
 
 __all__ = [
     "ZERO_TOL",
@@ -85,7 +94,7 @@ def as_signal(x, n: int | None = None) -> np.ndarray:
         raise ValueError("signals are one-dimensional arrays")
     if n is not None and arr.size != n:
         raise ValueError(f"expected length {n}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("signal entries must be finite")
     return arr
 
@@ -220,8 +229,8 @@ def hard_threshold(x, s: int) -> np.ndarray:
         raise ValueError("need 1 <= s <= n")
     if s >= x.size:
         return x.copy()
-    order = np.argsort(-np.abs(x), kind="stable")
-    out = np.zeros_like(x)
+    order = (-np.abs(x)).argsort(kind="stable")
+    out = np.zeros(x.size, dtype=complex)
     keep = order[:s]
     out[keep] = x[keep]
     return out
@@ -308,10 +317,11 @@ def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
         support = rng.choice(n, size=s, replace=False)
         x = np.zeros(n, dtype=complex)
         x[support] = complex_gaussian(rng, s)
-        if np.linalg.norm(x) == 0:
+        nrm = vnorm(x)
+        if nrm == 0:
             continue
         if not spec.cap_binds:
-            return unit(x)
+            return x / nrm
         for _ in range(_MAX_ROUNDS):
             if spec.admits(x):
                 return unit(x)
@@ -319,7 +329,7 @@ def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
             if spec.admits(x):
                 return unit(x)
             x = hard_threshold(x, s)
-            if np.linalg.norm(x) == 0:
+            if vnorm(x) == 0:
                 break
     raise InfeasibleModelError(
         f"no admissible draw for {spec} after {_MAX_RESTARTS} restarts"
@@ -352,31 +362,32 @@ def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
     """
     u = as_signal(u, spec.n)
     u_hat = as_signal(u_hat, spec.n)
-    nu = np.linalg.norm(u)
+    nu = vnorm(u)
     if nu == 0:
         raise ZeroVectorError("u must be nonzero")
 
     w = u_hat - (np.vdot(u, u_hat) / nu**2) * u
-    if np.linalg.norm(w) <= 1e-12 * np.linalg.norm(u_hat):
+    if vnorm(w) <= 1e-12 * vnorm(u_hat):
         raise OrthogonalizationError("u_hat is parallel to u")
 
     binds = spec.cap_binds
     for _ in range(_MAX_ROUNDS):
         w = hard_threshold(w, spec.s)
-        if binds and np.linalg.norm(w) > 0:
+        if binds and vnorm(w) > 0:
             if spectral_flatness(w) > spec.mu + FLATNESS_SLACK:
                 w = hard_threshold(project_flat(w, spec.mu), spec.s)
-        support = np.flatnonzero(w)
+        support = w.nonzero()[0]
         if support.size == 0:
             raise OrthogonalizationError("candidate collapsed to zero")
-        u_sub = np.zeros_like(u)
+        u_sub = np.zeros(spec.n, dtype=complex)
         u_sub[support] = u[support]
-        nsub = np.linalg.norm(u_sub)
+        nsub = vnorm(u_sub)
         if nsub > 0:
             w = w - (np.vdot(u_sub, w) / nsub**2) * u_sub
-        if np.linalg.norm(w) == 0:
+        nw = vnorm(w)
+        if nw == 0:
             raise OrthogonalizationError("candidate collapsed to zero")
-        w = unit(w)
+        w = w / nw
         if abs(np.vdot(u, w)) <= _ORTH_TOL * nu and (not binds or spec.admits(w)):
             return w
     raise OrthogonalizationError(

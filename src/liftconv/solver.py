@@ -40,13 +40,14 @@ SolveResult.attempt_log records what each attempt did.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measurement import Ensemble, FactoredOperator, LiftedPoint, forward, lifted_dist
 from .models import ModelSpec, hard_threshold, project_flat, sample_model
-from .util import ZeroVectorError, complex_gaussian, derive_seed, rng_for, unit
+from .util import ZeroVectorError, complex_gaussian, derive_seed, rng_for, unit, vnorm
 
 __all__ = [
     "AttemptRecord",
@@ -119,8 +120,8 @@ class SolveOptions:
             raise ValueError("sparsity levels must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("iteration caps must be positive")
-        if self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.outer_tol < math.inf:
+            raise ValueError("tolerances must be positive and finite")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
         if any(mu is not None and not mu >= 1 for mu in (self.mu1, self.mu2)):
@@ -251,7 +252,7 @@ def _attempt_init(n: int, T: np.ndarray, k1: int, k2: int, attempt: int,
 
 def _adjoint(WH: np.ndarray, G: np.ndarray, r: np.ndarray) -> np.ndarray:
     """G^H (WH^H r), evaluated as conj((conj(r) @ WH) @ G) without copying."""
-    return np.conj((np.conj(r) @ WH) @ G)
+    return ((r.conj() @ WH) @ G).conj()
 
 
 def _gram_solve(cols: np.ndarray, b: np.ndarray):
@@ -305,14 +306,15 @@ def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
     for _ in range(8):
         r = b - Aw
         g = _adjoint(WH, G, r)
-        J = np.sort(np.argsort(-np.abs(w + g))[:s])
+        J = (-np.abs(w + g)).argsort()[:s]
+        J.sort()
         if J_prev is not None and (J == J_prev).all():
             break
         w, Aw = _refit(WH, G, b, J)
         J_prev = J
     else:
         r = b - Aw
-    return w, Aw, float(np.linalg.norm(r))
+    return w, Aw, vnorm(r)
 
 
 def _sparsity_schedule(s: int, m: int, n: int) -> list:
@@ -363,8 +365,8 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
     """
     u, v = init.u, init.v
     Aw = op.forward(u, v)
-    u_norm = np.linalg.norm(u)
-    polish_resid = _POLISH_RESID * np.linalg.norm(b)
+    u_norm = vnorm(u)
+    polish_resid = _POLISH_RESID * vnorm(b)
     last = len(levels) - 1
     warm_tol = max(opts.outer_tol, _WARM_TOL)
     for level, (s1_now, s2_now) in enumerate(levels):
@@ -375,13 +377,13 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
             u0, v0, u0_norm = u, v, u_norm
             u, Aw, _ = _half_step(*op.frozen("left", v), b, u, Aw, s1_now)
             rec.half_steps += 1
-            nu = np.linalg.norm(u)
+            nu = vnorm(u)
             if nu == 0:
                 raise SolverBreakdownError("left factor collapsed",
                                            LiftedPoint(u, v))
             v, Aw, resid = _half_step(*op.frozen("right", u), b, v, Aw, s2_now)
             rec.half_steps += 1
-            nv = np.linalg.norm(v)
+            nv = vnorm(v)
             if nv == 0:
                 raise SolverBreakdownError("right factor collapsed",
                                            LiftedPoint(u, v))
@@ -530,8 +532,11 @@ def plant_instance(
     """Draw an ensemble, a planted model pair, and its noisy measurement.
 
     noise_level is relative: the additive complex Gaussian noise is
-    scaled to noise_level * ||A(X)||. Returns (ens, truth, b, z_norm).
+    scaled to noise_level * ||A(X)||, and must be finite and
+    nonnegative. Returns (ens, truth, b, z_norm).
     """
+    if not 0 <= noise_level < math.inf:
+        raise ValueError("noise_level must be finite and nonnegative")
     ens = Ensemble.generate(n, m, phi_kind, psi_kind,
                             seed=derive_seed(seed, "ensemble"),
                             omega_mode=omega_mode)

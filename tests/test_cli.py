@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import liftconv.cli as cli
 from liftconv.cli import (
     ConfigError,
     ESTIMATE_FIELDS,
@@ -126,13 +127,18 @@ def test_parse_config_validates_cells():
     with pytest.raises(ConfigError, match="enforce_flatness"):
         parse_config(
             "kind=recover\nn=8\nm=4\ns1=1\ns2=1\nenforce_flatness=true\n")
-    with pytest.raises(ConfigError, match="noise"):
-        parse_config("kind=recover\nn=8\nm=4\ns1=1\ns2=1\nnoise=-0.5\n")
+    # a nan noise ran noiseless under a row labelled nan; inf wrote
+    # rel_q50=inf rows; a nan success_threshold made every success_rate 0
+    for setting in ("noise=-0.5", "noise=nan", "noise=inf", "noise=0.0,nan",
+                    "success_threshold=nan", "success_threshold=-1e-4"):
+        with pytest.raises(ConfigError, match=setting.split("=")[0]):
+            parse_config(f"kind=recover\nn=8\nm=4\ns1=1\ns2=1\n{setting}\n")
     with pytest.raises(ConfigError, match="trials"):
         parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ntrials=0\n")
 
 
-@pytest.mark.parametrize("setting", ["restarts=-1", "max_outer_iters=0", "outer_tol=0"])
+@pytest.mark.parametrize("setting", ["restarts=-1", "max_outer_iters=0", "outer_tol=0",
+                                     "outer_tol=nan", "outer_tol=inf"])
 def test_parse_config_rejects_bad_solver_settings(setting):
     # rejected with the config, not inside the first cell after planting
     with pytest.raises(ConfigError, match="bad solver settings"):
@@ -382,6 +388,21 @@ def test_cli_exit_codes():
     # orthogonal partners cannot exist in a one-dimensional model
     assert main(["rop-estimate", "--n", "1", "--m", "1", "--s1", "1",
                  "--s2", "1", "--trials", "1"]) == 3
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--outer-tol", "nan"), ("--outer-tol", "inf"),
+    ("--noise", "-0.5"), ("--noise", "nan"), ("--noise", "inf"),
+])
+def test_cli_recover_rejects_bad_settings_before_solving(flag, value, monkeypatch):
+    # outer_tol nan ran every level to its cap and exited 0; a negative
+    # noise ran noiseless and exited 0
+    def no_solve(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "recover", no_solve)
+    assert main(["recover", "--n", "32", "--m", "16", "--s1", "2", "--s2", "2",
+                 "--seed", "1", flag, value]) == 2
 
 
 def test_cli_numeric_value_errors_exit_3_and_bad_input_exits_2(monkeypatch):

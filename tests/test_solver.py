@@ -52,6 +52,12 @@ def test_plant_instance_noise_is_scaled_relative():
     assert np.linalg.norm(b - clean) == pytest.approx(z_norm, rel=1e-12)
 
 
+@pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+def test_plant_instance_rejects_a_negative_or_non_finite_noise_level(noise):
+    with pytest.raises(ValueError, match="noise_level"):
+        plant_instance(16, 8, 2, 2, seed=94, noise_level=noise)
+
+
 def test_plant_instance_respects_flatness_caps():
     _, truth, _, _ = plant_instance(32, 16, 3, 3, seed=92, mu1=3.0, mu2=3.0)
     assert spectral_flatness(truth.u) <= 3.0 + 1e-8
@@ -618,6 +624,9 @@ def test_solve_options_validation():
         SolveOptions(s1=1, s2=1, restarts=-1)
     with pytest.raises(ValueError):
         SolveOptions(s1=1, s2=1, outer_tol=0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SolveOptions(s1=1, s2=1, outer_tol=tol)
     with pytest.raises(ValueError):
         SolveOptions(s1=1, s2=1, mu2=float("nan"))
 

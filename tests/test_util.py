@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liftconv.util import (
     ZeroVectorError,
@@ -10,6 +13,7 @@ from liftconv.util import (
     fmt_float,
     rng_for,
     unit,
+    vnorm,
 )
 
 
@@ -82,3 +86,53 @@ def test_complex_gaussian_moments():
     assert abs(np.mean(z)) < 0.02
     # real and imaginary parts carry half the energy each
     assert abs(np.mean(z.real**2) - 0.5) < 0.02
+
+
+def _same_float(a, b) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+# finite doubles up to the largest, so squares and sums can overflow to inf
+_ENTRIES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(re=hnp.arrays(np.float64, st.integers(0, 40), elements=_ENTRIES),
+       im_seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-160, 1e150, 1e300]),
+       step=st.sampled_from([1, 2, 3, -1, -2]),
+       kind=st.sampled_from(["real", "complex", "real part"]))
+def test_vnorm_is_np_linalg_norm_bit_for_bit(re, im_seed, scale, step, kind):
+    im = np.random.default_rng(im_seed).standard_normal(re.size) * scale
+    if kind == "real":
+        x = re
+    else:
+        x = re + 1j * im
+        if kind == "real part":
+            x = x.real  # a strided view into the complex buffer
+    view = x[::step]
+    assert _same_float(vnorm(view), np.linalg.norm(view))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("x", [
+    np.zeros(5), np.zeros(7, dtype=complex), np.zeros(0), np.zeros(0, dtype=complex),
+    np.full(4, 1e154), np.full(4, 1e308), np.full(3, 1e308 + 1e308j),
+    np.array([1.7976931348623157e308, -1.7976931348623157e308]),
+    np.full(6, 5e-324 + 5e-324j),
+])
+def test_vnorm_at_zero_and_near_overflow(x):
+    assert _same_float(vnorm(x), np.linalg.norm(x))
+    assert _same_float(vnorm(x[::2]), np.linalg.norm(x[::2]))
+
+
+@pytest.mark.parametrize("size", [1, 7, np.int64(5), (3, 4), (2, 3, 5), [4, 2]])
+def test_complex_gaussian_is_the_two_call_draw(size):
+    ref_rng, rng = rng_for(0, "cg-ref", str(size)), rng_for(0, "cg-ref", str(size))
+    ref = (ref_rng.standard_normal(size) + 1j * ref_rng.standard_normal(size)) / np.sqrt(2.0)
+    got = complex_gaussian(rng, size)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    # and the stream is left where the two calls left it
+    assert rng.standard_normal() == ref_rng.standard_normal()
