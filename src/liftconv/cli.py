@@ -1,4 +1,4 @@
-"""Command line front end: single runs, parameter sweeps, formula tables.
+"""Command line front end: one-cell runs, parameter sweeps, formula tables.
 
 Subcommands
 -----------
@@ -9,8 +9,8 @@ rip-estimate / rap-estimate / rop-estimate
     rip-estimate measures the isometry deviation, rap-estimate the
     angle deviation over independent pairs.
 isotropy
-    Monte Carlo check that averaging A*A over one dictionary
-    reproduces the closed-form expectation.
+    Monte Carlo check (no --phi/--psi: see --fixed-kind) that averaging
+    A*A over one dictionary reproduces the closed-form expectation.
 recover
     Plant a sparse pair, measure it, run the alternating solver; prints
     the result as key=value lines, with the attempts and the half-steps
@@ -21,10 +21,11 @@ sweep
     Grid of estimation or recovery cells from a key=value config file.
     The output CSV is a pure function of the resolved config: cell
     seeds are derived from the cell coordinates and rows carry no
-    timing, so reruns and different --workers counts produce identical
-    bytes. A .meta sidecar records the resolved config. A failed
-    estimator cell keeps its row with empty statistics, and the sweep
-    exits 3 once every row and the .meta are written.
+    timing, so reruns and different --workers counts (at most one per
+    cell) produce identical bytes. Rows are written in cell order as
+    cells finish and the .meta sidecar (the resolved config) last, so a
+    CSV without a .meta is an interrupted run. A failed estimator cell
+    keeps its row with empty statistics; the sweep then exits 3.
 bounds
     Closed-form sample-complexity and entropy quantities for one
     parameter point.
@@ -38,17 +39,20 @@ Exit codes: 0 success, 2 bad arguments or config, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
 import logging
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from . import __version__
 from .bounds import (
     _COMPLEXITY_COMBOS,
     BoundQuery,
@@ -130,7 +134,14 @@ class ConfigError(ValueError):
 
 # -- config parsing -----------------------------------------------------------
 
-_GRID_KEYS = ("n", "m", "s1", "s2", "mu1", "mu2", "noise")
+def _cap(tok: str):
+    return None if tok.lower() == "none" else float(tok)
+
+
+# grid keys -> element parser; a scalar key parses as its SweepConfig default's type
+_GRID_KEYS = {"n": int, "m": int, "s1": int, "s2": int,
+              "mu1": _cap, "mu2": _cap, "noise": float}
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 _BASE_KEYS = frozenset(
     ("kind", "n", "m", "s1", "s2", "mu1", "mu2", "trials", "seed",
@@ -212,22 +223,10 @@ def _cfg_text(v) -> str:
 
 def _scalar(key: str, tok: str):
     tok = tok.strip()
-    if key in ("mu1", "mu2") and tok.lower() == "none":
-        return None
+    parse = _GRID_KEYS.get(key) or type(getattr(SweepConfig, key))
     try:
-        if key in ("n", "m", "s1", "s2", "trials", "seed", "max_outer_iters",
-                   "restarts"):
-            return int(tok)
-        if key in ("mu1", "mu2", "noise", "success_threshold", "outer_tol"):
-            return float(tok)
-        if key in ("decoupled", "enforce_flatness"):
-            if tok.lower() in ("true", "1", "yes"):
-                return True
-            if tok.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(tok)
-        return tok
-    except ValueError:
+        return _FLAGS[tok.lower()] if parse is bool else parse(tok)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value {tok!r} for key {key!r}") from None
 
 
@@ -278,12 +277,11 @@ def parse_config(text: str, overrides=()) -> SweepConfig:
                 raise ConfigError(f"empty value list for key {key!r}")
         else:
             values[key] = _scalar(key, tok)
-    cfg = SweepConfig(**values)
-    _validate_cells(cfg)
-    return cfg
+    return _validate_cells(SweepConfig(**values))
 
 
-def _validate_cells(cfg: SweepConfig):
+def _validate_cells(cfg: SweepConfig) -> SweepConfig:
+    """Reject a config with a cell that cannot run; return it unchanged."""
     if cfg.trials < 1:
         raise ConfigError("trials must be positive")
     if cfg.phi not in DICTIONARY_KINDS or cfg.psi not in DICTIONARY_KINDS:
@@ -314,6 +312,7 @@ def _validate_cells(cfg: SweepConfig):
             raise ConfigError("enforce_flatness needs mu1 or mu2 in every cell")
         if cfg.kind == "recover" and not 0 <= cell["noise"] < math.inf:
             raise ConfigError("noise must be finite and nonnegative")
+    return cfg
 
 
 # -- sweep execution ----------------------------------------------------------
@@ -322,8 +321,6 @@ def _validate_cells(cfg: SweepConfig):
 def _fmt_cell_value(v) -> str:
     if v is None or v == "":
         return ""
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -331,42 +328,41 @@ def _fmt_cell_value(v) -> str:
     return str(v)
 
 
-def _run_estimate(kind: str, opts, point: dict, seed: int):
-    """One estimator run at a grid point; opts is a SweepConfig or the
-    parsed subcommand arguments, which name the run options alike."""
-    ens = Ensemble.generate(point["n"], point["m"], opts.phi, opts.psi,
+def _run_estimate(cfg: SweepConfig, cell: dict, seed: int):
+    """One estimator run of cfg.kind at a cell."""
+    ens = Ensemble.generate(cell["n"], cell["m"], cfg.phi, cfg.psi,
                             seed=derive_seed(seed, "ensemble"),
-                            omega_mode=opts.omega_mode)
-    spec_u = ModelSpec(point["n"], point["s1"], mu=point["mu1"],
-                       flavor=opts.flavor, side="left")
-    spec_v = ModelSpec(point["n"], point["s2"], mu=point["mu2"],
-                       flavor=opts.flavor, side="right")
-    if kind == "rip":
-        return estimate_rip(ens, spec_u, spec_v, opts.trials, seed=seed)
-    if kind == "rap":
-        return estimate_rap(ens, spec_u, spec_v, opts.trials, seed=seed)
-    return estimate_rop(ens, spec_u, spec_v, opts.trials, seed=seed,
-                        orthogonality=opts.orthogonality,
-                        decoupled=opts.decoupled)
+                            omega_mode=cfg.omega_mode)
+    spec_u = ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"],
+                       flavor=cfg.flavor, side="left")
+    spec_v = ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"],
+                       flavor=cfg.flavor, side="right")
+    if cfg.kind == "rip":
+        return estimate_rip(ens, spec_u, spec_v, cfg.trials, seed=seed)
+    if cfg.kind == "rap":
+        return estimate_rap(ens, spec_u, spec_v, cfg.trials, seed=seed)
+    return estimate_rop(ens, spec_u, spec_v, cfg.trials, seed=seed,
+                        orthogonality=cfg.orthogonality,
+                        decoupled=cfg.decoupled)
 
 
-def _run_recover(opts, point: dict, seed: int):
-    """Plant, solve and score one instance at a grid point (opts as in
-    _run_estimate): (result, relative error, noise ratio). The planted
-    caps reach the solver only with enforce_flatness."""
-    flat = opts.enforce_flatness
-    solve_opts = SolveOptions(s1=point["s1"], s2=point["s2"],
-                              max_outer_iters=opts.max_outer_iters,
-                              outer_tol=opts.outer_tol,
-                              restarts=opts.restarts, seed=seed,
-                              mu1=point["mu1"] if flat else None,
-                              mu2=point["mu2"] if flat else None)
+def _run_recover(cfg: SweepConfig, cell: dict, seed: int):
+    """Plant, solve and score one instance at a cell: (result, relative
+    error, noise ratio). The planted caps reach the solver only with
+    enforce_flatness."""
+    flat = cfg.enforce_flatness
+    solve_opts = SolveOptions(s1=cell["s1"], s2=cell["s2"],
+                              max_outer_iters=cfg.max_outer_iters,
+                              outer_tol=cfg.outer_tol,
+                              restarts=cfg.restarts, seed=seed,
+                              mu1=cell["mu1"] if flat else None,
+                              mu2=cell["mu2"] if flat else None)
     ens, truth, b, z_norm = plant_instance(
-        point["n"], point["m"], point["s1"], point["s2"], seed=seed,
-        phi_kind=opts.phi, psi_kind=opts.psi,
-        mu1=point["mu1"], mu2=point["mu2"],
-        noise_level=point["noise"], flavor=opts.flavor,
-        omega_mode=opts.omega_mode)
+        cell["n"], cell["m"], cell["s1"], cell["s2"], seed=seed,
+        phi_kind=cfg.phi, psi_kind=cfg.psi,
+        mu1=cell["mu1"], mu2=cell["mu2"],
+        noise_level=cell["noise"], flavor=cfg.flavor,
+        omega_mode=cfg.omega_mode)
     res = recover(ens, b, solve_opts)
     rel, noise_ratio = success_metric(res.point, truth, b, z_norm, ens)
     return res, rel, noise_ratio
@@ -383,7 +379,7 @@ def _execute_cell(payload) -> tuple:
         row = _recover_cell(cfg, cell, seed)
     else:
         try:
-            row = _run_estimate(cfg.kind, cfg, cell, seed).csv_dict()
+            row = _run_estimate(cfg, cell, seed).csv_dict()
         except _NUMERIC_ERRORS as exc:
             log.error("cell %s failed: %s", cell, exc)
             row = {"kind": cfg.kind, **{k: cell[k] for k in ESTIMATE_FIELDS if k in cell},
@@ -405,50 +401,47 @@ def _recover_cell(cfg: SweepConfig, cell: dict, seed: int) -> dict:
             successes += 1
     # order statistics, no interpolation: stable under infinite entries
     q50, q90 = np.quantile(rels, [0.5, 0.9], method="lower")
-    return {
-        "kind": "recover", "n": cell["n"], "m": cell["m"],
-        "s1": cell["s1"], "s2": cell["s2"], "mu1": cell["mu1"],
-        "mu2": cell["mu2"], "trials": cfg.trials, "noise": cell["noise"],
-        "success_rate": successes / cfg.trials,
-        "rel_q50": float(q50), "rel_q90": float(q90), "seed": seed,
-    }
+    return {"kind": "recover", **cell, "trials": cfg.trials,
+            "success_rate": successes / cfg.trials,
+            "rel_q50": float(q50), "rel_q90": float(q90), "seed": seed}
 
 
 def run_sweep(cfg: SweepConfig, out_path: str, workers: int = 1) -> int:
     """Execute every cell and write the CSV plus its .meta sidecar.
 
-    Rows appear in cell enumeration order whatever the worker count;
-    each cell reseeds from its own coordinates, so the bytes written
-    depend only on the resolved config. Returns the number of rows, or
-    raises CellFailureError after writing both files if any cell failed.
+    Rows are written and flushed in cell order as cells finish, whatever
+    the worker count, and the .meta last; cells reseed from their own
+    coordinates, so the bytes depend only on the resolved config.
+    Returns the number of rows, or raises CellFailureError after
+    writing both files if any cell failed.
     """
     payloads = [(cfg, cell) for cell in cfg.cells()]
-    if workers <= 1:
-        results = [_execute_cell(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_cell, payloads))
-    rows = [row for row, _ in results]
-
+    workers = min(workers, len(payloads))
     fields = RECOVER_FIELDS if cfg.kind == "recover" else ESTIMATE_FIELDS
-    with open(out_path, "w", newline="") as fh:
+    failed = 0
+    # a .meta marks a finished CSV: an old one must not outlive a rerun cut short
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(out_path + ".meta")
+    with open(out_path, "w", newline="") as fh, (
+            ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else contextlib.nullcontext()) as pool:
         writer = csv.DictWriter(fh, fieldnames=list(fields), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        for row, cell_failed in (pool.map if pool else map)(_execute_cell, payloads):
+            writer.writerow(row)
+            fh.flush()
+            failed += cell_failed
 
-    from . import __version__
-
-    meta = dict(cfg.resolved())
+    meta = cfg.resolved()
     meta["version"] = __version__
-    meta["cells"] = str(len(rows))
+    meta["cells"] = str(len(payloads))
     with open(out_path + ".meta", "w") as fh:
         for key in sorted(meta):
             fh.write(f"{key}={meta[key]}\n")
-    failed = sum(f for _, f in results)
     if failed:
         raise CellFailureError(
-            f"{failed} of {len(rows)} cells failed; their rows have empty statistics")
-    return len(rows)
+            f"{failed} of {len(payloads)} cells failed; their rows have empty statistics")
+    return len(payloads)
 
 
 # -- single-shot commands -----------------------------------------------------
@@ -466,8 +459,16 @@ def _write_csv_row(path: str, fields, row: dict):
         writer.writerow({k: _fmt_cell_value(v) for k, v in row.items()})
 
 
-def _cmd_estimate(args, kind: str) -> int:
-    rep = _run_estimate(kind, args, vars(args), args.seed)
+def _one_cell(flags: dict) -> SweepConfig:
+    """A single run's flags as a one-cell config, validated like a sweep's."""
+    values = {k: v for k, v in flags.items() if k in _KIND_KEYS[flags["kind"]]}
+    values.update({k: [values[k]] for k in _GRID_KEYS if k in values})
+    return _validate_cells(SweepConfig(**values))
+
+
+def _cmd_estimate(args) -> int:
+    cfg = _one_cell(vars(args))
+    rep = _run_estimate(cfg, cfg.cells()[0], cfg.seed)
     row = {**rep.csv_dict(), "wall_time": rep.wall_time}
     _print_kv({**row, "resamples": rep.resamples})
     if args.csv:
@@ -492,14 +493,14 @@ def _cmd_isotropy(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    if args.enforce_flatness and args.mu1 is None and args.mu2 is None:
-        raise ConfigError("--enforce-flatness needs --mu1 or --mu2")
+    cfg = _one_cell(vars(args))
+    cell = cfg.cells()[0]
     t0 = time.perf_counter()
-    res, rel, noise_ratio = _run_recover(args, vars(args), args.seed)
-    flat = args.enforce_flatness
-    row = {"n": args.n, "m": args.m, "s1": args.s1, "s2": args.s2,
-           "mu1": args.mu1 if flat else None, "mu2": args.mu2 if flat else None,
-           "seed": args.seed, "rel_error": rel, "iterations": res.iterations,
+    res, rel, noise_ratio = _run_recover(cfg, cell, cfg.seed)
+    flat = cfg.enforce_flatness
+    row = {"n": cell["n"], "m": cell["m"], "s1": cell["s1"], "s2": cell["s2"],
+           "mu1": cell["mu1"] if flat else None, "mu2": cell["mu2"] if flat else None,
+           "seed": cfg.seed, "rel_error": rel, "iterations": res.iterations,
            "converged": int(res.converged), "residual_norm": res.residual_norm,
            "noise_ratio": noise_ratio, "wall_time": time.perf_counter() - t0}
     half_steps = sum(rec.half_steps for rec in res.attempt_log)
@@ -511,8 +512,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        text = fh.read()
-    cfg = parse_config(text, overrides=args.set or ())
+        cfg = parse_config(fh.read(), overrides=args.set or ())
     cells = run_sweep(cfg, args.out, workers=args.workers)
     log.info("wrote %d rows to %s", cells, args.out)
     return 0
@@ -592,8 +592,6 @@ def _ensemble_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--n", type=int, required=True, help="signal length")
     p.add_argument("--m", type=int, required=True, help="number of samples kept")
-    p.add_argument("--phi", choices=DICTIONARY_KINDS, default="gaussian")
-    p.add_argument("--psi", choices=DICTIONARY_KINDS, default="gaussian")
     p.add_argument("--omega-mode", choices=OMEGA_MODES,
                    default="without_replacement")
     p.add_argument("--seed", type=int, default=0)
@@ -604,6 +602,8 @@ def _model_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--s1", type=int, required=True, help="left sparsity")
     p.add_argument("--s2", type=int, required=True, help="right sparsity")
+    p.add_argument("--phi", choices=DICTIONARY_KINDS, default="gaussian")
+    p.add_argument("--psi", choices=DICTIONARY_KINDS, default="gaussian")
     p.add_argument("--mu1", type=float, default=None, help="left flatness cap")
     p.add_argument("--mu2", type=float, default=None, help="right flatness cap")
     p.add_argument("--flavor", choices=("exact", "approximate"), default="exact")
@@ -628,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default="both")
             sp.add_argument("--decoupled", action="store_true",
                             help="independent dictionary copies per side")
-        sp.set_defaults(func=lambda a, k=kind: _cmd_estimate(a, k))
+        sp.set_defaults(func=_cmd_estimate, kind=kind)
 
     sp = sub.add_parser("isotropy", parents=[ens_p],
                         help="Monte Carlo mean of A*A against its expectation")
@@ -649,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=SolveOptions.restarts)
     sp.add_argument("--enforce-flatness", action="store_true")
     sp.add_argument("--csv", default=None)
-    sp.set_defaults(func=_cmd_recover)
+    sp.set_defaults(func=_cmd_recover, kind="recover")
 
     sp = sub.add_parser("sweep", help="run a config-defined grid to CSV")
     sp.add_argument("--config", required=True, help="key=value config file")

@@ -164,8 +164,8 @@ class Ensemble:
         for kind, mat in ((self.phi_kind, self.phi), (self.psi_kind, self.psi)):
             if kind not in DICTIONARY_KINDS:
                 raise ValueError(f"unknown dictionary kind {kind!r}")
-            if kind == "identity" and mat is not None:
-                raise ValueError("identity dictionaries are stored implicitly")
+            if (kind == "identity") != (mat is None):
+                raise ValueError("a dictionary is None exactly when its kind is identity")
             if mat is not None and mat.shape != (self.n, self.n):
                 raise ValueError("dictionary must be n x n")
 

@@ -421,3 +421,88 @@ def test_cli_rejects_bad_config_file(tmp_path):
     cfg_path.write_text("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ncolor=blue\n")
     assert main(["sweep", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("rap", "m", "16"), ("rap", "s1", "9"), ("rap", "mu1", "0.5"), ("rap", "trials", "0"),
+    ("recover", "enforce_flatness", "true"), ("recover", "noise", "nan"),
+    ("recover", "restarts", "-1"),
+])
+def test_single_runs_and_sweeps_share_one_validation(kind, key, value, monkeypatch):
+    settings = {"n": "8", "m": "4", "s1": "1", "s2": "1", key: value}
+    with pytest.raises(ConfigError):
+        parse_config(f"kind={kind}\n" + "".join(f"{k}={v}\n" for k, v in settings.items()))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Ensemble, "generate", never)
+    monkeypatch.setattr(cli, "plant_instance", never)
+    argv = ["recover" if kind == "recover" else f"{kind}-estimate"]
+    for k, v in settings.items():
+        flag = "--" + k.replace("_", "-")
+        argv += [flag] if v == "true" else [flag, v]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("text", [
+    RIP_CONFIG.replace("m = 4,6", "m = 4,6\nmu2 = none,2.0"),
+    RIP_CONFIG.replace("kind = rip", "kind = rop") + "decoupled = true\northogonality = either\n",
+    RECOVER_CONFIG + "noise = 0.0,0.01\nmu1 = 3.0\nenforce_flatness = true\n",
+])
+def test_meta_lines_parse_back_to_the_config(text):
+    # every key a .meta records parses back with its SweepConfig type
+    cfg = parse_config(text)
+    assert parse_config("".join(f"{k}={v}\n" for k, v in cfg.resolved().items())) == cfg
+
+
+def test_sweep_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    started = []
+
+    class Recorder:
+        # stands in for the pool: records its size, runs cells in process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    run_sweep(parse_config(RIP_CONFIG), str(tmp_path / "two.csv"), workers=64)
+    assert started == [2]
+    run_sweep(parse_config(RIP_CONFIG, overrides=["m=4"]), str(tmp_path / "one.csv"),
+              workers=64)
+    assert started == [2]
+
+
+def test_interrupted_sweep_keeps_finished_rows_and_no_meta(tmp_path, monkeypatch):
+    cfg = parse_config(RIP_CONFIG, overrides=["m=4,5,6,7"])
+    out = tmp_path / "out.csv"
+    run_sweep(cfg, str(out))
+    full = _read(out)
+    real, calls = cli._execute_cell, []
+
+    def third_cell_dies(payload):
+        calls.append(payload)
+        if len(calls) == 3:
+            raise RuntimeError("killed")
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_execute_cell", third_cell_dies)
+    # rerun into the finished sweep's files: the old .meta goes first
+    with pytest.raises(RuntimeError, match="killed"):
+        run_sweep(cfg, str(out))
+    assert _read(out).splitlines() == full.splitlines()[:3]
+    assert not (tmp_path / "out.csv.meta").exists()
+
+
+def test_isotropy_takes_no_dictionary_flags(capsys):
+    argv = ["isotropy", "--n", "8", "--m", "4", "--draws", "20", "--seed", "1"]
+    assert main(argv) == 0
+    assert main(argv + ["--phi", "identity"]) == 2
+    assert main(argv + ["--psi", "identity"]) == 2

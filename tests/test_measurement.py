@@ -266,6 +266,12 @@ def test_ensemble_validation():
                  psi_kind="identity", phi=np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         Ensemble.generate(4, 2, phi_kind="wavelet")
+    # gaussian kinds without matrices would measure with the identity
+    # while to_config records gaussian
+    with pytest.raises(ValueError):
+        Ensemble(8, 4, np.arange(4))
+    with pytest.raises(ValueError):
+        Ensemble(n=4, m=2, omega=np.array([0, 1]), phi_kind="identity")
 
 
 def test_ensemble_config_round_trip():
