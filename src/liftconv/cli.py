@@ -15,8 +15,8 @@ recover
     Plant a sparse pair, measure it, run the alternating solver; prints
     the result as key=value lines, with the attempts and the half-steps
     they took after the CSV fields; --csv writes a one-row CSV without
-    those two. --enforce-flatness passes the planted --mu1/--mu2 caps to
-    the solver, one flatness post-step per capped side; it needs a cap.
+    those two. The planted --mu1/--mu2 caps bound the coefficient
+    vectors' flatness; the solver projects a factor whose cap binds.
 sweep
     Grid of estimation or recovery cells from a key=value config file.
     The output CSV is a pure function of the resolved config: cell
@@ -152,7 +152,7 @@ _KIND_KEYS = {
     "rap": _BASE_KEYS,
     "rop": _BASE_KEYS | {"orthogonality", "decoupled"},
     "recover": _BASE_KEYS | {"noise", "success_threshold", "max_outer_iters",
-                             "outer_tol", "enforce_flatness", "restarts"},
+                             "outer_tol", "restarts"},
 }
 _ALL_KEYS = frozenset().union(*_KIND_KEYS.values())
 
@@ -181,7 +181,6 @@ class SweepConfig:
     max_outer_iters: int = SolveOptions.max_outer_iters
     outer_tol: float = SolveOptions.outer_tol
     restarts: int = SolveOptions.restarts
-    enforce_flatness: bool = False
 
     def cells(self) -> list:
         """Grid points in _GRID_KEYS order, the last key varying fastest."""
@@ -307,9 +306,6 @@ def _validate_cells(cfg: SweepConfig) -> SweepConfig:
         if cell["m"] > cell["n"]:
             raise ConfigError(
                 f"bad cell {cell}: m > n; an ensemble keeps at most n samples")
-        if (cfg.kind == "recover" and cfg.enforce_flatness
-                and cell["mu1"] is None and cell["mu2"] is None):
-            raise ConfigError("enforce_flatness needs mu1 or mu2 in every cell")
         if cfg.kind == "recover" and not 0 <= cell["noise"] < math.inf:
             raise ConfigError("noise must be finite and nonnegative")
     return cfg
@@ -319,7 +315,7 @@ def _validate_cells(cfg: SweepConfig) -> SweepConfig:
 
 
 def _fmt_cell_value(v) -> str:
-    if v is None or v == "":
+    if v is None:
         return ""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -348,15 +344,14 @@ def _run_estimate(cfg: SweepConfig, cell: dict, seed: int):
 
 def _run_recover(cfg: SweepConfig, cell: dict, seed: int):
     """Plant, solve and score one instance at a cell: (result, relative
-    error, noise ratio). The planted caps reach the solver only with
-    enforce_flatness."""
-    flat = cfg.enforce_flatness
+    error, noise ratio). The cell's caps bound the flatness of the planted
+    coefficient vectors and reach the solver, which projects its estimate
+    into the model on each side whose cap binds (mu < s)."""
     solve_opts = SolveOptions(s1=cell["s1"], s2=cell["s2"],
                               max_outer_iters=cfg.max_outer_iters,
                               outer_tol=cfg.outer_tol,
                               restarts=cfg.restarts, seed=seed,
-                              mu1=cell["mu1"] if flat else None,
-                              mu2=cell["mu2"] if flat else None)
+                              mu1=cell["mu1"], mu2=cell["mu2"])
     ens, truth, b, z_norm = plant_instance(
         cell["n"], cell["m"], cell["s1"], cell["s2"], seed=seed,
         phi_kind=cfg.phi, psi_kind=cfg.psi,
@@ -413,8 +408,11 @@ def run_sweep(cfg: SweepConfig, out_path: str, workers: int = 1) -> int:
     the worker count, and the .meta last; cells reseed from their own
     coordinates, so the bytes depend only on the resolved config.
     Returns the number of rows, or raises CellFailureError after
-    writing both files if any cell failed.
+    writing both files if any cell failed. A worker count below 1 is
+    rejected before anything runs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     payloads = [(cfg, cell) for cell in cfg.cells()]
     workers = min(workers, len(payloads))
     fields = RECOVER_FIELDS if cfg.kind == "recover" else ESTIMATE_FIELDS
@@ -497,9 +495,8 @@ def _cmd_recover(args) -> int:
     cell = cfg.cells()[0]
     t0 = time.perf_counter()
     res, rel, noise_ratio = _run_recover(cfg, cell, cfg.seed)
-    flat = cfg.enforce_flatness
     row = {"n": cell["n"], "m": cell["m"], "s1": cell["s1"], "s2": cell["s2"],
-           "mu1": cell["mu1"] if flat else None, "mu2": cell["mu2"] if flat else None,
+           "mu1": cell["mu1"], "mu2": cell["mu2"],
            "seed": cfg.seed, "rel_error": rel, "iterations": res.iterations,
            "converged": int(res.converged), "residual_norm": res.residual_norm,
            "noise_ratio": noise_ratio, "wall_time": time.perf_counter() - t0}
@@ -647,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=SolveOptions.max_outer_iters)
     sp.add_argument("--outer-tol", type=float, default=SolveOptions.outer_tol)
     sp.add_argument("--restarts", type=int, default=SolveOptions.restarts)
-    sp.add_argument("--enforce-flatness", action="store_true")
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=_cmd_recover, kind="recover")
 

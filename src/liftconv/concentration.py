@@ -96,10 +96,10 @@ class EstimateReport:
             "kind": self.kind,
             "n": self.n,
             "m": self.m,
-            "s1": "" if self.s1 is None else self.s1,
-            "s2": "" if self.s2 is None else self.s2,
-            "mu1": "" if self.mu1 is None else self.mu1,
-            "mu2": "" if self.mu2 is None else self.mu2,
+            "s1": self.s1,
+            "s2": self.s2,
+            "mu1": self.mu1,
+            "mu2": self.mu2,
             "trials": self.trials,
             "delta_hat": self.delta_hat,
             "q50": self.quantiles[0.5],

@@ -36,6 +36,10 @@ residual stays large, which is how failed basins announce themselves.
 Restarts draw from a stream derived from SolveOptions.seed, so a solve
 is a deterministic function of (ensemble, data, options);
 SolveResult.attempt_log records what each attempt did.
+
+A flatness cap bounds the spectral flatness of a coefficient vector u,
+not of its image Phi u: recover projects the kept factor into the model
+when its cap binds (mu < s), and does no flatness work otherwise.
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ class SolveOptions:
     force while the residual is at most _POLISH_RESID * ||b|| (0.1); the
     relaxed levels, and the final level above that residual, stop at
     max(outer_tol, _WARM_TOL). A flatness cap mu1 (mu2), from 1 to n,
-    adds one flatness post-step on the left (right) factor."""
+    bounds the flatness of the left (right) coefficient vector; recover
+    projects that factor into the model when the cap binds (mu < s)."""
 
     s1: int
     s2: int
@@ -401,13 +406,9 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
     return u, v, resid
 
 
-def _flatness_step(ens: Ensemble, w: np.ndarray, mu: float, s: int, side: str) -> np.ndarray:
-    """Flatten the dictionary image of a factor, then pull back and rethreshold."""
-    img = ens.apply_phi(w) if side == "left" else ens.apply_psi(w)
-    flat = project_flat(img, mu)
-    mat = ens.phi if side == "left" else ens.psi
-    back = flat if mat is None else np.linalg.solve(mat, flat)
-    return hard_threshold(back, s)
+def _support(w: np.ndarray) -> np.ndarray:
+    """The columns a refit of factor w keeps: its nonzeros, or all if none."""
+    return w.nonzero()[0] if w.any() else np.arange(w.size)
 
 
 def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
@@ -422,10 +423,11 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     _RESID_STOP * ||b||. Every attempt, one that breaks down included,
     counts in `attempts` and leaves its AttemptRecord in `attempt_log`;
     a breakdown is re-raised only if every attempt broke down. Each side
-    whose cap (opts.mu1, opts.mu2) is set then takes one flatness
-    post-step (_flatness_step, and a refit of the other factor); a cap
-    above n is rejected before the first attempt. All stochastic
-    choices derive from opts.seed, never from global state.
+    whose cap binds (mu < s) then has its kept factor projected into the
+    model, hard_threshold(project_flat(u, mu1), s1), and the other
+    factor refit on its support. A cap above n, or with s > n, is
+    rejected before the first attempt. All stochastic choices derive
+    from opts.seed, never from global state.
     The factored operator (F Phi, F Psi and the scaled
     inverse-DFT rows, 2 n^2 + m n complex entries) and the n x n adjoint
     image of b built from it are made once per call, at every n: 3 n^2
@@ -439,6 +441,9 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         raise ZeroVectorError("cannot initialize from zero measurements")
     if any(mu is not None and mu > ens.n for mu in (opts.mu1, opts.mu2)):
         raise ValueError("flatness caps must be at most n")
+    # ModelSpec.cap_binds per side; ModelSpec rejects a cap with s > n
+    binds1, binds2 = (mu is not None and ModelSpec(ens.n, s, mu=mu).cap_binds
+                      for s, mu in ((opts.s1, opts.mu1), (opts.s2, opts.mu2)))
     sched1 = _sparsity_schedule(opts.s1, ens.m, ens.n)
     sched2 = _sparsity_schedule(opts.s2, ens.m, ens.n)
     depth = max(len(sched1), len(sched2))
@@ -471,15 +476,13 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         raise breakdown
     u, v, resid, kept = best
 
-    if opts.mu1 is not None or opts.mu2 is not None:
-        if opts.mu1 is not None:
-            u = _flatness_step(ens, u, opts.mu1, opts.s1, "left")
-            J = np.nonzero(v)[0] if np.any(v) else np.arange(ens.n)
-            v, _ = _refit(*op.frozen("right", u), b, J)
-        if opts.mu2 is not None:
-            v = _flatness_step(ens, v, opts.mu2, opts.s2, "right")
-            J = np.nonzero(u)[0] if np.any(u) else np.arange(ens.n)
-            u, _ = _refit(*op.frozen("left", v), b, J)
+    if binds1:
+        u = hard_threshold(project_flat(u, opts.mu1), opts.s1)
+        v, _ = _refit(*op.frozen("right", u), b, _support(v))
+    if binds2:
+        v = hard_threshold(project_flat(v, opts.mu2), opts.s2)
+        u, _ = _refit(*op.frozen("left", v), b, _support(u))
+    if binds1 or binds2:
         resid = float(np.linalg.norm(op.forward(u, v) - b))
 
     return SolveResult(

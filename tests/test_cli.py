@@ -1,6 +1,7 @@
 """Config parsing, sweep determinism, and command exit codes."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -73,6 +74,9 @@ def test_parse_config_mu_none_token():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ncolor=blue\n")
+    # the planted caps always reach the solver: the switch is gone
+    with pytest.raises(ConfigError, match="unknown key 'enforce_flatness'"):
+        parse_config("kind=recover\nn=8\nm=4\ns1=1\ns2=1\nenforce_flatness=false\n")
     # the aliased angle statistic is the isometry statistic: kind=rip
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("kind=rap\nn=8\nm=4\ns1=1\ns2=1\ndiagonal=true\n")
@@ -124,9 +128,6 @@ def test_parse_config_validates_cells():
                      "omega_mode=iid_uniform\n")
     with pytest.raises(ConfigError, match="bad cell"):
         parse_config("kind=rip\nn=8\nm=4\ns1=9\ns2=1\n")
-    with pytest.raises(ConfigError, match="enforce_flatness"):
-        parse_config(
-            "kind=recover\nn=8\nm=4\ns1=1\ns2=1\nenforce_flatness=true\n")
     # a nan noise ran noiseless under a row labelled nan; inf wrote
     # rel_q50=inf rows; a nan success_threshold made every success_rate 0
     for setting in ("noise=-0.5", "noise=nan", "noise=inf", "noise=0.0,nan",
@@ -207,7 +208,7 @@ def test_sweep_meta_sidecar(tmp_path):
     assert meta["m"] == "4,6" and "version" in meta
     assert "workers" not in meta
     # only the keys a rip config accepts
-    for key in ("decoupled", "orthogonality", "enforce_flatness", "max_outer_iters",
+    for key in ("decoupled", "orthogonality", "max_outer_iters",
                 "noise", "outer_tol", "restarts", "success_threshold"):
         assert key not in meta
 
@@ -222,7 +223,7 @@ def test_sweep_meta_sidecar(tmp_path):
     run_sweep(parse_config(RECOVER_CONFIG), str(rec))
     meta = _meta(rec)
     assert meta["restarts"] == "2" and meta["max_outer_iters"] == "8"
-    for key in ("noise", "outer_tol", "success_threshold", "enforce_flatness"):
+    for key in ("noise", "outer_tol", "success_threshold"):
         assert key in meta
     assert "orthogonality" not in meta and "decoupled" not in meta
 
@@ -274,6 +275,37 @@ def test_failed_estimator_cell_keeps_its_row_and_exits_3(tmp_path):
     assert failed["seed"] == str(cfg.cell_seed(cfg.cells()[1]))
     assert all(failed[k] == "" for k in ("delta_hat", "q50", "q90", "q99"))
     assert "cells=2" in outs[0][1].decode()
+
+
+# A recover sweep whose caps cannot bind (mu2 = 3.0 >= s2 = 2): sha256
+# of the CSV and of the .meta, recorded when the caps reached the solver
+# only under enforce_flatness (off here), with that key's line dropped
+# from the .meta. Caps that cannot bind must leave every byte as it was.
+NONBINDING_CAP_CONFIG = """
+kind = recover
+n = 32,64
+m = 16,24
+s1 = 2
+s2 = 2
+mu2 = none,3.0
+noise = 0,0.01
+trials = 2
+restarts = 3
+max_outer_iters = 20
+"""
+_NONBINDING_CAP_RECORD = (
+    "ef7a1bf368f43de58a8eb66143e238ff00a7b668f487726556f2c74e00b2cefe",
+    "3dfec16c424480e32de330bc0783dc250e1aed027dfcb1542a194e3d436c1b7b",
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_recover_sweep_with_caps_that_cannot_bind_matches_its_recorded_bytes(
+        workers, tmp_path):
+    out = tmp_path / "rec.csv"
+    run_sweep(parse_config(NONBINDING_CAP_CONFIG), str(out), workers=workers)
+    got = tuple(hashlib.sha256(_read(p)).hexdigest() for p in (out, str(out) + ".meta"))
+    assert got == _NONBINDING_CAP_RECORD
 
 
 def test_recover_sweep_fields(tmp_path):
@@ -331,6 +363,17 @@ def test_cli_recover_prints_its_work_outside_the_csv(tmp_path, capsys):
     assert rows[0]["iterations"] == printed["iterations"]
 
 
+def test_cli_recover_shows_the_caps_it_solved_with(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    assert main(["recover", "--n", "16", "--m", "12", "--s1", "2", "--s2", "2",
+                 "--mu1", "3", "--seed", "115", "--csv", str(path)]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    for shown in (printed, row):
+        assert (shown["mu1"], shown["mu2"]) == ("3.0", "")
+
+
 def test_cli_recover_csv_row(tmp_path):
     path = tmp_path / "one.csv"
     assert main(["recover", "--n", "16", "--m", "12", "--s1", "2", "--s2", "2",
@@ -380,9 +423,6 @@ def test_cli_exit_codes():
     assert main(["rip-estimate", "--n", "8"]) == 2        # missing arguments
     assert main(["sweep", "--config", "/no/such/file", "--out", "x.csv"]) == 2
     assert main(["--help"]) == 0
-    # the planted caps are what --enforce-flatness passes to the solver
-    assert main(["recover", "--n", "16", "--m", "8", "--s1", "1", "--s2", "1",
-                 "--enforce-flatness"]) == 2
     assert main(["rap-estimate", "--n", "8", "--m", "4", "--s1", "1",
                  "--s2", "1", "--diagonal"]) == 2           # option removed
     # orthogonal partners cannot exist in a one-dimensional model
@@ -425,7 +465,7 @@ def test_cli_rejects_bad_config_file(tmp_path):
 
 @pytest.mark.parametrize("kind, key, value", [
     ("rap", "m", "16"), ("rap", "s1", "9"), ("rap", "mu1", "0.5"), ("rap", "trials", "0"),
-    ("recover", "enforce_flatness", "true"), ("recover", "noise", "nan"),
+    ("recover", "noise", "nan"),
     ("recover", "restarts", "-1"),
 ])
 def test_single_runs_and_sweeps_share_one_validation(kind, key, value, monkeypatch):
@@ -440,15 +480,14 @@ def test_single_runs_and_sweeps_share_one_validation(kind, key, value, monkeypat
     monkeypatch.setattr(cli, "plant_instance", never)
     argv = ["recover" if kind == "recover" else f"{kind}-estimate"]
     for k, v in settings.items():
-        flag = "--" + k.replace("_", "-")
-        argv += [flag] if v == "true" else [flag, v]
+        argv += ["--" + k.replace("_", "-"), v]
     assert main(argv) == 2
 
 
 @pytest.mark.parametrize("text", [
     RIP_CONFIG.replace("m = 4,6", "m = 4,6\nmu2 = none,2.0"),
     RIP_CONFIG.replace("kind = rip", "kind = rop") + "decoupled = true\northogonality = either\n",
-    RECOVER_CONFIG + "noise = 0.0,0.01\nmu1 = 3.0\nenforce_flatness = true\n",
+    RECOVER_CONFIG + "noise = 0.0,0.01\nmu1 = 3.0\n",
 ])
 def test_meta_lines_parse_back_to_the_config(text):
     # every key a .meta records parses back with its SweepConfig type
@@ -478,6 +517,21 @@ def test_sweep_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
     run_sweep(parse_config(RIP_CONFIG, overrides=["m=4"]), str(tmp_path / "one.csv"),
               workers=64)
     assert started == [2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_a_worker_count_below_1(workers, tmp_path, monkeypatch):
+    # such a count ran the cells serially and exited 0
+    def never(payload):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_execute_cell", never)
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(RIP_CONFIG)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--workers", workers]) == 2
+    assert not out.exists()
 
 
 def test_interrupted_sweep_keeps_finished_rows_and_no_meta(tmp_path, monkeypatch):

@@ -574,28 +574,33 @@ def test_recover_validates_inputs():
         recover(ens, np.ones(5), SolveOptions(s1=2, s2=2))
 
 
-def test_enforce_flatness_with_vacuous_caps_preserves_recovery():
-    # caps at the ambient dimension make the image flattening a no-op,
-    # so the post-pass reduces to support refits and success survives
-    ens, truth, b, _ = plant_instance(32, 24, 3, 3, seed=109, mu1=3.0, mu2=3.0)
-    opts = SolveOptions(s1=3, s2=3, seed=109, mu1=32.0, mu2=32.0)
-    res = recover(ens, b, opts)
-    rel, _ = success_metric(res.point, truth, b, 0.0, ens)
-    assert rel <= 1e-6
+@pytest.mark.parametrize("m", [8, 24])
+@pytest.mark.parametrize("mu1, mu2", [(3.0, 3.0), (32.0, 32.0), (None, 5.0)])
+def test_caps_that_cannot_bind_leave_the_solve_bit_identical(m, mu1, mu2):
+    # a cap mu >= s admits every s-sparse vector, so it does no flatness
+    # work: a failing (m = 8) and a successful (m = 24) solve keep the
+    # bytes of the cap-free solve
+    ens, _, b, _ = plant_instance(32, m, 3, 3, seed=109, mu1=3.0, mu2=3.0)
+    free = recover(ens, b, SolveOptions(s1=3, s2=3, seed=109))
+    capped = recover(ens, b, SolveOptions(s1=3, s2=3, seed=109, mu1=mu1, mu2=mu2))
+    assert capped.u_hat.tobytes() == free.u_hat.tobytes()
+    assert capped.v_hat.tobytes() == free.v_hat.tobytes()
+    assert capped.residual_norm.hex() == free.residual_norm.hex()
+    assert capped.attempt_log == free.attempt_log
 
 
-def test_enforce_flatness_tight_caps_reshape_the_estimate():
-    # tight caps constrain the dictionary images, which the planted
-    # coefficient model does not satisfy; the pass must still return a
-    # finite, deterministic result that actually moved the estimate
-    ens, truth, b, _ = plant_instance(32, 24, 3, 3, seed=109, mu1=3.0, mu2=3.0)
-    base = recover(ens, b, SolveOptions(s1=3, s2=3, seed=109))
-    opts = SolveOptions(s1=3, s2=3, seed=109, mu1=2.0, mu2=2.0)
-    res = recover(ens, b, opts)
-    again = recover(ens, b, opts)
-    assert np.isfinite(res.residual_norm)
-    assert np.array_equal(res.u_hat, again.u_hat)
-    assert lifted_dist(res.point, base.point) > 0
+@pytest.mark.parametrize("n, m, s, mu, seed", [
+    (64, 32, 4, 2.5, 101), (64, 48, 4, 2.5, 101), (128, 64, 3, 2.0, 104),
+])
+def test_binding_caps_return_a_hit_inside_the_flat_model(n, m, s, mu, seed):
+    # a cap bounds the flatness of the coefficient vector, as in the
+    # model the pair was planted from; flattening the dictionary image
+    # Phi u instead moved every one of these solves off the truth
+    ens, truth, b, _ = plant_instance(n, m, s, s, seed=seed, mu1=mu, mu2=mu)
+    res = recover(ens, b, SolveOptions(s1=s, s2=s, seed=seed, mu1=mu, mu2=mu))
+    assert success_metric(res.point, truth, b, 0.0, ens)[0] <= 1e-6
+    spec = ModelSpec(n, s, mu=mu)
+    assert spec.admits(res.u_hat) and spec.admits(res.v_hat)
 
 
 def test_flatness_caps_are_rejected_before_the_first_attempt(monkeypatch):
