@@ -73,7 +73,6 @@ from .solver import (
     SolverBreakdownError,
     plant_instance,
     recover,
-    spectral_init,
     success_metric,
 )
 from .util import ZeroVectorError, derive_seed, rng_for

@@ -306,6 +306,8 @@ def _validate_cells(cfg: SweepConfig) -> SweepConfig:
         if cell["m"] > cell["n"]:
             raise ConfigError(
                 f"bad cell {cell}: m > n; an ensemble keeps at most n samples")
+        if cfg.kind == "rop" and cell["n"] < 2:
+            raise ConfigError(f"bad cell {cell}: rop needs n >= 2 for orthogonal pairs")
         if cfg.kind == "recover" and not 0 <= cell["noise"] < math.inf:
             raise ConfigError("noise must be finite and nonnegative")
     return cfg

@@ -1,6 +1,7 @@
 """Sparse rank-one recovery by alternating least squares.
 
-Spectral initialization from the adjoint image of the data, then
+Screened initialization, the leading singular pair of the data's adjoint
+image T restricted to its highest-energy rows and columns, then
 alternating half-steps in the style of hard thresholding pursuit: with
 one factor frozen, the other is hard thresholded from a gradient step
 and refit exactly by least squares on the selected support. Because the
@@ -12,7 +13,9 @@ when that block is well conditioned, as every block of the Gaussian
 C10 instances is; a wider support (|J| > m, as in the s >= n exact
 path) or a rank-deficient block (repeated omega positions, a sparse
 factor over an identity dictionary) keeps the minimum-norm
-np.linalg.lstsq solution.
+np.linalg.lstsq solution. On an exactly singular block LAPACK's Gram
+inverse is NaN and raises the invalid flag, which recover silences once
+per solve.
 
 Every solve measures with one measurement.FactoredOperator: its
 frozen-factor map is the m x n matrix sqrt(n/m) F^-1[omega, :]
@@ -48,6 +51,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .measurement import Ensemble, FactoredOperator, LiftedPoint, forward, lifted_dist
 from .models import ModelSpec, hard_threshold, project_flat, sample_model
@@ -58,7 +62,6 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "SolverBreakdownError",
-    "spectral_init",
     "recover",
     "success_metric",
     "plant_instance",
@@ -177,37 +180,18 @@ def _leading_pair_dense(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scale * U[:, 0], scale * Vh[0, :]
 
 
-def _thresholded_pair(u0: np.ndarray, v0: np.ndarray, k1: int, k2: int) -> LiftedPoint:
-    return LiftedPoint(unit(hard_threshold(u0, k1)), unit(hard_threshold(v0, k2)))
-
-
-def spectral_init(ens: Ensemble, b: np.ndarray, s1: int, s2: int) -> LiftedPoint:
-    """Thresholded leading singular pair of the adjoint image of b.
-
-    The image comes from the factored operator, as in recover: 3 n^2 +
-    m n complex entries and one full dense SVD at every n (about 1.8 s
-    at n = 1024 with one BLAS thread). Factors are hard thresholded to
-    their sparsity levels and renormalized; the overall scale is left to
-    the first least-squares half-step.
-    """
-    b = np.asarray(b, dtype=complex)
-    if np.linalg.norm(b) == 0:
-        raise ZeroVectorError("cannot initialize from zero measurements")
-    T = FactoredOperator.of(ens).adjoint_image(b)
-    return _thresholded_pair(*_leading_pair_dense(T), s1, s2)
-
-
-def _screened_pair(T: np.ndarray, k1: int, k2: int, rng=None, weighted: bool = True):
+def _screened_pair(T: np.ndarray, energies: tuple, k1: int, k2: int, rng=None,
+                   weighted: bool = True):
     """Leading pair of the adjoint image T screened to k1 rows, k2 columns.
 
     Rows and columns are picked by energy (rng None), drawn with
     energy-proportional probabilities (weighted restarts), or drawn
     uniformly (exploration restarts); the pair is the leading singular
-    pair of the selected k1 x k2 block, zero elsewhere.
+    pair of the selected k1 x k2 block, zero elsewhere. energies holds
+    the squared row and column norms of T, which recover computes once.
     """
     n = T.shape[0]
-    row_e = np.linalg.norm(T, axis=1) ** 2
-    col_e = np.linalg.norm(T, axis=0) ** 2
+    row_e, col_e = energies
     if rng is None:
         rows = np.argsort(-row_e)[:k1]
         cols = np.argsort(-col_e)[:k2]
@@ -219,7 +203,8 @@ def _screened_pair(T: np.ndarray, k1: int, k2: int, rng=None, weighted: bool = T
         cols = rng.choice(n, size=k2, replace=False)
     block = T[np.ix_(rows, cols)]
     if not np.any(block):
-        return _thresholded_pair(*_leading_pair_dense(T), k1, k2)
+        u0, v0 = _leading_pair_dense(T)
+        return LiftedPoint(unit(hard_threshold(u0, k1)), unit(hard_threshold(v0, k2)))
     U, _, Vh = np.linalg.svd(block)
     u = np.zeros(n, dtype=complex)
     v = np.zeros(n, dtype=complex)
@@ -234,8 +219,8 @@ def _init_flavor(attempt: int) -> str:
     return ("weighted", "uniform", "gaussian")[(attempt - 1) % 3]
 
 
-def _attempt_init(n: int, T: np.ndarray, k1: int, k2: int, attempt: int,
-                  seed: int) -> LiftedPoint:
+def _attempt_init(n: int, T: np.ndarray, energies: tuple, k1: int, k2: int,
+                  attempt: int, seed: int) -> LiftedPoint:
     """Initialization pool for restarts.
 
     Attempt 0 is the deterministic energy screening; later attempts
@@ -245,11 +230,11 @@ def _attempt_init(n: int, T: np.ndarray, k1: int, k2: int, attempt: int,
     """
     flavor = _init_flavor(attempt)
     if flavor == "screened":
-        return _screened_pair(T, k1, k2)
+        return _screened_pair(T, energies, k1, k2)
     rng = rng_for(seed, "restart", attempt)
     if flavor == "gaussian":
         return LiftedPoint(unit(complex_gaussian(rng, n)), unit(complex_gaussian(rng, n)))
-    return _screened_pair(T, k1, k2, rng, weighted=flavor == "weighted")
+    return _screened_pair(T, energies, k1, k2, rng, weighted=flavor == "weighted")
 
 
 # -- half steps ---------------------------------------------------------------
@@ -263,16 +248,16 @@ def _adjoint(WH: np.ndarray, G: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _gram_solve(cols: np.ndarray, b: np.ndarray):
     """Solution of the normal equations (C^H C) x = C^H b, or None.
 
-    None unless cond_F(C)^2 = ||C||_F^2 tr((C^H C)^-1), which lies
-    between cond(C)^2 and |J|^2 cond(C)^2, is below _GRAM_COND_MAX; a
-    numerically singular Gram matrix gives a huge trace of either sign.
+    None unless cond_F(C)^2 = ||C||_F^2 |tr((C^H C)^-1)|, which lies
+    between cond(C)^2 and |J|^2 cond(C)^2, is below _GRAM_COND_MAX. The
+    inverse is np.linalg.inv's LAPACK gufunc without its wrapper: an
+    exactly singular Gram matrix comes back NaN, with the floating-point
+    invalid flag raised, and fails the test; a numerically singular one
+    gives a trace of huge modulus, whose real part alone can be small.
     """
     cols_h = cols.conj().T
-    try:
-        inv = np.linalg.inv(cols_h @ cols)
-    except np.linalg.LinAlgError:
-        return None
-    cond_sq = np.vdot(cols, cols).real * inv.trace().real
+    inv = _umath_linalg.inv(cols_h @ cols, signature="D->D")
+    cond_sq = np.vdot(cols, cols).real * abs(inv.trace())
     return inv @ (cols_h @ b) if 0 < cond_sq < _GRAM_COND_MAX else None
 
 
@@ -283,8 +268,15 @@ def _refit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
     solves the |J| x |J| normal equations (_gram_solve). A wide support
     (|J| > m) and a rank-deficient or ill-conditioned block, for example
     repeated omega positions or a sparse factor over an identity
-    dictionary, keep the minimum-norm np.linalg.lstsq solution.
+    dictionary, keep the minimum-norm np.linalg.lstsq solution. It is
+    _fit under its own np.errstate (recover's half-steps share one).
     """
+    with np.errstate(invalid="ignore"):
+        return _fit(WH, G, b, J)
+
+
+def _fit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
+    """_refit inside the caller's np.errstate(invalid="ignore")."""
     cols = WH @ G[:, J]
     sol = _gram_solve(cols, b) if len(J) <= len(b) else None
     if sol is None:
@@ -301,7 +293,7 @@ def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
 
     Aw is A w for the current iterate, as the previous refit left it.
     Hard-thresholding-pursuit rounds select the top-s support of
-    w + A^H (b - A w) and refit exactly on it (_refit: a Gram solve for
+    w + A^H (b - A w) and refit exactly on it (_fit: a Gram solve for
     a well-conditioned block of at most m columns, minimum-norm lstsq
     otherwise), until the support repeats or 8 rounds have run. With
     s >= n that is one exact least-squares solve, so the data residual
@@ -313,10 +305,11 @@ def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
         g = _adjoint(WH, G, r)
         J = (-np.abs(w + g)).argsort()[:s]
         J.sort()
-        if J_prev is not None and (J == J_prev).all():
+        key = J.tobytes()
+        if key == J_prev:
             break
-        w, Aw = _refit(WH, G, b, J)
-        J_prev = J
+        w, Aw = _fit(WH, G, b, J)
+        J_prev = key
     else:
         r = b - Aw
     return w, Aw, vnorm(r)
@@ -347,7 +340,7 @@ def _step_norm(u, v, u0, v0, v_norm: float, u0_norm: float) -> float:
     du, dv = u - u0, v - v0
     sq = (np.vdot(du, du).real * v_norm**2 + u0_norm**2 * np.vdot(dv, dv).real
           + 2.0 * (np.vdot(du, u0) * np.vdot(v, dv)).real)
-    return float(np.sqrt(max(sq, 0.0)))
+    return math.sqrt(max(sq, 0.0))
 
 
 def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecord):
@@ -394,9 +387,9 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
                                            LiftedPoint(u, v))
             # rebalance factor norms; the lifted point, of norm nu * nv,
             # is unchanged and both factors now have norm sqrt(nu * nv)
-            ratio = np.sqrt(nv / nu)
+            ratio = math.sqrt(nv / nu)
             u, v = u * ratio, v / ratio
-            u_norm = np.sqrt(nu * nv)
+            u_norm = math.sqrt(nu * nv)
             polish = level == last and resid <= polish_resid
             tol = opts.outer_tol if polish else warm_tol
             if _step_norm(u, v, u0, v0, u_norm, u0_norm) < tol * nu * nv:
@@ -437,7 +430,8 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     b = np.asarray(b, dtype=complex)
     if b.shape != (ens.m,):
         raise ValueError("b must have length m")
-    if np.linalg.norm(b) == 0:
+    b_norm = vnorm(b)
+    if b_norm == 0:
         raise ZeroVectorError("cannot initialize from zero measurements")
     if any(mu is not None and mu > ens.n for mu in (opts.mu1, opts.mu2)):
         raise ValueError("flatness caps must be at most n")
@@ -452,26 +446,27 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
 
     op = FactoredOperator.of(ens)
     T = op.adjoint_image(b)
-    b_norm = float(np.linalg.norm(b))
+    energies = np.linalg.norm(T, axis=1) ** 2, np.linalg.norm(T, axis=0) ** 2
     best = None
     breakdown = None
     attempt_log = []
-    for a in range(opts.restarts + 1):
-        init = _attempt_init(ens.n, T, *levels[0], a, opts.seed)
-        rec = AttemptRecord(_init_flavor(a))
-        attempt_log.append(rec)
-        try:
-            u, v, resid = _run_attempt(op, b, opts, init, levels, rec)
-        except SolverBreakdownError as err:
-            breakdown = err
-            continue
-        rec.resid_rel = resid / b_norm
-        # no earlier residual met the stop, so this tests the smallest so far
-        rec.stop = "resid_stop" if resid <= _RESID_STOP * b_norm else "done"
-        if best is None or resid < (1.0 - _ATTEMPT_MARGIN) * best[2]:
-            best = (u, v, resid, rec)
-        if rec.stop == "resid_stop":
-            break
+    with np.errstate(invalid="ignore"):  # for the half-steps' Gram inverses
+        for a in range(opts.restarts + 1):
+            init = _attempt_init(ens.n, T, energies, *levels[0], a, opts.seed)
+            rec = AttemptRecord(_init_flavor(a))
+            attempt_log.append(rec)
+            try:
+                u, v, resid = _run_attempt(op, b, opts, init, levels, rec)
+            except SolverBreakdownError as err:
+                breakdown = err
+                continue
+            rec.resid_rel = resid / b_norm
+            # no earlier residual met the stop, so this tests the smallest so far
+            rec.stop = "resid_stop" if resid <= _RESID_STOP * b_norm else "done"
+            if best is None or resid < (1.0 - _ATTEMPT_MARGIN) * best[2]:
+                best = (u, v, resid, rec)
+            if rec.stop == "resid_stop":
+                break
     if best is None:
         raise breakdown
     u, v, resid, kept = best
@@ -483,7 +478,7 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
         v = hard_threshold(project_flat(v, opts.mu2), opts.s2)
         u, _ = _refit(*op.frozen("left", v), b, _support(u))
     if binds1 or binds2:
-        resid = float(np.linalg.norm(op.forward(u, v) - b))
+        resid = vnorm(op.forward(u, v) - b)
 
     return SolveResult(
         u_hat=u,

@@ -425,9 +425,9 @@ def test_cli_exit_codes():
     assert main(["--help"]) == 0
     assert main(["rap-estimate", "--n", "8", "--m", "4", "--s1", "1",
                  "--s2", "1", "--diagonal"]) == 2           # option removed
-    # orthogonal partners cannot exist in a one-dimensional model
+    # orthogonal partners cannot exist in a one-dimensional model: bad input
     assert main(["rop-estimate", "--n", "1", "--m", "1", "--s1", "1",
-                 "--s2", "1", "--trials", "1"]) == 3
+                 "--s2", "1", "--trials", "1"]) == 2
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -532,6 +532,17 @@ def test_sweep_rejects_a_worker_count_below_1(workers, tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
                  "--workers", workers]) == 2
     assert not out.exists()
+
+
+def test_rop_sweep_with_a_one_dimensional_cell_exits_2_and_writes_nothing(tmp_path):
+    # an rop cell at n = 1 has no orthogonal pairs; it wrote an empty row
+    # and exited 3
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("kind=rop\nn=1,8\nm=1\ns1=1\ns2=1\ntrials=2\nseed=3\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.csv.meta").exists()
 
 
 def test_interrupted_sweep_keeps_finished_rows_and_no_meta(tmp_path, monkeypatch):

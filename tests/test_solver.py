@@ -1,6 +1,7 @@
 """Recovery solver: planted instances, invariances, and failure modes."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from liftconv.solver import (
     SolverBreakdownError,
     plant_instance,
     recover,
-    spectral_init,
     success_metric,
     _adjoint,
     _leading_pair_dense,
@@ -81,31 +81,14 @@ def test_leading_pair_dense_is_exact_on_rank_one():
     assert np.allclose(np.outer(u0, v0), T, atol=1e-12)
 
 
-def test_spectral_init_contract():
-    ens, _, b, _ = plant_instance(24, 12, 2, 3, seed=97)
-    init = spectral_init(ens, b, 2, 3)
-    assert np.count_nonzero(init.u) <= 2
-    assert np.count_nonzero(init.v) <= 3
-    assert np.linalg.norm(init.u) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(init.v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_spectral_init_dense_path_beyond_n_256():
-    ens = Ensemble.generate(300, 8, phi_kind="identity", psi_kind="identity",
-                            seed=98)
-    b = complex_gaussian(rng_for(99, "b"), 8)
-    init = spectral_init(ens, b, 3, 3)
-    assert np.count_nonzero(init.u) <= 3
-    assert np.linalg.norm(init.v) == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("rng_seed,weighted", [(None, True), (117, True), (118, False)])
 def test_screened_pair_block_svd_matches_zero_padded_svd(rng_seed, weighted):
     # deterministic, energy-weighted and uniform screening
     ens, _, b, _ = plant_instance(32, 16, 3, 3, seed=116)
     T = adjoint_apply(ens, b)
     rng = None if rng_seed is None else rng_for(rng_seed, "screen")
-    p = _screened_pair(T, 6, 5, rng, weighted)
+    energies = np.linalg.norm(T, axis=1) ** 2, np.linalg.norm(T, axis=0) ** 2
+    p = _screened_pair(T, energies, 6, 5, rng, weighted)
     rows, cols = np.nonzero(p.u)[0], np.nonzero(p.v)[0]
     assert (rows.size, cols.size) == (6, 5)
     if rng_seed is None:
@@ -135,12 +118,6 @@ def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch):
                  frozenset(np.nonzero(inits[a].v)[0])) for a in (0, 1, 2, 4, 5)]
     assert all(len(u) == 8 and len(v) == 8 for u, v in supports)
     assert len(set(supports)) == len(supports)
-
-
-def test_spectral_init_rejects_zero_data():
-    ens = Ensemble.generate(16, 8, seed=100)
-    with pytest.raises(ValueError):
-        spectral_init(ens, np.zeros(8), 2, 2)
 
 
 # -- frozen-factor maps ---------------------------------------------------------
@@ -226,6 +203,59 @@ def test_refit_keeps_the_min_norm_solution_on_a_rank_deficient_block():
     w, Aw = _refit(WH, G, b, J)
     sol, fit = _min_norm_fit(WH, G, b, J)
     assert _close(w[J], sol) and _close(Aw, fit)
+
+
+def test_refit_on_an_exactly_singular_gram_block_keeps_the_min_norm_fit():
+    # columns 4 and 9 of G are identical, so every block below has an
+    # exactly singular Gram matrix. LAPACK's inverse either meets a zero
+    # pivot (a NaN inverse and the invalid flag) or returns a huge inverse
+    # whose trace is nearly imaginary, with a small real part; both must
+    # fall back to the minimum-norm lstsq fit without a warning
+    n, m = 32, 20
+    ens = Ensemble.generate(n, m, seed=120)
+    rng = rng_for(125, "singular")
+    WH, G = FactoredOperator.of(ens).frozen("left", complex_gaussian(rng, n))
+    G = G.copy()
+    G[:, 9] = G[:, 4]
+    b = complex_gaussian(rng, m)
+    zero_pivots = set()
+    for J in ([4, 9, 17], [1, 4, 9], [2, 4, 9, 13], [4, 9, 20, 30]):
+        J = np.array(J)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, Aw = _refit(WH, G, b, J)
+        sol, fit = _min_norm_fit(WH, G, b, J)
+        assert np.array_equal(w[J], sol) and np.array_equal(Aw, fit)
+        cols = WH @ G[:, J]
+        try:
+            np.linalg.inv(cols.conj().T @ cols)
+            zero_pivots.add(False)
+        except np.linalg.LinAlgError:
+            zero_pivots.add(True)
+    assert zero_pivots == {True, False}
+
+
+def test_recover_lets_no_warning_escape_on_a_rank_deficient_ensemble(monkeypatch):
+    # identity dictionaries over four distinct sample positions: some
+    # half-step Gram blocks are exactly singular, and their LAPACK
+    # inverses come back NaN with the invalid flag raised
+    ens = Ensemble(n=16, m=8, omega=np.array([0, 0, 3, 3, 5, 5, 9, 9]),
+                   phi_kind="identity", psi_kind="identity", seed=0)
+    b = complex_gaussian(rng_for(126, "rank-deficient"), 8)
+    nan_inverses = []
+    real = solver._umath_linalg.inv
+
+    def recording(a, signature):
+        inv = real(a, signature=signature)
+        nan_inverses.append(np.isnan(inv).any())
+        return inv
+
+    monkeypatch.setattr(solver._umath_linalg, "inv", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = recover(ens, b, SolveOptions(s1=2, s2=2, seed=126))
+    assert any(nan_inverses)
+    assert res.attempts == 15 and np.isfinite(res.residual_norm)
 
 
 def test_recover_refits_without_lstsq_on_a_c10_instance(monkeypatch):
@@ -428,13 +458,16 @@ def test_recover_solves_easy_instance():
 
 
 # Slice instances t = 0 (n=128, s=3, mu=3, seed 7000) at m = 16, a failing
-# basin that runs all 15 attempts, and m = 64, solved at attempt 0:
-# sha256 prefixes of the factor bytes and of the attempt log (every
-# field, resid_rel as float.hex), the residual as float.hex, iterations
-# and half-steps. Recorded from the half-step path that called
-# np.linalg.norm, np.argsort/np.sort and np.flatnonzero.
+# basin that runs all 15 attempts, m = 32, solved at attempt 0 after
+# relaxed levels of |J| = 10 (the bulk of the slice's refits), and m = 64,
+# solved at attempt 0: sha256 prefixes of the factor bytes and of the
+# attempt log (every field, resid_rel as float.hex), the residual as
+# float.hex, iterations and half-steps. Recorded from the half-step path
+# that called np.linalg.norm, np.argsort/np.sort and np.flatnonzero (m =
+# 16, 64) and from the Gram solve through np.linalg.inv (m = 32).
 _SLICE_RECORD = {
     16: ("ac48ea1eb02c795d", "f3accc21ab38d60c", "0x1.a7fa13e0bc6b8p-2", 57, 1018),
+    32: ("4840e744f0408ce0", "6bc7c2bfcd5fa94a", "0x1.12fa9effc85fdp-33", 45, 90),
     64: ("ff313f7061101d85", "cca4543ce733134b", "0x1.2a5e301da2ffap-33", 30, 60),
 }
 
