@@ -7,7 +7,8 @@ rip-estimate / rap-estimate / rop-estimate
     lines (wall_time and resamples included); --csv writes the report
     with its wall_time as a one-row CSV, replacing any old content.
     rip-estimate measures the isometry deviation, rap-estimate the
-    angle deviation over independent pairs.
+    angle deviation over independent pairs. Their flags, like recover's,
+    are the sweep keys of the same name, parsed by parse_config.
 isotropy
     Monte Carlo check (no --phi/--psi: see --fixed-kind) that averaging
     A*A over one dictionary reproduces the closed-form expectation.
@@ -16,7 +17,8 @@ recover
     the result as key=value lines, with the attempts and the half-steps
     they took after the CSV fields; --csv writes a one-row CSV without
     those two. The planted --mu1/--mu2 caps bound the coefficient
-    vectors' flatness; the solver projects a factor whose cap binds.
+    vectors' flatness; the solver projects and rethresholds a factor
+    whose cap binds, once, which need not land it in the model.
 sweep
     Grid of estimation or recovery cells from a key=value config file.
     The output CSV is a pure function of the resolved config: cell
@@ -155,6 +157,9 @@ _KIND_KEYS = {
                              "outer_tol", "restarts"},
 }
 _ALL_KEYS = frozenset().union(*_KIND_KEYS.values())
+# keys with a fixed set of values, checked by _validate_cells and listed in the run flags' help
+_CHOICES = {"phi": DICTIONARY_KINDS, "psi": DICTIONARY_KINDS, "flavor": ("exact", "approximate"),
+            "omega_mode": OMEGA_MODES, "orthogonality": ("both", "either")}
 
 
 @dataclasses.dataclass
@@ -283,20 +288,17 @@ def _validate_cells(cfg: SweepConfig) -> SweepConfig:
     """Reject a config with a cell that cannot run; return it unchanged."""
     if cfg.trials < 1:
         raise ConfigError("trials must be positive")
-    if cfg.phi not in DICTIONARY_KINDS or cfg.psi not in DICTIONARY_KINDS:
-        raise ConfigError(f"dictionaries must be one of {DICTIONARY_KINDS}")
-    if cfg.omega_mode not in OMEGA_MODES:
-        raise ConfigError(f"omega_mode must be one of {OMEGA_MODES}")
-    if cfg.orthogonality not in ("both", "either"):
-        raise ConfigError("orthogonality must be 'both' or 'either'")
+    for key, options in _CHOICES.items():
+        if getattr(cfg, key) not in options:
+            raise ConfigError(f"{key} must be one of {options}")
     if cfg.kind == "recover":
         try:
             SolveOptions(s1=1, s2=1, max_outer_iters=cfg.max_outer_iters,
                          outer_tol=cfg.outer_tol, restarts=cfg.restarts)
         except ValueError as exc:
             raise ConfigError(f"bad solver settings: {exc}") from None
-        if not cfg.success_threshold >= 0:
-            raise ConfigError("success_threshold must be nonnegative")
+        if not 0 <= cfg.success_threshold < math.inf:
+            raise ConfigError("success_threshold must be finite and nonnegative")
     for cell in cfg.cells():
         try:
             ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"], flavor=cfg.flavor)
@@ -347,8 +349,8 @@ def _run_estimate(cfg: SweepConfig, cell: dict, seed: int):
 def _run_recover(cfg: SweepConfig, cell: dict, seed: int):
     """Plant, solve and score one instance at a cell: (result, relative
     error, noise ratio). The cell's caps bound the flatness of the planted
-    coefficient vectors and reach the solver, which projects its estimate
-    into the model on each side whose cap binds (mu < s)."""
+    coefficient vectors and reach the solver, which projects and
+    rethresholds its estimate once on each side whose cap binds (mu < s)."""
     solve_opts = SolveOptions(s1=cell["s1"], s2=cell["s2"],
                               max_outer_iters=cfg.max_outer_iters,
                               outer_tol=cfg.outer_tol,
@@ -459,15 +461,18 @@ def _write_csv_row(path: str, fields, row: dict):
         writer.writerow({k: _fmt_cell_value(v) for k, v in row.items()})
 
 
-def _one_cell(flags: dict) -> SweepConfig:
-    """A single run's flags as a one-cell config, validated like a sweep's."""
-    values = {k: v for k, v in flags.items() if k in _KIND_KEYS[flags["kind"]]}
-    values.update({k: [values[k]] for k in _GRID_KEYS if k in values})
-    return _validate_cells(SweepConfig(**values))
+def _one_cell(args) -> SweepConfig:
+    """A single run's flags, which are sweep keys, parsed as a one-cell config."""
+    flags = [f"{key}={value}" for key, value in vars(args).items()
+             if key in _KIND_KEYS[args.kind] and key != "kind"]
+    cfg = parse_config(f"kind={args.kind}", overrides=flags)
+    if len(cfg.cells()) > 1:
+        raise ConfigError("a single run takes one value per flag; use sweep for a grid")
+    return cfg
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _one_cell(vars(args))
+    cfg = _one_cell(args)
     rep = _run_estimate(cfg, cfg.cells()[0], cfg.seed)
     row = {**rep.csv_dict(), "wall_time": rep.wall_time}
     _print_kv({**row, "resamples": rep.resamples})
@@ -493,7 +498,7 @@ def _cmd_isotropy(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    cfg = _one_cell(vars(args))
+    cfg = _one_cell(args)
     cell = cfg.cells()[0]
     t0 = time.perf_counter()
     res, rel, noise_ratio = _run_recover(cfg, cell, cfg.seed)
@@ -587,26 +592,10 @@ def _cmd_selftest(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _ensemble_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--n", type=int, required=True, help="signal length")
-    p.add_argument("--m", type=int, required=True, help="number of samples kept")
-    p.add_argument("--omega-mode", choices=OMEGA_MODES,
-                   default="without_replacement")
-    p.add_argument("--seed", type=int, default=0)
-    return p
-
-
-def _model_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--s1", type=int, required=True, help="left sparsity")
-    p.add_argument("--s2", type=int, required=True, help="right sparsity")
-    p.add_argument("--phi", choices=DICTIONARY_KINDS, default="gaussian")
-    p.add_argument("--psi", choices=DICTIONARY_KINDS, default="gaussian")
-    p.add_argument("--mu1", type=float, default=None, help="left flatness cap")
-    p.add_argument("--mu2", type=float, default=None, help="right flatness cap")
-    p.add_argument("--flavor", choices=("exact", "approximate"), default="exact")
-    return p
+_FLAG_HELP = {"n": "signal length", "m": "number of samples kept", "s1": "left sparsity",
+              "s2": "right sparsity", "mu1": "left flatness cap", "mu2": "right flatness cap",
+              "noise": "noise norm relative to the clean measurement",
+              "decoupled": "independent dictionary copies per side"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -615,39 +604,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subsampled convolution measurements of sparse rank-one "
                     "matrices: estimators, recovery, and closed-form bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-    ens_p, mod_p = _ensemble_parent(), _model_parent()
 
-    for kind in ("rip", "rap", "rop"):
-        sp = sub.add_parser(f"{kind}-estimate", parents=[ens_p, mod_p],
-                            help=f"Monte Carlo {kind} constant estimate")
-        sp.add_argument("--trials", type=int, default=SweepConfig.trials)
+    # run flags are the sweep keys: raw strings that _one_cell hands to parse_config
+    for kind in SWEEP_KINDS:
+        estimate = kind != "recover"
+        sp = sub.add_parser(f"{kind}-estimate" if estimate else kind,
+                            help=f"Monte Carlo {kind} constant estimate" if estimate
+                            else "plant an instance and run the solver")
+        keys = _KIND_KEYS[kind] - {"kind"}
+        if not estimate:  # one solve: no trials, so no success threshold
+            keys -= {"trials", "success_threshold"}
+        for key in (f.name for f in dataclasses.fields(SweepConfig) if f.name in keys):
+            options = _CHOICES.get(key)
+            sp.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                            required=key in ("n", "m", "s1", "s2"), help=_FLAG_HELP.get(key),
+                            metavar="{%s}" % ",".join(options) if options else None,
+                            **({"nargs": "?", "const": "true"} if key == "decoupled" else {}))
         sp.add_argument("--csv", default=None, help="also write a one-row CSV")
-        if kind == "rop":
-            sp.add_argument("--orthogonality", choices=("both", "either"),
-                            default="both")
-            sp.add_argument("--decoupled", action="store_true",
-                            help="independent dictionary copies per side")
-        sp.set_defaults(func=_cmd_estimate, kind=kind)
+        sp.set_defaults(func=_cmd_estimate if estimate else _cmd_recover, kind=kind)
 
-    sp = sub.add_parser("isotropy", parents=[ens_p],
-                        help="Monte Carlo mean of A*A against its expectation")
+    sp = sub.add_parser("isotropy", help="Monte Carlo mean of A*A against its expectation")
+    sp.add_argument("--n", type=int, required=True, help="signal length")
+    sp.add_argument("--m", type=int, required=True, help="number of samples kept")
+    sp.add_argument("--omega-mode", choices=OMEGA_MODES, default="without_replacement")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--s1", type=int, default=None)
     sp.add_argument("--s2", type=int, default=None)
     sp.add_argument("--draws", type=int, default=1000)
     sp.add_argument("--fixed-kind", choices=DICTIONARY_KINDS, default="gaussian")
     sp.add_argument("--average-over", choices=("phi", "psi"), default="phi")
     sp.set_defaults(func=_cmd_isotropy)
-
-    sp = sub.add_parser("recover", parents=[ens_p, mod_p],
-                        help="plant an instance and run the solver")
-    sp.add_argument("--noise", type=float, default=0.0,
-                    help="noise norm relative to the clean measurement")
-    sp.add_argument("--max-outer-iters", type=int,
-                    default=SolveOptions.max_outer_iters)
-    sp.add_argument("--outer-tol", type=float, default=SolveOptions.outer_tol)
-    sp.add_argument("--restarts", type=int, default=SolveOptions.restarts)
-    sp.add_argument("--csv", default=None)
-    sp.set_defaults(func=_cmd_recover, kind="recover")
 
     sp = sub.add_parser("sweep", help="run a config-defined grid to CSV")
     sp.add_argument("--config", required=True, help="key=value config file")

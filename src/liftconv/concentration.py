@@ -161,9 +161,9 @@ def _decoupled_ops(ens, op, rng):
     each drawn from rng only when that dictionary is not the identity.
     """
     op_hat, op_plain = op, op
-    if ens.phi is not None:
+    if ens.phi_kind != "identity":
         op_hat = replace(op, G_phi=_spectrum(_gaussian_dictionary(ens.n, rng)))
-    if ens.psi is not None:
+    if ens.psi_kind != "identity":
         op_plain = replace(op, G_psi=_spectrum(_gaussian_dictionary(ens.n, rng)))
     return op_hat, op_plain
 
@@ -365,13 +365,13 @@ def isotropy_check(
     setup = rng_for(seed, "setup")
     omega = sample_omega(n, m, omega_mode, setup)
     fixed = None if fixed_kind == "identity" else _gaussian_dictionary(n, setup)
+    ens = Ensemble(n, m, omega, fixed_kind, fixed_kind, seed, phi=fixed, psi=fixed)
     X = x.dense()
 
-    gram = np.eye(n, dtype=complex) if fixed is None else fixed.conj().T @ fixed
+    gram = ens.phi.conj().T @ ens.phi
     target = X @ gram.T if average_over == "phi" else gram @ X
 
-    op = FactoredOperator.of(Ensemble(n, m, omega, fixed_kind, fixed_kind,
-                                      seed, phi=fixed, psi=fixed))
+    op = FactoredOperator.of(ens)
     swap = "G_phi" if average_over == "phi" else "G_psi"
     acc = np.zeros((n, n), dtype=complex)
     for k in range(draws):

@@ -9,7 +9,8 @@ equivalently the entrywise pairing <M_l, X> with the measurement matrix
     M_l = (n/sqrt(m)) * Phi^* F^* diag(F e_{omega_l}) conj(F) conj(Psi),
 
 where F is the unitary DFT, Phi and Psi are n x n dictionaries, and
-omega is a list of m sample positions. Inner products are conjugate
+omega is a list of m sample positions. Ensemble holds both dictionaries
+as matrices, the identity included. Inner products are conjugate
 linear in the first argument throughout (numpy.vdot convention).
 
 The solver, the estimators and the isotropy check measure with
@@ -138,10 +139,12 @@ def _seeded_dictionaries(n: int, phi_kind: str, psi_kind: str, seed: int):
 class Ensemble:
     """One frozen draw of the measurement model.
 
-    Dictionaries are materialized dense except for the identity, which
-    is stored implicitly as None. Serialization keeps {n, m, omega,
-    phi_kind, psi_kind, seed} and regenerates the dictionaries from the
-    seed, never storing matrix entries.
+    phi and psi are always n x n matrices. An identity kind may be given
+    None or the identity matrix and stores np.eye(n); a Gaussian kind
+    needs its matrix. omega holds integer positions in [0, n).
+    Serialization keeps {n, m, omega, phi_kind, psi_kind, seed} and
+    regenerates the dictionaries from the seed, never storing matrix
+    entries.
     """
 
     n: int
@@ -156,18 +159,24 @@ class Ensemble:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.m > self.n:
             raise ValueError("need 1 <= m <= n")
-        self.omega = np.asarray(self.omega, dtype=np.intp)
-        if self.omega.shape != (self.m,):
+        omega = np.asarray(self.omega, dtype=float)
+        if omega.shape != (self.m,):
             raise ValueError("omega must hold exactly m indices")
-        if np.any(self.omega < 0) or np.any(self.omega >= self.n):
+        if not np.all((omega >= 0) & (omega < self.n)):
             raise ValueError("omega indices must lie in [0, n)")
-        for kind, mat in ((self.phi_kind, self.phi), (self.psi_kind, self.psi)):
+        self.omega = omega.astype(np.intp)
+        if not np.array_equal(self.omega, omega):
+            raise ValueError("omega must hold integer positions")
+        for name, kind, mat in (("phi", self.phi_kind, self.phi), ("psi", self.psi_kind, self.psi)):
             if kind not in DICTIONARY_KINDS:
                 raise ValueError(f"unknown dictionary kind {kind!r}")
-            if (kind == "identity") != (mat is None):
-                raise ValueError("a dictionary is None exactly when its kind is identity")
-            if mat is not None and mat.shape != (self.n, self.n):
-                raise ValueError("dictionary must be n x n")
+            if kind == "identity":
+                eye = np.eye(self.n, dtype=complex)
+                if mat is not None and not np.array_equal(mat, eye):
+                    raise ValueError("an identity dictionary is None or the identity matrix")
+                setattr(self, name, eye)
+            elif mat is None or mat.shape != (self.n, self.n):
+                raise ValueError("a gaussian dictionary must be an n x n matrix")
 
     @classmethod
     def generate(
@@ -193,16 +202,10 @@ class Ensemble:
     # -- dictionary actions -------------------------------------------------
 
     def apply_phi(self, u: np.ndarray) -> np.ndarray:
-        return u if self.phi is None else self.phi @ u
+        return self.phi @ u
 
     def apply_psi(self, v: np.ndarray) -> np.ndarray:
-        return v if self.psi is None else self.psi @ v
-
-    def phi_matrix(self) -> np.ndarray:
-        return np.eye(self.n, dtype=complex) if self.phi is None else self.phi
-
-    def psi_matrix(self) -> np.ndarray:
-        return np.eye(self.n, dtype=complex) if self.psi is None else self.psi
+        return self.psi @ v
 
     # -- serialization ------------------------------------------------------
 
@@ -222,8 +225,8 @@ class Ensemble:
         n, seed = int(cfg["n"]), int(cfg["seed"])
         phi_kind, psi_kind = cfg["phi_kind"], cfg["psi_kind"]
         phi, psi = _seeded_dictionaries(n, phi_kind, psi_kind, seed)
-        return cls(n=n, m=int(cfg["m"]), omega=np.asarray(cfg["omega"], dtype=np.intp),
-                   phi_kind=phi_kind, psi_kind=psi_kind, seed=seed, phi=phi, psi=psi)
+        return cls(n=n, m=int(cfg["m"]), omega=cfg["omega"], phi_kind=phi_kind,
+                   psi_kind=psi_kind, seed=seed, phi=phi, psi=psi)
 
 
 # -- forward and adjoint ----------------------------------------------------
@@ -255,8 +258,7 @@ def forward_dense(ens: Ensemble, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (n, n):
         raise ValueError("X must be n x n")
-    Z = X if ens.phi is None else ens.phi @ X
-    Z = Z if ens.psi is None else Z @ ens.psi.T
+    Z = ens.phi @ X @ ens.psi.T
     d = np.diagonal(np.fft.fft(np.fft.fft(Z, axis=0), axis=1) / n).copy()
     return (n**1.5 / np.sqrt(m)) * np.fft.ifft(d)[ens.omega]
 
@@ -274,9 +276,7 @@ def measurement_matrix(ens: Ensemble, ell: int) -> np.ndarray:
     F = dft_matrix(n)
     fcol = F[:, ens.omega[ell]]
     core = (F.conj().T * fcol[None, :]) @ F.conj()
-    left = core if ens.phi is None else ens.phi.conj().T @ core
-    full = left if ens.psi is None else left @ ens.psi.conj()
-    return (n / np.sqrt(m)) * full
+    return (n / np.sqrt(m)) * (ens.phi.conj().T @ core @ ens.psi.conj())
 
 
 def _scatter(ens: Ensemble, b: np.ndarray) -> np.ndarray:
@@ -299,8 +299,7 @@ def adjoint_apply(ens: Ensemble, b: np.ndarray) -> np.ndarray:
     F = dft_matrix(n)
     d = F @ _scatter(ens, b)
     core = F.conj().T @ (d[:, None] * F.conj())
-    left = core if ens.phi is None else ens.phi.conj().T @ core
-    return (n / np.sqrt(m)) * (left if ens.psi is None else left @ ens.psi.conj())
+    return (n / np.sqrt(m)) * (ens.phi.conj().T @ core @ ens.psi.conj())
 
 
 @dataclass
@@ -313,10 +312,7 @@ class PartialMap:
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         ens = self.ens
-        if self.side == "left":
-            img = ens.apply_phi(w)
-        else:
-            img = ens.apply_psi(w)
+        img = ens.apply_phi(w) if self.side == "left" else ens.apply_psi(w)
         conv = np.fft.ifft(np.fft.fft(img) * self.fixed_hat)
         return np.sqrt(ens.n / ens.m) * conv[ens.omega]
 
@@ -324,9 +320,7 @@ class PartialMap:
         ens = self.ens
         s = ifftu(np.conj(self.fixed_hat) * fftu(_scatter(ens, b)))
         s *= np.sqrt(ens.n / ens.m)
-        if self.side == "left":
-            return s if ens.phi is None else ens.phi.conj().T @ s
-        return s if ens.psi is None else ens.psi.conj().T @ s
+        return (ens.phi if self.side == "left" else ens.psi).conj().T @ s
 
 
 def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
@@ -343,10 +337,7 @@ def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
         raise ValueError("fixed factor must have length n")
     if np.linalg.norm(fixed) == 0:
         raise ZeroVectorError("fixed factor must be nonzero")
-    if side == "left":
-        fixed_hat = np.fft.fft(ens.apply_psi(fixed))
-    else:
-        fixed_hat = np.fft.fft(ens.apply_phi(fixed))
+    fixed_hat = np.fft.fft(ens.apply_psi(fixed) if side == "left" else ens.apply_phi(fixed))
     return PartialMap(ens=ens, side=side, fixed_hat=fixed_hat)
 
 
@@ -376,7 +367,7 @@ class FactoredOperator:
         # reduce omega * k mod n in integers, so every angle lies in [0, 2 pi)
         phase = np.outer(ens.omega, np.arange(n)) % n
         W = np.sqrt(n / ens.m) * np.exp(2j * np.pi * phase / n) / n
-        return cls(_spectrum(ens.phi_matrix()), _spectrum(ens.psi_matrix()), W)
+        return cls(_spectrum(ens.phi), _spectrum(ens.psi), W)
 
     def forward(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A(u v^T); for n x k blocks u, v, one measurement per column pair."""
@@ -422,4 +413,4 @@ def xi_vector(ens: Ensemble) -> np.ndarray:
     if n > R_MATRIX_GUARD:
         raise ValueError(f"xi_vector is materialized only for n <= {R_MATRIX_GUARD}")
     F = dft_matrix(n)
-    return np.sqrt(n) * (F @ ens.phi_matrix()).flatten(order="F")
+    return np.sqrt(n) * (F @ ens.phi).flatten(order="F")

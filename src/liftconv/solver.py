@@ -41,8 +41,9 @@ is a deterministic function of (ensemble, data, options);
 SolveResult.attempt_log records what each attempt did.
 
 A flatness cap bounds the spectral flatness of a coefficient vector u,
-not of its image Phi u: recover projects the kept factor into the model
-when its cap binds (mu < s), and does no flatness work otherwise.
+not of its image Phi u. When it binds (mu < s), recover projects and
+rethresholds the kept factor once, which need not land it in the model;
+otherwise it does no flatness work.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ class SolveOptions:
     force while the residual is at most _POLISH_RESID * ||b|| (0.1); the
     relaxed levels, and the final level above that residual, stop at
     max(outer_tol, _WARM_TOL). A flatness cap mu1 (mu2), from 1 to n,
-    bounds the flatness of the left (right) coefficient vector; recover
-    projects that factor into the model when the cap binds (mu < s)."""
+    bounds the flatness of the left (right) coefficient vector; when the
+    cap binds (mu < s), recover projects and rethresholds that factor once,
+    which need not land it in the model."""
 
     s1: int
     s2: int
@@ -409,23 +411,23 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
 
     Runs up to opts.restarts + 1 attempts, each a full continuation
     sweep from the restart pool of _attempt_init (the deterministic
-    energy screening first). Keeps
-    the attempt with the smallest residual, the earliest one unless a
-    later residual is smaller by more than the relative margin
-    _ATTEMPT_MARGIN, and stops early once a residual falls below
-    _RESID_STOP * ||b||. Every attempt, one that breaks down included,
-    counts in `attempts` and leaves its AttemptRecord in `attempt_log`;
-    a breakdown is re-raised only if every attempt broke down. Each side
-    whose cap binds (mu < s) then has its kept factor projected into the
-    model, hard_threshold(project_flat(u, mu1), s1), and the other
-    factor refit on its support. A cap above n, or with s > n, is
-    rejected before the first attempt. All stochastic choices derive
-    from opts.seed, never from global state.
-    The factored operator (F Phi, F Psi and the scaled
+    energy screening first). Keeps the attempt with the smallest
+    residual, the earliest one unless a later residual is smaller by
+    more than the relative margin _ATTEMPT_MARGIN, and stops early once
+    a residual falls below _RESID_STOP * ||b||. Every attempt, one that
+    breaks down included, counts in `attempts` and leaves its
+    AttemptRecord in `attempt_log`; a breakdown is re-raised only if
+    every attempt broke down. Each side whose cap binds (mu < s) then
+    has its kept factor replaced by hard_threshold(project_flat(u, mu1),
+    s1), and the other factor refit on its support; the thresholding can
+    push the flatness back above mu1, so the factor need not lie in the
+    model. A cap above n, or with s > n, is rejected before the first
+    attempt. All stochastic choices derive from opts.seed, never from
+    global state. The factored operator (F Phi, F Psi and the scaled
     inverse-DFT rows, 2 n^2 + m n complex entries) and the n x n adjoint
     image of b built from it are made once per call, at every n: 3 n^2
-    + m n entries in all, about what the two Gaussian dictionaries the
-    ensemble already stores take.
+    + m n entries in all, about what the two dictionaries the ensemble
+    already stores take.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape != (ens.m,):

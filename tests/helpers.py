@@ -52,7 +52,7 @@ def naive_forward_matrix(ens, X):
     extends linearly from rank-one X to arbitrary X.
     """
     n = ens.n
-    Z = ens.phi_matrix() @ np.asarray(X, dtype=complex) @ ens.psi_matrix().T
+    Z = ens.phi @ np.asarray(X, dtype=complex) @ ens.psi.T
     conv = np.zeros(n, dtype=complex)
     for t in range(n):
         for j in range(n):

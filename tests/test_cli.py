@@ -1,5 +1,6 @@
 """Config parsing, sweep determinism, and command exit codes."""
 
+import argparse
 import csv
 import hashlib
 
@@ -11,6 +12,7 @@ from liftconv.cli import (
     ConfigError,
     ESTIMATE_FIELDS,
     RECOVER_FIELDS,
+    SWEEP_KINDS,
     SweepConfig,
     build_parser,
     main,
@@ -87,18 +89,22 @@ def test_parse_config_rejects_key_for_wrong_kind():
         parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ndecoupled=true\n")
 
 
+def _run_config(*argv) -> SweepConfig:
+    """The one-cell config a single run's command line resolves to."""
+    return cli._one_cell(build_parser().parse_args(list(argv)))
+
+
 def test_solver_and_trial_defaults_are_written_once():
+    # a bare single run resolves to parse_config's defaults, and a recover
+    # config's solver settings default to SolveOptions'
+    core = ["--n", "8", "--m", "4", "--s1", "1", "--s2", "1"]
+    for kind in SWEEP_KINDS:
+        command = kind if kind == "recover" else f"{kind}-estimate"
+        cfg = _run_config(command, *core)
+        assert cfg == parse_config(f"kind={kind}\nn=8\nm=4\ns1=1\ns2=1\n")
     opts = SolveOptions(s1=1, s2=1)
-    cfg = parse_config("kind=recover\nn=8\nm=4\ns1=1\ns2=1\n")
-    parser = build_parser()
-    args = parser.parse_args(["recover", "--n", "8", "--m", "4",
-                              "--s1", "1", "--s2", "1"])
     for key in ("max_outer_iters", "outer_tol", "restarts"):
-        assert getattr(cfg, key) == getattr(args, key) == getattr(opts, key)
-    for kind in ("rip", "rap", "rop"):
-        est = parser.parse_args([f"{kind}-estimate", "--n", "8", "--m", "4",
-                                 "--s1", "1", "--s2", "1"])
-        assert est.trials == cfg.trials
+        assert getattr(cfg, key) == getattr(opts, key)
 
 
 def test_parse_config_requires_core_keys():
@@ -129,9 +135,11 @@ def test_parse_config_validates_cells():
     with pytest.raises(ConfigError, match="bad cell"):
         parse_config("kind=rip\nn=8\nm=4\ns1=9\ns2=1\n")
     # a nan noise ran noiseless under a row labelled nan; inf wrote
-    # rel_q50=inf rows; a nan success_threshold made every success_rate 0
+    # rel_q50=inf rows; a nan success_threshold made every success_rate 0,
+    # and an inf one counted trials that failed numerically (rel = inf)
     for setting in ("noise=-0.5", "noise=nan", "noise=inf", "noise=0.0,nan",
-                    "success_threshold=nan", "success_threshold=-1e-4"):
+                    "success_threshold=nan", "success_threshold=-1e-4",
+                    "success_threshold=inf"):
         with pytest.raises(ConfigError, match=setting.split("=")[0]):
             parse_config(f"kind=recover\nn=8\nm=4\ns1=1\ns2=1\n{setting}\n")
     with pytest.raises(ConfigError, match="trials"):
@@ -465,7 +473,7 @@ def test_cli_rejects_bad_config_file(tmp_path):
 
 @pytest.mark.parametrize("kind, key, value", [
     ("rap", "m", "16"), ("rap", "s1", "9"), ("rap", "mu1", "0.5"), ("rap", "trials", "0"),
-    ("recover", "noise", "nan"),
+    ("recover", "noise", "nan"), ("recover", "phi", "wavelet"),
     ("recover", "restarts", "-1"),
 ])
 def test_single_runs_and_sweeps_share_one_validation(kind, key, value, monkeypatch):
@@ -571,3 +579,49 @@ def test_isotropy_takes_no_dictionary_flags(capsys):
     assert main(argv) == 0
     assert main(argv + ["--phi", "identity"]) == 2
     assert main(argv + ["--psi", "identity"]) == 2
+
+
+def test_run_flags_are_the_sweep_keys_and_hold_no_defaults():
+    # every run flag is a raw string handed to parse_config, which alone
+    # types, defaults and validates it
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    for kind in SWEEP_KINDS:
+        sp = subparsers[kind if kind == "recover" else f"{kind}-estimate"]
+        flags = {a.dest: a for a in sp._actions if a.dest not in ("help", "csv")}
+        keys = cli._KIND_KEYS[kind] - {"kind"}
+        if kind == "recover":
+            keys -= {"trials", "success_threshold"}
+        assert set(flags) == keys
+        for action in flags.values():
+            assert action.default is argparse.SUPPRESS
+            assert action.type is None and action.choices is None
+        assert {a for a in flags if flags[a].required} == {"n", "m", "s1", "s2"}
+
+
+def test_run_flags_take_the_config_spellings():
+    core = ["--n", "8", "--m", "4", "--s1", "1", "--s2", "1"]
+    assert _run_config("rop-estimate", *core, "--decoupled").decoupled is True
+    assert _run_config("rop-estimate", *core, "--decoupled", "false").decoupled is False
+    assert _run_config("rip-estimate", *core, "--mu1", "none", "--mu2", "1").mu1 == [None]
+    with pytest.raises(ConfigError, match="bad value 'eight' for key 'n'"):
+        _run_config("recover", "--n", "eight", "--m", "4", "--s1", "1", "--s2", "1")
+
+
+def test_cli_run_help_lists_choices_and_required_flags(capsys):
+    assert main(["rop-estimate", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--n N --m M --s1 S1 --s2 S2" in out
+    for choices in ("{gaussian,identity}", "{exact,approximate}",
+                    "{without_replacement,iid_uniform}", "{both,either}"):
+        assert choices in out
+
+
+def test_cli_single_run_logs_nothing_and_rejects_a_grid(caplog, capsys):
+    with caplog.at_level("INFO", logger="liftconv"):
+        assert main(["rip-estimate", "--n", "8", "--m", "4", "--s1", "1",
+                     "--s2", "1", "--trials", "2"]) == 0
+    assert caplog.records == []
+    # a flag takes one value; a grid is a sweep
+    assert main(["rip-estimate", "--n", "8", "--m", "4,6", "--s1", "1",
+                 "--s2", "1", "--trials", "2"]) == 2

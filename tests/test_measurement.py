@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import naive_forward_matrix, naive_forward_pair, unit_vec
+from liftconv.concentration import estimate_rop, isotropy_check
 from liftconv.fourier import dft_matrix
 from liftconv.measurement import (
     DENSE_GUARD,
@@ -25,6 +26,8 @@ from liftconv.measurement import (
     sample_omega,
     xi_vector,
 )
+from liftconv.models import ModelSpec
+from liftconv.solver import SolveOptions, plant_instance, recover
 from liftconv.util import complex_gaussian, derive_seed, rng_for
 
 
@@ -261,9 +264,16 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble(n=4, m=2, omega=np.array([0]),
                  phi_kind="identity", psi_kind="identity")
+    # an identity kind stores the identity matrix, given None or that
+    # matrix, so an ensemble rebuilds from its own fields; any other
+    # matrix contradicts the kind
+    ens = Ensemble(n=4, m=2, omega=np.array([0, 1]), phi_kind="identity",
+                   psi_kind="identity", phi=np.eye(4, dtype=complex))
+    assert np.array_equal(ens.phi, np.eye(4)) and np.array_equal(ens.psi, np.eye(4))
+    assert np.array_equal(replace(ens, omega=np.array([2, 3])).psi, ens.psi)
     with pytest.raises(ValueError):
         Ensemble(n=4, m=2, omega=np.array([0, 1]), phi_kind="identity",
-                 psi_kind="identity", phi=np.eye(4, dtype=complex))
+                 psi_kind="identity", phi=2 * np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         Ensemble.generate(4, 2, phi_kind="wavelet")
     # gaussian kinds without matrices would measure with the identity
@@ -272,6 +282,12 @@ def test_ensemble_validation():
         Ensemble(8, 4, np.arange(4))
     with pytest.raises(ValueError):
         Ensemble(n=4, m=2, omega=np.array([0, 1]), phi_kind="identity")
+    # sample positions are integers; they were truncated toward zero
+    with pytest.raises(ValueError, match="integer"):
+        Ensemble(n=4, m=2, omega=[0.5, 2.9], phi_kind="identity", psi_kind="identity")
+    with pytest.raises(ValueError, match="integer"):
+        Ensemble.from_config({"n": 4, "m": 3, "omega": [0.2, 1.9, 3.7],
+                              "phi_kind": "gaussian", "psi_kind": "identity", "seed": 1})
 
 
 def test_ensemble_config_round_trip():
@@ -298,6 +314,80 @@ def test_generate_matches_its_recorded_bytes():
     digest = hashlib.sha256(b"".join(
         a.tobytes() for a in (ens.omega, ens.phi, ens.psi))).hexdigest()[:16]
     assert digest == "af95dc3350e33de7"
+
+
+def _digest(arrays):
+    return hashlib.sha256(b"".join(
+        np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()[:16]
+
+
+# Ensembles with an identity dictionary: sha256 prefixes of every dense,
+# FFT, flattened, partial-map and factored-operator output at n=12, m=6,
+# recorded when the identity was stored as None and each path branched
+# on it. Multiplying by the identity matrix is exact, so storing it
+# dense must leave every byte as it was.
+_IDENTITY_MEASURE_RECORD = {
+    ("identity", "gaussian", "without_replacement"): "97a88035b0f29708",
+    ("identity", "gaussian", "iid_uniform"): "81bd72478d544bb1",
+    ("gaussian", "identity", "without_replacement"): "555ce90e9e79a218",
+    ("gaussian", "identity", "iid_uniform"): "d2ab7a56a2b01582",
+    ("identity", "identity", "without_replacement"): "1b4ec413c8036071",
+    ("identity", "identity", "iid_uniform"): "0e1a4edc7f256a58",
+}
+
+
+@pytest.mark.parametrize("phi_kind, psi_kind, omega_mode", sorted(_IDENTITY_MEASURE_RECORD))
+def test_identity_dictionaries_measure_their_recorded_bytes(phi_kind, psi_kind, omega_mode):
+    n, m = 12, 6
+    ens = Ensemble.generate(n, m, phi_kind, psi_kind, seed=56, omega_mode=omega_mode)
+    rng = rng_for(57, "identity")
+    u, v, w = (complex_gaussian(rng, n) for _ in range(3))
+    X, b = complex_gaussian(rng, (n, n)), complex_gaussian(rng, m)
+    U, V = complex_gaussian(rng, (n, 3)), complex_gaussian(rng, (n, 3))
+    u[[1, 4]] = 0
+    p = LiftedPoint(u, v)
+    op = FactoredOperator.of(ens)
+    out = [forward(ens, p), forward_dense(ens, X), adjoint_apply(ens, b),
+           *(measurement_matrix(ens, ell) for ell in range(m)), r_matrix(ens, p),
+           xi_vector(ens), op.G_phi, op.G_psi, op.W, op.forward(U, V),
+           op.adjoint_image(b), *op.frozen("left", v), *op.frozen("right", u)]
+    for side, fixed in (("left", v), ("right", u)):
+        pm = partial_forward(ens, side, fixed)
+        out += [pm.apply(w), pm.adjoint(b)]
+    assert _digest(out) == _IDENTITY_MEASURE_RECORD[phi_kind, psi_kind, omega_mode]
+
+
+# Per dictionary pair with an identity side, recorded as for the
+# measurements above: one solve (factor bytes, residual as float.hex,
+# iterations) and a decoupled estimate_rop with a binding right cap
+# (delta_hat as float.hex, the deviations' bytes, resamples).
+_IDENTITY_RUN_RECORD = {
+    ("identity", "gaussian"): (("9b4f4655abdaa3f6", "0x1.63bae37f317e0p-1", 40),
+                               ("0x1.e4a2be275055cp-2", "7738fd44acb4f1f9", 0)),
+    ("gaussian", "identity"): (("80e8745b0286a9bf", "0x1.3640eb0ecb8c8p-32", 48),
+                               ("0x1.d1aa772deb28fp-1", "ec5050306f11fbd9", 0)),
+    ("identity", "identity"): (("f5439806ad2eb120", "0x1.c6e97ec36e92fp-52", 5),
+                               ("0x1.8ad99832bdc17p-2", "721dd2689a706073", 0)),
+}
+
+
+@pytest.mark.parametrize("phi_kind, psi_kind", sorted(_IDENTITY_RUN_RECORD))
+def test_identity_dictionaries_solve_and_estimate_their_recorded_bytes(phi_kind, psi_kind):
+    ens, _, b, _ = plant_instance(24, 16, 2, 2, seed=58, phi_kind=phi_kind, psi_kind=psi_kind)
+    res = recover(ens, b, SolveOptions(s1=2, s2=2, restarts=2, seed=58))
+    solved = (_digest([res.u_hat, res.v_hat]), res.residual_norm.hex(), res.iterations)
+    ens = Ensemble.generate(16, 8, phi_kind, psi_kind, seed=59)
+    rep = estimate_rop(ens, ModelSpec(16, 3, side="left"),
+                       ModelSpec(16, 3, mu=2.5, side="right"), 6, seed=60, decoupled=True)
+    estimated = (rep.delta_hat.hex(), _digest([rep.deviations]), rep.resamples)
+    assert (solved, estimated) == _IDENTITY_RUN_RECORD[phi_kind, psi_kind]
+
+
+def test_isotropy_with_a_fixed_identity_matches_its_recorded_bytes():
+    x = LiftedPoint(complex_gaussian(rng_for(61, "u"), 8), complex_gaussian(rng_for(61, "v"), 8))
+    got = tuple(isotropy_check(8, 4, x, 5, seed=62, fixed_kind="identity",
+                               average_over=side).hex() for side in ("phi", "psi"))
+    assert got == ("0x1.a57bf5ed57703p+0", "0x1.994959a37f5d0p+0")
 
 
 # -- factored geometry --------------------------------------------------------
