@@ -109,26 +109,6 @@ class EstimateReport:
         }
 
 
-def _finish_report(kind, devs, witness, seed, t0, n, m, spec_u, spec_v):
-    qs = np.quantile(devs, [0.5, 0.9, 0.99])
-    return EstimateReport(
-        kind=kind,
-        delta_hat=float(devs.max()),
-        trials=len(devs),
-        quantiles={0.5: float(qs[0]), 0.9: float(qs[1]), 0.99: float(qs[2])},
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-        n=n,
-        m=m,
-        s1=None if spec_u is None else spec_u.s,
-        s2=None if spec_v is None else spec_v.s,
-        mu1=None if spec_u is None else spec_u.mu,
-        mu2=None if spec_v is None else spec_v.mu,
-        witness=witness,
-        deviations=devs,
-    )
-
-
 def _run_trials(kind, n, m, spec_u, spec_v, trials, seed, trial):
     """Run trial(t, rng) -> (deviation, draws) on every trial stream.
 
@@ -146,7 +126,23 @@ def _run_trials(kind, n, m, spec_u, spec_v, trials, seed, trial):
         if not witness or dev > witness["deviation"]:
             witness = {"trial": t, "deviation": dev, **draws,
                        "seed": derive_seed(seed, "trial", t)}
-    return _finish_report(kind, devs, witness, seed, t0, n, m, spec_u, spec_v)
+    qs = np.quantile(devs, [0.5, 0.9, 0.99])
+    return EstimateReport(
+        kind=kind,
+        delta_hat=float(devs.max()),
+        trials=trials,
+        quantiles={0.5: float(qs[0]), 0.9: float(qs[1]), 0.99: float(qs[2])},
+        seed=seed,
+        wall_time=time.perf_counter() - t0,
+        n=n,
+        m=m,
+        s1=None if spec_u is None else spec_u.s,
+        s2=None if spec_v is None else spec_v.s,
+        mu1=None if spec_u is None else spec_u.mu,
+        mu2=None if spec_v is None else spec_v.mu,
+        witness=witness,
+        deviations=devs,
+    )
 
 
 def _form(p_hat, p, op_hat, op_plain):
@@ -365,7 +361,7 @@ def isotropy_check(
     setup = rng_for(seed, "setup")
     omega = sample_omega(n, m, omega_mode, setup)
     fixed = None if fixed_kind == "identity" else _gaussian_dictionary(n, setup)
-    ens = Ensemble(n, m, omega, fixed_kind, fixed_kind, seed, phi=fixed, psi=fixed)
+    ens = Ensemble(n, m, omega, fixed_kind, fixed_kind, phi=fixed, psi=fixed)
     X = x.dense()
 
     gram = ens.phi.conj().T @ ens.phi
@@ -432,7 +428,7 @@ def rop_form_samples(
         omega = sample_omega(n, m, omega_mode, rng)
         phi = _gaussian_dictionary(n, rng)
         psi = _gaussian_dictionary(n, rng)
-        base = Ensemble(n=n, m=m, omega=omega, seed=seed, phi=phi, psi=psi)
+        base = Ensemble(n=n, m=m, omega=omega, phi=phi, psi=psi)
         op = FactoredOperator.of(base)
         ops = _decoupled_ops(base, op, rng) if decoupled else (op, op)
         vals[k] = _form(p_hat, p, *ops)

@@ -128,23 +128,14 @@ def _gaussian_dictionary(n: int, rng: np.random.Generator) -> np.ndarray:
     return complex_gaussian(rng, (n, n)) / np.sqrt(n)
 
 
-def _seeded_dictionaries(n: int, phi_kind: str, psi_kind: str, seed: int):
-    # phi and psi from their own streams derived from seed; None for identity
-    phi = None if phi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "phi"))
-    psi = None if psi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "psi"))
-    return phi, psi
-
-
 @dataclass
 class Ensemble:
     """One frozen draw of the measurement model.
 
     phi and psi are always n x n matrices. An identity kind may be given
     None or the identity matrix and stores np.eye(n); a Gaussian kind
-    needs its matrix. omega holds integer positions in [0, n).
-    Serialization keeps {n, m, omega, phi_kind, psi_kind, seed} and
-    regenerates the dictionaries from the seed, never storing matrix
-    entries.
+    needs its matrix. omega holds integer positions in [0, n). generate
+    draws all three from a seed; the ensemble does not keep the seed.
     """
 
     n: int
@@ -152,7 +143,6 @@ class Ensemble:
     omega: np.ndarray
     phi_kind: str = "gaussian"
     psi_kind: str = "gaussian"
-    seed: int = 0
     phi: np.ndarray | None = field(default=None, repr=False)
     psi: np.ndarray | None = field(default=None, repr=False)
 
@@ -188,45 +178,13 @@ class Ensemble:
         seed: int = 0,
         omega_mode: str = "without_replacement",
     ) -> "Ensemble":
-        """Draw omega and the dictionaries from streams derived from seed.
-
-        The three draws use independent derived streams, so the
-        dictionaries can be regenerated later from the seed alone even
-        though omega is stored explicitly.
-        """
-        phi, psi = _seeded_dictionaries(n, phi_kind, psi_kind, seed)
+        """Draw omega and the dictionaries from independent streams
+        derived from seed (an identity kind draws nothing)."""
+        phi = None if phi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "phi"))
+        psi = None if psi_kind == "identity" else _gaussian_dictionary(n, rng_for(seed, "psi"))
         omega = sample_omega(n, m, omega_mode, rng_for(seed, "omega"))
         return cls(n=n, m=m, omega=omega, phi_kind=phi_kind, psi_kind=psi_kind,
-                   seed=seed, phi=phi, psi=psi)
-
-    # -- dictionary actions -------------------------------------------------
-
-    def apply_phi(self, u: np.ndarray) -> np.ndarray:
-        return self.phi @ u
-
-    def apply_psi(self, v: np.ndarray) -> np.ndarray:
-        return self.psi @ v
-
-    # -- serialization ------------------------------------------------------
-
-    def to_config(self) -> dict:
-        return {
-            "n": int(self.n),
-            "m": int(self.m),
-            "omega": [int(i) for i in self.omega],
-            "phi_kind": self.phi_kind,
-            "psi_kind": self.psi_kind,
-            "seed": int(self.seed),
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Ensemble":
-        """Rebuild from a config record, regenerating the dictionaries."""
-        n, seed = int(cfg["n"]), int(cfg["seed"])
-        phi_kind, psi_kind = cfg["phi_kind"], cfg["psi_kind"]
-        phi, psi = _seeded_dictionaries(n, phi_kind, psi_kind, seed)
-        return cls(n=n, m=int(cfg["m"]), omega=cfg["omega"], phi_kind=phi_kind,
-                   psi_kind=psi_kind, seed=seed, phi=phi, psi=psi)
+                   phi=phi, psi=psi)
 
 
 # -- forward and adjoint ----------------------------------------------------
@@ -237,8 +195,8 @@ def forward(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
 
     FFT evaluation; scaled to agree entrywise with <M_l, u v^T>.
     """
-    x = ens.apply_phi(np.asarray(p.u, dtype=complex))
-    y = ens.apply_psi(np.asarray(p.v, dtype=complex))
+    x = ens.phi @ np.asarray(p.u, dtype=complex)
+    y = ens.psi @ np.asarray(p.v, dtype=complex)
     conv = np.fft.ifft(np.fft.fft(x) * np.fft.fft(y))
     return np.sqrt(ens.n / ens.m) * conv[ens.omega]
 
@@ -312,7 +270,7 @@ class PartialMap:
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         ens = self.ens
-        img = ens.apply_phi(w) if self.side == "left" else ens.apply_psi(w)
+        img = (ens.phi if self.side == "left" else ens.psi) @ w
         conv = np.fft.ifft(np.fft.fft(img) * self.fixed_hat)
         return np.sqrt(ens.n / ens.m) * conv[ens.omega]
 
@@ -337,7 +295,7 @@ def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
         raise ValueError("fixed factor must have length n")
     if np.linalg.norm(fixed) == 0:
         raise ZeroVectorError("fixed factor must be nonzero")
-    fixed_hat = np.fft.fft(ens.apply_psi(fixed) if side == "left" else ens.apply_phi(fixed))
+    fixed_hat = np.fft.fft((ens.psi if side == "left" else ens.phi) @ fixed)
     return PartialMap(ens=ens, side=side, fixed_hat=fixed_hat)
 
 
@@ -402,7 +360,7 @@ def r_matrix(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
     if n > R_MATRIX_GUARD:
         raise ValueError(f"r_matrix is materialized only for n <= {R_MATRIX_GUARD}")
     F = dft_matrix(n)
-    d = F @ ens.apply_psi(np.asarray(p.v, dtype=complex))
+    d = F @ (ens.psi @ np.asarray(p.v, dtype=complex))
     B = np.sqrt(n / m) * ((F.conj().T)[ens.omega, :] * d[None, :])
     return np.kron(np.asarray(p.u, dtype=complex).reshape(1, n), B)
 

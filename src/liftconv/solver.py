@@ -27,15 +27,15 @@ Two further devices widen the basin of attraction. Sparsity
 continuation starts each attempt at a relaxed level (capped by m/3) and
 halves it down to the requested one. A relaxed level is only a warm
 start: the next level rethresholds to a smaller support and refits from
-scratch, so it stops once consecutive iterates are within
-max(outer_tol, _WARM_TOL) of each other. The final level iterates to
-outer_tol only while its residual is at most _POLISH_RESID * ||b||; a
-failed basin, whose residual stays above that, stops at the warm
-tolerance too, since no polishing makes it win. The step between
-iterates is measured from the factor differences (_step_norm), which
-keeps its digits at small steps. And the attempt is
-restarted from a reseeded support screening whenever the final
-residual stays large, which is how failed basins announce themselves.
+scratch, so it stops once consecutive iterates are within _WARM_TOL of
+each other. The final level iterates to _OUTER_TOL only while its
+residual is at most _POLISH_RESID * ||b||; a failed basin, whose
+residual stays above that, stops at _WARM_TOL too, since no polishing
+makes it win. The step between iterates is measured from the factor
+differences (_step_norm), which keeps its digits at small steps. And
+the attempt is restarted from a reseeded support screening whenever the
+final residual stays large, which is how failed basins announce
+themselves.
 Restarts draw from a stream derived from SolveOptions.seed, so a solve
 is a deterministic function of (ensemble, data, options);
 SolveResult.attempt_log records what each attempt did.
@@ -83,13 +83,16 @@ _GRAM_COND_MAX = 1e6
 # fraction of ||b||.
 _RESID_STOP = 1e-7
 
+# The final level polishes until the step is below _OUTER_TOL * ||X||.
+_OUTER_TOL = 1e-8
+
 # Every continuation level but the last stops once the step between
-# consecutive iterates is below max(outer_tol, _WARM_TOL) * ||X||: the
-# next level rethresholds and refits, discarding the digits beyond this.
-# So does the final level of a failed basin (_POLISH_RESID).
+# consecutive iterates is below _WARM_TOL * ||X||: the next level
+# rethresholds and refits, discarding the digits beyond this. So does
+# the final level of a failed basin (_POLISH_RESID).
 _WARM_TOL = 1e-4
 
-# The final level polishes to outer_tol only while the residual is at
+# The final level polishes to _OUTER_TOL only while the residual is at
 # most this fraction of ||b||. Failed basins sit far above it and stop
 # at the warm tolerance instead: on 30 C10 instances (n=128, s=3, mu=3,
 # m from 16 to 64), after 8 final-level half-steps, failing attempts
@@ -107,19 +110,17 @@ class SolverBreakdownError(RuntimeError):
 
 @dataclass
 class SolveOptions:
-    """Solver settings. outer_tol is the final continuation level's
-    tolerance on the relative step between consecutive iterates, in
-    force while the residual is at most _POLISH_RESID * ||b|| (0.1); the
-    relaxed levels, and the final level above that residual, stop at
-    max(outer_tol, _WARM_TOL). A flatness cap mu1 (mu2), from 1 to n,
-    bounds the flatness of the left (right) coefficient vector; when the
-    cap binds (mu < s), recover projects and rethresholds that factor once,
-    which need not land it in the model."""
+    """Solver settings. max_outer_iters caps the outer iterations of
+    each continuation level, whose step tolerances are the constants
+    _OUTER_TOL and _WARM_TOL (_run_attempt); restarts counts the attempts
+    after the first. A flatness cap mu1 (mu2), from 1 to n, bounds the
+    flatness of the left (right) coefficient vector; when the cap binds
+    (mu < s), recover projects and rethresholds that factor once, which
+    need not land it in the model."""
 
     s1: int
     s2: int
     max_outer_iters: int = 40
-    outer_tol: float = 1e-8
     restarts: int = 14
     seed: int = 0
     mu1: float | None = None
@@ -130,8 +131,6 @@ class SolveOptions:
             raise ValueError("sparsity levels must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("iteration caps must be positive")
-        if not 0 < self.outer_tol < math.inf:
-            raise ValueError("tolerances must be positive and finite")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
         if any(mu is not None and not mu >= 1 for mu in (self.mu1, self.mu2)):
@@ -263,22 +262,14 @@ def _gram_solve(cols: np.ndarray, b: np.ndarray):
     return inv @ (cols_h @ b) if 0 < cond_sq < _GRAM_COND_MAX else None
 
 
-def _refit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
+def _fit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
     """Least-squares fit of b on the frozen-factor columns J: (w, A w).
 
-    With |J| <= m and a well-conditioned block C = WH @ G[:, J] the fit
-    solves the |J| x |J| normal equations (_gram_solve). A wide support
-    (|J| > m) and a rank-deficient or ill-conditioned block, for example
-    repeated omega positions or a sparse factor over an identity
-    dictionary, keep the minimum-norm np.linalg.lstsq solution. It is
-    _fit under its own np.errstate (recover's half-steps share one).
+    A Gram solve (_gram_solve) when |J| <= m and the block C = WH @ G[:, J]
+    is well conditioned, else the minimum-norm np.linalg.lstsq solution.
+    It runs inside recover's np.errstate(invalid="ignore"): an exactly
+    singular Gram inverse raises the invalid flag.
     """
-    with np.errstate(invalid="ignore"):
-        return _fit(WH, G, b, J)
-
-
-def _fit(WH: np.ndarray, G: np.ndarray, b: np.ndarray, J: np.ndarray):
-    """_refit inside the caller's np.errstate(invalid="ignore")."""
     cols = WH @ G[:, J]
     sol = _gram_solve(cols, b) if len(J) <= len(b) else None
     if sol is None:
@@ -295,11 +286,9 @@ def _half_step(WH: np.ndarray, G: np.ndarray, b: np.ndarray, w: np.ndarray,
 
     Aw is A w for the current iterate, as the previous refit left it.
     Hard-thresholding-pursuit rounds select the top-s support of
-    w + A^H (b - A w) and refit exactly on it (_fit: a Gram solve for
-    a well-conditioned block of at most m columns, minimum-norm lstsq
-    otherwise), until the support repeats or 8 rounds have run. With
-    s >= n that is one exact least-squares solve, so the data residual
-    cannot increase.
+    w + A^H (b - A w) and refit exactly on it (_fit), until the support
+    repeats or 8 rounds have run. With s >= n that is one exact
+    least-squares solve, so the data residual cannot increase.
     """
     J_prev = None
     for _ in range(8):
@@ -350,13 +339,12 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
 
     A level stops once the step between consecutive iterates falls below
     its tolerance times ||X||, or after opts.max_outer_iters outer
-    iterations. The relaxed levels use max(outer_tol, _WARM_TOL). The
-    final level uses outer_tol while the residual after the iteration's
-    last half-step is at most _POLISH_RESID * ||b||, and the warm
-    tolerance above it: a failed basin is not polished. Each half-step
-    takes the measurement A(u v^T) its predecessor's refit computed (the
-    rebalancing leaves it unchanged), so the attempt's residual is that
-    of its last half-step.
+    iterations. The relaxed levels use _WARM_TOL. The final level uses
+    _OUTER_TOL while the residual after the iteration's last half-step
+    is at most _POLISH_RESID * ||b||, and _WARM_TOL above it: a failed
+    basin is not polished. Each half-step takes the measurement A(u v^T)
+    its predecessor's refit computed (the rebalancing leaves it
+    unchanged), so the attempt's residual is that of its last half-step.
 
     Fills rec as it goes: the outer iterations of each level in
     level_iters, the stop reason of each finished level ("outer_tol",
@@ -368,7 +356,6 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
     u_norm = vnorm(u)
     polish_resid = _POLISH_RESID * vnorm(b)
     last = len(levels) - 1
-    warm_tol = max(opts.outer_tol, _WARM_TOL)
     for level, (s1_now, s2_now) in enumerate(levels):
         rec.level_iters.append(0)
         stop = "cap"
@@ -393,7 +380,7 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
             u, v = u * ratio, v / ratio
             u_norm = math.sqrt(nu * nv)
             polish = level == last and resid <= polish_resid
-            tol = opts.outer_tol if polish else warm_tol
+            tol = _OUTER_TOL if polish else _WARM_TOL
             if _step_norm(u, v, u0, v0, u_norm, u0_norm) < tol * nu * nv:
                 stop = "outer_tol" if polish else "warm"
                 break
@@ -452,7 +439,7 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     best = None
     breakdown = None
     attempt_log = []
-    with np.errstate(invalid="ignore"):  # for the half-steps' Gram inverses
+    with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
         for a in range(opts.restarts + 1):
             init = _attempt_init(ens.n, T, energies, *levels[0], a, opts.seed)
             rec = AttemptRecord(_init_flavor(a))
@@ -469,16 +456,16 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
                 best = (u, v, resid, rec)
             if rec.stop == "resid_stop":
                 break
-    if best is None:
-        raise breakdown
-    u, v, resid, kept = best
+        if best is None:
+            raise breakdown
+        u, v, resid, kept = best
 
-    if binds1:
-        u = hard_threshold(project_flat(u, opts.mu1), opts.s1)
-        v, _ = _refit(*op.frozen("right", u), b, _support(v))
-    if binds2:
-        v = hard_threshold(project_flat(v, opts.mu2), opts.s2)
-        u, _ = _refit(*op.frozen("left", v), b, _support(u))
+        if binds1:
+            u = hard_threshold(project_flat(u, opts.mu1), opts.s1)
+            v, _ = _fit(*op.frozen("right", u), b, _support(v))
+        if binds2:
+            v = hard_threshold(project_flat(v, opts.mu2), opts.s2)
+            u, _ = _fit(*op.frozen("left", v), b, _support(u))
     if binds1 or binds2:
         resid = vnorm(op.forward(u, v) - b)
 

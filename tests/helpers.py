@@ -39,8 +39,8 @@ def naive_dft(x):
 
 def naive_forward_pair(ens, u, v):
     """Measurement of a factored point via the naive convolution."""
-    x = ens.apply_phi(np.asarray(u, dtype=complex))
-    y = ens.apply_psi(np.asarray(v, dtype=complex))
+    x = ens.phi @ np.asarray(u, dtype=complex)
+    y = ens.psi @ np.asarray(v, dtype=complex)
     conv = naive_circular_conv(x, y)
     return np.sqrt(ens.n / ens.m) * conv[ens.omega]
 

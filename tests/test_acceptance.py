@@ -97,7 +97,7 @@ def test_c03_frobenius_row_identity():
                                 seed=derive_seed(203, "ens", draw))
         v = complex_gaussian(rng_for(203, "v", draw), 32)
         block = r_matrix(ens, LiftedPoint(e0, v))
-        weights = dft_matrix(32) @ ens.apply_psi(v)
+        weights = dft_matrix(32) @ (ens.psi @ v)
         lhs = np.linalg.norm(block) ** 2
         rhs = np.linalg.norm(weights) ** 2
         rel = abs(lhs - rhs) / rhs
@@ -119,10 +119,10 @@ def test_c04_spectral_norm_bound():
         rng = rng_for(204, "pt", draw)
         u = complex_gaussian(rng, 32)
         v = complex_gaussian(rng, 32)
-        v = v / np.linalg.norm(ens.apply_psi(v))
+        v = v / np.linalg.norm(ens.psi @ v)
         R = r_matrix(ens, LiftedPoint(u, v))
         op = np.linalg.norm(R, 2)
-        cap = np.sqrt(spectral_flatness(ens.apply_psi(v)) / ens.m)
+        cap = np.sqrt(spectral_flatness(ens.psi @ v) / ens.m)
         cap *= np.linalg.norm(u)
         margin = op / cap
         worst = max(worst, margin)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -23,8 +24,8 @@ from liftconv.concentration import estimate_rip
 from liftconv.measurement import Ensemble
 from liftconv.models import ModelSpec
 import liftconv.solver as solver
-from liftconv.solver import SolveOptions
-from liftconv.util import derive_seed, fmt_float
+from liftconv.solver import SolveOptions, SolverBreakdownError
+from liftconv.util import ZeroVectorError, derive_seed, fmt_float
 
 RIP_CONFIG = """
 # two-cell isometry sweep
@@ -77,8 +78,12 @@ def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ncolor=blue\n")
     # the planted caps always reach the solver: the switch is gone
-    with pytest.raises(ConfigError, match="unknown key 'enforce_flatness'"):
-        parse_config("kind=recover\nn=8\nm=4\ns1=1\ns2=1\nenforce_flatness=false\n")
+    # and so do the solver's step tolerance and the success threshold,
+    # which are constants
+    for setting in ("enforce_flatness=false", "outer_tol=1e-3", "success_threshold=1e-3"):
+        key = setting.split("=")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"kind=recover\nn=8\nm=4\ns1=1\ns2=1\n{setting}\n")
     # the aliased angle statistic is the isometry statistic: kind=rip
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("kind=rap\nn=8\nm=4\ns1=1\ns2=1\ndiagonal=true\n")
@@ -103,8 +108,13 @@ def test_solver_and_trial_defaults_are_written_once():
         cfg = _run_config(command, *core)
         assert cfg == parse_config(f"kind={kind}\nn=8\nm=4\ns1=1\ns2=1\n")
     opts = SolveOptions(s1=1, s2=1)
-    for key in ("max_outer_iters", "outer_tol", "restarts"):
+    for key in ("max_outer_iters", "restarts"):
         assert getattr(cfg, key) == getattr(opts, key)
+
+
+def test_every_sweep_config_field_is_a_config_key():
+    # a field no config can set would be a setting nothing varies
+    assert {f.name for f in dataclasses.fields(SweepConfig)} == cli._ALL_KEYS
 
 
 def test_parse_config_requires_core_keys():
@@ -135,19 +145,15 @@ def test_parse_config_validates_cells():
     with pytest.raises(ConfigError, match="bad cell"):
         parse_config("kind=rip\nn=8\nm=4\ns1=9\ns2=1\n")
     # a nan noise ran noiseless under a row labelled nan; inf wrote
-    # rel_q50=inf rows; a nan success_threshold made every success_rate 0,
-    # and an inf one counted trials that failed numerically (rel = inf)
-    for setting in ("noise=-0.5", "noise=nan", "noise=inf", "noise=0.0,nan",
-                    "success_threshold=nan", "success_threshold=-1e-4",
-                    "success_threshold=inf"):
+    # rel_q50=inf rows
+    for setting in ("noise=-0.5", "noise=nan", "noise=inf", "noise=0.0,nan"):
         with pytest.raises(ConfigError, match=setting.split("=")[0]):
             parse_config(f"kind=recover\nn=8\nm=4\ns1=1\ns2=1\n{setting}\n")
     with pytest.raises(ConfigError, match="trials"):
         parse_config("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ntrials=0\n")
 
 
-@pytest.mark.parametrize("setting", ["restarts=-1", "max_outer_iters=0", "outer_tol=0",
-                                     "outer_tol=nan", "outer_tol=inf"])
+@pytest.mark.parametrize("setting", ["restarts=-1", "max_outer_iters=0"])
 def test_parse_config_rejects_bad_solver_settings(setting):
     # rejected with the config, not inside the first cell after planting
     with pytest.raises(ConfigError, match="bad solver settings"):
@@ -216,8 +222,7 @@ def test_sweep_meta_sidecar(tmp_path):
     assert meta["m"] == "4,6" and "version" in meta
     assert "workers" not in meta
     # only the keys a rip config accepts
-    for key in ("decoupled", "orthogonality", "max_outer_iters",
-                "noise", "outer_tol", "restarts", "success_threshold"):
+    for key in ("decoupled", "orthogonality", "max_outer_iters", "noise", "restarts"):
         assert key not in meta
 
     rop = tmp_path / "rop.csv"
@@ -225,14 +230,13 @@ def test_sweep_meta_sidecar(tmp_path):
                            + "decoupled = true\n"), str(rop))
     meta = _meta(rop)
     assert meta["orthogonality"] == "both" and meta["decoupled"] == "true"
-    assert "restarts" not in meta and "outer_tol" not in meta
+    assert "restarts" not in meta and "max_outer_iters" not in meta
 
     rec = tmp_path / "recover.csv"
     run_sweep(parse_config(RECOVER_CONFIG), str(rec))
     meta = _meta(rec)
     assert meta["restarts"] == "2" and meta["max_outer_iters"] == "8"
-    for key in ("noise", "outer_tol", "success_threshold"):
-        assert key in meta
+    assert meta["noise"] == "0.0"
     assert "orthogonality" not in meta and "decoupled" not in meta
 
 
@@ -288,7 +292,8 @@ def test_failed_estimator_cell_keeps_its_row_and_exits_3(tmp_path):
 # A recover sweep whose caps cannot bind (mu2 = 3.0 >= s2 = 2): sha256
 # of the CSV and of the .meta, recorded when the caps reached the solver
 # only under enforce_flatness (off here), with that key's line dropped
-# from the .meta. Caps that cannot bind must leave every byte as it was.
+# from the .meta, and since then the outer_tol and success_threshold
+# lines too. Caps that cannot bind must leave every byte as it was.
 NONBINDING_CAP_CONFIG = """
 kind = recover
 n = 32,64
@@ -303,7 +308,7 @@ max_outer_iters = 20
 """
 _NONBINDING_CAP_RECORD = (
     "ef7a1bf368f43de58a8eb66143e238ff00a7b668f487726556f2c74e00b2cefe",
-    "3dfec16c424480e32de330bc0783dc250e1aed027dfcb1542a194e3d436c1b7b",
+    "f111d750189a5446e6e2f40549d4aec0a086e7cb42f2f77c07a04f7b79c234ef",
 )
 
 
@@ -314,6 +319,57 @@ def test_recover_sweep_with_caps_that_cannot_bind_matches_its_recorded_bytes(
     run_sweep(parse_config(NONBINDING_CAP_CONFIG), str(out), workers=workers)
     got = tuple(hashlib.sha256(_read(p)).hexdigest() for p in (out, str(out) + ".meta"))
     assert got == _NONBINDING_CAP_RECORD
+
+
+@pytest.mark.parametrize("trial, error, success_rate", [
+    (1, ZeroVectorError("degenerate data"), "0.0"),
+    (1, np.linalg.LinAlgError("degenerate data"), "0.0"),
+    (1, FloatingPointError("degenerate data"), "0.0"),
+    (0, SolverBreakdownError("degenerate data", None), "0.5"),
+], ids=["zero-vector", "linalg", "floating-point", "breakdown-on-a-miss"])
+def test_a_failed_recover_trial_is_logged_and_counts_as_a_miss(
+        trial, error, success_rate, tmp_path, monkeypatch, caplog):
+    # a numeric failure in one trial became rel = inf with nothing logged
+    real, calls = cli.recover, []
+
+    def one_trial_fails(ens, b, opts):
+        calls.append(1)
+        if len(calls) == trial + 1:
+            raise error
+        return real(ens, b, opts)
+
+    out = tmp_path / "rec.csv"
+    run_sweep(parse_config(RECOVER_CONFIG), str(out))
+    clean = _read(out)
+    monkeypatch.setattr(cli, "recover", one_trial_fails)
+    with caplog.at_level("ERROR", logger="liftconv"):
+        assert run_sweep(parse_config(RECOVER_CONFIG), str(out)) == 1
+    (record,) = caplog.records
+    message = record.getMessage()
+    assert record.levelname == "ERROR"
+    assert "'m': 12" in message and f"trial {trial} failed: degenerate data" in message
+    # trial 1 is a hit when it runs and becomes a miss; trial 0 is a
+    # miss either way, so the row's success rate keeps its value
+    (row,) = csv.DictReader(_read(out).decode().splitlines())
+    (clean_row,) = csv.DictReader(clean.decode().splitlines())
+    assert (clean_row["success_rate"], row["success_rate"]) == ("0.5", success_rate)
+    assert row["seed"] == clean_row["seed"]
+
+
+@pytest.mark.parametrize("rel, hits", [
+    (0.0, 2),
+    (1e-4, 2),
+    (float(np.nextafter(1e-4, np.inf)), 0),
+], ids=["exact", "at-threshold", "just-above"])
+def test_a_recover_trial_succeeds_at_relative_error_1e_4(rel, hits, monkeypatch):
+    # the threshold is a constant, the one C10 and the bench use, and inclusive
+    assert cli._SUCCESS_REL == 1e-4
+    monkeypatch.setattr(cli, "_run_recover", lambda cfg, cell, seed: (None, rel, 0.0))
+    cfg = parse_config(RECOVER_CONFIG)
+    (cell,) = cfg.cells()
+    row = cli._recover_cell(cfg, cell, cfg.cell_seed(cell))
+    assert row["success_rate"] == hits / cfg.trials
+    assert row["rel_q50"] == row["rel_q90"] == rel
 
 
 def test_recover_sweep_fields(tmp_path):
@@ -433,18 +489,18 @@ def test_cli_exit_codes():
     assert main(["--help"]) == 0
     assert main(["rap-estimate", "--n", "8", "--m", "4", "--s1", "1",
                  "--s2", "1", "--diagonal"]) == 2           # option removed
+    assert main(["recover", "--n", "8", "--m", "4", "--s1", "1",
+                 "--s2", "1", "--outer-tol", "1e-3"]) == 2  # a solver constant
     # orthogonal partners cannot exist in a one-dimensional model: bad input
     assert main(["rop-estimate", "--n", "1", "--m", "1", "--s1", "1",
                  "--s2", "1", "--trials", "1"]) == 2
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--outer-tol", "nan"), ("--outer-tol", "inf"),
     ("--noise", "-0.5"), ("--noise", "nan"), ("--noise", "inf"),
 ])
 def test_cli_recover_rejects_bad_settings_before_solving(flag, value, monkeypatch):
-    # outer_tol nan ran every level to its cap and exited 0; a negative
-    # noise ran noiseless and exited 0
+    # a negative noise ran noiseless and exited 0
     def no_solve(*args):
         raise AssertionError("the solver ran")
 
@@ -591,7 +647,7 @@ def test_run_flags_are_the_sweep_keys_and_hold_no_defaults():
         flags = {a.dest: a for a in sp._actions if a.dest not in ("help", "csv")}
         keys = cli._KIND_KEYS[kind] - {"kind"}
         if kind == "recover":
-            keys -= {"trials", "success_threshold"}
+            keys -= {"trials"}
         assert set(flags) == keys
         for action in flags.values():
             assert action.default is argparse.SUPPRESS

@@ -313,7 +313,7 @@ def test_isotropy_check_matches_per_draw_dense_adjoint(average_over, fixed_kind,
         fresh = _gaussian_dictionary(n, rng_for(seed, "draw", k))
         phi, psi = (fresh, fixed) if average_over == "phi" else (fixed, fresh)
         ens = Ensemble(n=n, m=m, omega=omega, phi_kind=kinds[0],
-                       psi_kind=kinds[1], seed=seed, phi=phi, psi=psi)
+                       psi_kind=kinds[1], phi=phi, psi=psi)
         acc += adjoint_apply(ens, forward(ens, x))
     gram = np.eye(n) if fixed is None else fixed.conj().T @ fixed
     target = x.dense() @ gram.T if average_over == "phi" else gram @ x.dense()
