@@ -54,8 +54,11 @@ class BoundQuery:
             raise ValueError("C must be positive")
 
 
-def solve_a(tol: float = 1e-12) -> float:
-    """Root of log(a + 1) = 1/a on (1, 2), by bisection."""
+_ROOT_TOL = 1e-12
+
+
+def solve_a() -> float:
+    """Root of log(a + 1) = 1/a on (1, 2), by bisection, to residual _ROOT_TOL."""
     lo, hi = 1.0, 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -66,7 +69,7 @@ def solve_a(tol: float = 1e-12) -> float:
         if hi - lo < 1e-16:
             break
     a = 0.5 * (lo + hi)
-    if abs(math.log(a + 1.0) - 1.0 / a) > tol:
+    if abs(math.log(a + 1.0) - 1.0 / a) > _ROOT_TOL:
         raise ArithmeticError("bisection failed to converge")
     return a
 

@@ -70,7 +70,6 @@ from .bounds import (
     solve_a,
 )
 from .concentration import (
-    CSV_FIELDS,
     estimate_rap,
     estimate_rip,
     estimate_rop,
@@ -109,7 +108,10 @@ from .util import ZeroVectorError, complex_gaussian, derive_seed, fmt_float, rng
 log = logging.getLogger("liftconv")
 
 SWEEP_KINDS = ("rip", "rap", "rop", "recover")
-ESTIMATE_FIELDS = tuple(f for f in CSV_FIELDS if f != "wall_time")
+ESTIMATE_FIELDS = (
+    "kind", "n", "m", "s1", "s2", "mu1", "mu2", "trials",
+    "delta_hat", "q50", "q90", "q99", "seed",
+)
 RECOVER_FIELDS = (
     "kind", "n", "m", "s1", "s2", "mu1", "mu2", "trials", "noise",
     "success_rate", "rel_q50", "rel_q90", "seed",
@@ -304,9 +306,9 @@ def _validate_cells(cfg: SweepConfig) -> SweepConfig:
             ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"], flavor=cfg.flavor)
         except ValueError as exc:
             raise ConfigError(f"bad cell {cell}: {exc}") from None
-        if cell["m"] > cell["n"]:
-            raise ConfigError(
-                f"bad cell {cell}: m > n; an ensemble keeps at most n samples")
+        if not 1 <= cell["m"] <= cell["n"]:
+            raise ConfigError(f"bad cell {cell}: m must be positive" if cell["m"] < 1 else
+                              f"bad cell {cell}: m > n; an ensemble keeps at most n samples")
         if cfg.kind == "rop" and cell["n"] < 2:
             raise ConfigError(f"bad cell {cell}: rop needs n >= 2 for orthogonal pairs")
         if cfg.kind == "recover" and not 0 <= cell["noise"] < math.inf:
@@ -365,23 +367,33 @@ def _run_recover(cfg: SweepConfig, cell: dict, seed: int):
     return res, rel, noise_ratio
 
 
+def _estimate_row(cfg: SweepConfig, cell: dict, seed: int, rep) -> dict:
+    """An estimator cell's row in ESTIMATE_FIELDS order; without a report
+    (rep None, the run failed) its statistics are empty."""
+    row = {"kind": cfg.kind, **{k: cell[k] for k in ("n", "m", "s1", "s2", "mu1", "mu2")},
+           "trials": cfg.trials, "delta_hat": None, "q50": None, "q90": None,
+           "q99": None, "seed": seed}
+    if rep is not None:
+        row.update(delta_hat=rep.delta_hat, q50=rep.quantiles[0.5],
+                   q90=rep.quantiles[0.9], q99=rep.quantiles[0.99])
+    return row
+
+
 def _execute_cell(payload) -> tuple:
     """Run one sweep cell: (formatted row, failed). Top level so worker
     processes can import it. A numeric failure in an estimator cell is
     logged; its row keeps coordinates, trials and seed, no statistics."""
     cfg, cell = payload
     seed = cfg.cell_seed(cell)
-    failed = False
     if cfg.kind == "recover":
-        row = _recover_cell(cfg, cell, seed)
+        row, failed = _recover_cell(cfg, cell, seed), False
     else:
         try:
-            row = _run_estimate(cfg, cell, seed).csv_dict()
+            rep = _run_estimate(cfg, cell, seed)
         except _NUMERIC_ERRORS as exc:
             log.error("cell %s failed: %s", cell, exc)
-            row = {"kind": cfg.kind, **{k: cell[k] for k in ESTIMATE_FIELDS if k in cell},
-                   "trials": cfg.trials, "seed": seed}
-            failed = True
+            rep = None
+        row, failed = _estimate_row(cfg, cell, seed, rep), rep is None
     return {k: _fmt_cell_value(v) for k, v in row.items()}, failed
 
 
@@ -454,9 +466,9 @@ def _print_kv(row: dict):
         print(f"{key}={_fmt_cell_value(value)}")
 
 
-def _write_csv_row(path: str, fields, row: dict):
+def _write_csv_row(path: str, row: dict):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fields), lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=list(row), lineterminator="\n")
         writer.writeheader()
         writer.writerow({k: _fmt_cell_value(v) for k, v in row.items()})
 
@@ -473,11 +485,12 @@ def _one_cell(args) -> SweepConfig:
 
 def _cmd_estimate(args) -> int:
     cfg = _one_cell(args)
-    rep = _run_estimate(cfg, cfg.cells()[0], cfg.seed)
-    row = {**rep.csv_dict(), "wall_time": rep.wall_time}
+    cell = cfg.cells()[0]
+    rep = _run_estimate(cfg, cell, cfg.seed)
+    row = {**_estimate_row(cfg, cell, cfg.seed, rep), "wall_time": rep.wall_time}
     _print_kv({**row, "resamples": rep.resamples})
     if args.csv:
-        _write_csv_row(args.csv, CSV_FIELDS, row)
+        _write_csv_row(args.csv, row)
     return 0
 
 
@@ -510,7 +523,7 @@ def _cmd_recover(args) -> int:
     half_steps = sum(rec.half_steps for rec in res.attempt_log)
     _print_kv({**row, "attempts": res.attempts, "half_steps": half_steps})
     if args.csv:
-        _write_csv_row(args.csv, list(row), row)
+        _write_csv_row(args.csv, row)
     return 0
 
 

@@ -59,57 +59,27 @@ ISOTROPY_GUARD = 64
 # failure is reported.
 _ROP_MAX_ATTEMPTS = 8
 
-CSV_FIELDS = (
-    "kind", "n", "m", "s1", "s2", "mu1", "mu2", "trials",
-    "delta_hat", "q50", "q90", "q99", "seed", "wall_time",
-)
-
-
 @dataclass
 class EstimateReport:
-    """Outcome of one Monte Carlo estimation run.
+    """Outcome of one Monte Carlo estimation run: what the estimator measured.
 
     delta_hat is the maximum per-trial deviation; quantiles are linear
     interpolation quantiles of the same sample, so q99 <= delta_hat.
-    witness holds the maximizing trial's draws for replay.
+    resamples counts the rop draws redone after a failed
+    orthogonalization. witness holds the maximizing trial's draws for
+    replay. The run's inputs stay with the caller.
     """
 
-    kind: str
     delta_hat: float
     trials: int
     quantiles: dict
-    seed: int
     wall_time: float
-    n: int
-    m: int
-    s1: int | None = None
-    s2: int | None = None
-    mu1: float | None = None
-    mu2: float | None = None
     resamples: int = 0
     witness: dict = field(default_factory=dict, repr=False)
     deviations: np.ndarray | None = field(default=None, repr=False)
 
-    def csv_dict(self) -> dict:
-        """The deterministic report fields, CSV_FIELDS without wall_time."""
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "s1": self.s1,
-            "s2": self.s2,
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "trials": self.trials,
-            "delta_hat": self.delta_hat,
-            "q50": self.quantiles[0.5],
-            "q90": self.quantiles[0.9],
-            "q99": self.quantiles[0.99],
-            "seed": self.seed,
-        }
 
-
-def _run_trials(kind, n, m, spec_u, spec_v, trials, seed, trial):
+def _run_trials(trials, seed, trial):
     """Run trial(t, rng) -> (deviation, draws) on every trial stream.
 
     The witness is the first trial reaching the maximum deviation; it
@@ -128,18 +98,10 @@ def _run_trials(kind, n, m, spec_u, spec_v, trials, seed, trial):
                        "seed": derive_seed(seed, "trial", t)}
     qs = np.quantile(devs, [0.5, 0.9, 0.99])
     return EstimateReport(
-        kind=kind,
         delta_hat=float(devs.max()),
         trials=trials,
         quantiles={0.5: float(qs[0]), 0.9: float(qs[1]), 0.99: float(qs[2])},
-        seed=seed,
         wall_time=time.perf_counter() - t0,
-        n=n,
-        m=m,
-        s1=None if spec_u is None else spec_u.s,
-        s2=None if spec_v is None else spec_v.s,
-        mu1=None if spec_u is None else spec_u.mu,
-        mu2=None if spec_v is None else spec_v.mu,
         witness=witness,
         deviations=devs,
     )
@@ -181,7 +143,7 @@ def estimate_rip(
         dev = abs(vnorm(op.forward(u, v)) ** 2 - wsq) / wsq
         return dev, {"u": u, "v": v}
 
-    return _run_trials("rip", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
+    return _run_trials(trials, seed, trial)
 
 
 def estimate_rap(
@@ -212,7 +174,7 @@ def estimate_rap(
         val = _form(p_hat, p, op, op) - lifted_inner(p_hat, p)
         return abs(val) / denom, {"u": u, "v": v, "u_hat": u_hat, "v_hat": v_hat}
 
-    return _run_trials("rap", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
+    return _run_trials(trials, seed, trial)
 
 
 def estimate_rop(
@@ -275,7 +237,7 @@ def estimate_rop(
         dev = abs(_form(p_hat, p, *ops)) / (p.norm_f * p_hat.norm_f)
         return dev, {"u": u, "v": v, "u_hat": u_hat, "v_hat": v_hat}
 
-    rep = _run_trials("rop", ens.n, ens.m, spec_u, spec_v, trials, seed, trial)
+    rep = _run_trials(trials, seed, trial)
     rep.resamples = resamples
     return rep
 
@@ -301,8 +263,7 @@ def estimate_rip_matrix(
         nsq = float(np.linalg.norm(x) ** 2)
         return abs(float(np.linalg.norm(A @ x) ** 2) - nsq) / nsq, {"x": x}
 
-    return _run_trials("matrix-rip", A.shape[1], A.shape[0], spec, None,
-                       trials, seed, trial)
+    return _run_trials(trials, seed, trial)
 
 
 def exact_rip_small(A: np.ndarray, s: int) -> float:

@@ -12,16 +12,14 @@ import numpy as np
 __all__ = ["fftu", "ifftu", "dft_matrix"]
 
 
-def fftu(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unitary forward DFT along one axis: F @ x."""
-    n = x.shape[axis]
-    return np.fft.fft(x, axis=axis) / np.sqrt(n)
+def fftu(x: np.ndarray) -> np.ndarray:
+    """Unitary forward DFT along the last axis: F @ x."""
+    return np.fft.fft(x) / np.sqrt(x.shape[-1])
 
 
-def ifftu(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unitary inverse DFT along one axis: F* @ x."""
-    n = x.shape[axis]
-    return np.fft.ifft(x, axis=axis) * np.sqrt(n)
+def ifftu(x: np.ndarray) -> np.ndarray:
+    """Unitary inverse DFT along the last axis: F* @ x."""
+    return np.fft.ifft(x) * np.sqrt(x.shape[-1])
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -181,61 +181,45 @@ def _leading_pair_dense(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scale * U[:, 0], scale * Vh[0, :]
 
 
-def _screened_pair(T: np.ndarray, energies: tuple, k1: int, k2: int, rng=None,
-                   weighted: bool = True):
-    """Leading pair of the adjoint image T screened to k1 rows, k2 columns.
+def _attempt_init(T: np.ndarray, energies: tuple, k1: int, k2: int,
+                  attempt: int, seed: int) -> tuple[str, LiftedPoint]:
+    """An attempt's flavor and starting pair, from the adjoint image T.
 
-    Rows and columns are picked by energy (rng None), drawn with
-    energy-proportional probabilities (weighted restarts), or drawn
-    uniformly (exploration restarts); the pair is the leading singular
-    pair of the selected k1 x k2 block, zero elsewhere. energies holds
-    the squared row and column norms of T, which recover computes once.
+    Attempt 0 screens T to its k1 highest-energy rows and k2 columns;
+    later attempts cycle energy-weighted screening (rows and columns
+    drawn with energy-proportional probabilities), uniform screening,
+    and dense random pairs, so repeated restarts explore genuinely
+    different basins even when the adjoint image misranks the true
+    support. A screened pair is the leading singular pair of the
+    selected k1 x k2 block, zero elsewhere; an all-zero block falls back
+    to the thresholded leading pair of T. energies holds the squared
+    row and column norms of T, which recover computes once.
     """
     n = T.shape[0]
     row_e, col_e = energies
-    if rng is None:
+    if attempt == 0:
+        flavor = "screened"
         rows = np.argsort(-row_e)[:k1]
         cols = np.argsort(-col_e)[:k2]
-    elif weighted:
-        rows = rng.choice(n, size=k1, replace=False, p=row_e / row_e.sum())
-        cols = rng.choice(n, size=k2, replace=False, p=col_e / col_e.sum())
     else:
-        rows = rng.choice(n, size=k1, replace=False)
-        cols = rng.choice(n, size=k2, replace=False)
+        flavor = ("weighted", "uniform", "gaussian")[(attempt - 1) % 3]
+        rng = rng_for(seed, "restart", attempt)
+        if flavor == "gaussian":
+            return flavor, LiftedPoint(unit(complex_gaussian(rng, n)),
+                                       unit(complex_gaussian(rng, n)))
+        weighted = flavor == "weighted"
+        rows = rng.choice(n, size=k1, replace=False, p=row_e / row_e.sum() if weighted else None)
+        cols = rng.choice(n, size=k2, replace=False, p=col_e / col_e.sum() if weighted else None)
     block = T[np.ix_(rows, cols)]
     if not np.any(block):
         u0, v0 = _leading_pair_dense(T)
-        return LiftedPoint(unit(hard_threshold(u0, k1)), unit(hard_threshold(v0, k2)))
+        return flavor, LiftedPoint(unit(hard_threshold(u0, k1)), unit(hard_threshold(v0, k2)))
     U, _, Vh = np.linalg.svd(block)
     u = np.zeros(n, dtype=complex)
     v = np.zeros(n, dtype=complex)
     u[rows] = U[:, 0]
     v[cols] = Vh[0, :]
-    return LiftedPoint(unit(u), unit(v))
-
-
-def _init_flavor(attempt: int) -> str:
-    if attempt == 0:
-        return "screened"
-    return ("weighted", "uniform", "gaussian")[(attempt - 1) % 3]
-
-
-def _attempt_init(n: int, T: np.ndarray, energies: tuple, k1: int, k2: int,
-                  attempt: int, seed: int) -> LiftedPoint:
-    """Initialization pool for restarts.
-
-    Attempt 0 is the deterministic energy screening; later attempts
-    cycle energy-weighted screening, uniform screening, and dense
-    random pairs, so repeated restarts explore genuinely different
-    basins even when the adjoint image misranks the true support.
-    """
-    flavor = _init_flavor(attempt)
-    if flavor == "screened":
-        return _screened_pair(T, energies, k1, k2)
-    rng = rng_for(seed, "restart", attempt)
-    if flavor == "gaussian":
-        return LiftedPoint(unit(complex_gaussian(rng, n)), unit(complex_gaussian(rng, n)))
-    return _screened_pair(T, energies, k1, k2, rng, weighted=flavor == "weighted")
+    return flavor, LiftedPoint(unit(u), unit(v))
 
 
 # -- half steps ---------------------------------------------------------------
@@ -441,8 +425,8 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     attempt_log = []
     with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
         for a in range(opts.restarts + 1):
-            init = _attempt_init(ens.n, T, energies, *levels[0], a, opts.seed)
-            rec = AttemptRecord(_init_flavor(a))
+            flavor, init = _attempt_init(T, energies, *levels[0], a, opts.seed)
+            rec = AttemptRecord(flavor)
             attempt_log.append(rec)
             try:
                 u, v, resid = _run_attempt(op, b, opts, init, levels, rec)

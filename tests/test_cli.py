@@ -520,15 +520,20 @@ def test_cli_numeric_value_errors_exit_3_and_bad_input_exits_2(monkeypatch):
                  "--s2", "1"]) == 2
 
 
-def test_cli_rejects_bad_config_file(tmp_path):
+@pytest.mark.parametrize("body", ["m=4\ns1=1\ns2=1\ncolor=blue", "m=8,-2\ns1=1\ns2=1"],
+                         ids=["unknown-key", "nonpositive-m"])
+def test_cli_rejects_bad_config_file(tmp_path, body):
+    # every cell is validated before the first row is written
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("kind=rip\nn=8\nm=4\ns1=1\ns2=1\ncolor=blue\n")
-    assert main(["sweep", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "o.csv")]) == 2
+    cfg_path.write_text(f"kind=rip\nn=8\n{body}\n")
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, key, value", [
-    ("rap", "m", "16"), ("rap", "s1", "9"), ("rap", "mu1", "0.5"), ("rap", "trials", "0"),
+    ("rap", "m", "16"), ("rap", "m", "0"), ("rip", "m", "-1"), ("rap", "s1", "9"),
+    ("rap", "mu1", "0.5"), ("rap", "trials", "0"),
     ("recover", "noise", "nan"), ("recover", "phi", "wavelet"),
     ("recover", "restarts", "-1"),
 ])

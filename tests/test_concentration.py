@@ -44,12 +44,10 @@ SPEC_V = ModelSpec(24, 3, mu=4.0, side="right")
 
 def test_rip_report_shape_and_quantile_order(ens):
     rep = estimate_rip(ens, SPEC_U, SPEC_V, 60, seed=61)
-    assert rep.kind == "rip" and rep.trials == 60
+    assert rep.trials == 60
     assert rep.deviations.shape == (60,)
     assert rep.quantiles[0.5] <= rep.quantiles[0.9] <= rep.quantiles[0.99]
     assert rep.quantiles[0.99] <= rep.delta_hat == rep.deviations.max()
-    assert (rep.n, rep.m, rep.s1, rep.s2, rep.mu1, rep.mu2) == (
-        24, 12, 2, 3, None, 4.0)
 
 
 def test_rip_witness_replays_its_deviation(ens):
@@ -240,8 +238,6 @@ def test_matrix_estimate_never_exceeds_enumerated_constant():
     exact = exact_rip_small(A, 2)
     rep = estimate_rip_matrix(A, ModelSpec(10, 2), 500, seed=73)
     assert rep.delta_hat <= exact + 1e-12
-    assert (rep.kind, rep.n, rep.m, rep.s2, rep.mu2) == (
-        "matrix-rip", A.shape[1], A.shape[0], None, None)
     x = rep.witness["x"]
     nsq = np.linalg.norm(x) ** 2
     replay = abs(np.linalg.norm(A @ x) ** 2 - nsq) / nsq

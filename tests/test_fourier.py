@@ -31,9 +31,3 @@ def test_roundtrip():
 def test_unitarity_preserves_norm():
     x = complex_gaussian(rng_for(3, "dft"), 50)
     assert abs(np.linalg.norm(fftu(x)) - np.linalg.norm(x)) < 1e-12
-
-
-def test_axis_handling():
-    X = complex_gaussian(rng_for(4, "dft"), (5, 8))
-    col_wise = np.stack([fftu(X[:, j]) for j in range(8)], axis=1)
-    assert np.allclose(fftu(X, axis=0), col_wise, atol=1e-12)

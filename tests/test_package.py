@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -68,3 +69,9 @@ def test_traced_benchmark_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{mod_name}.{attr}"
+
+
+def test_estimate_report_keeps_the_fields_the_benchmark_reads():
+    # the benchmark's estimate workload reads these report fields by name
+    names = {f.name for f in dataclasses.fields(liftconv.EstimateReport)}
+    assert {"delta_hat", "trials", "deviations", "witness", "resamples"} <= names

@@ -25,8 +25,8 @@ from liftconv.solver import (
     recover,
     success_metric,
     _adjoint,
+    _attempt_init,
     _leading_pair_dense,
-    _screened_pair,
     _sparsity_schedule,
 )
 from liftconv.util import complex_gaussian, rng_for, unit
@@ -80,17 +80,17 @@ def test_leading_pair_dense_is_exact_on_rank_one():
     assert np.allclose(np.outer(u0, v0), T, atol=1e-12)
 
 
-@pytest.mark.parametrize("rng_seed,weighted", [(None, True), (117, True), (118, False)])
-def test_screened_pair_block_svd_matches_zero_padded_svd(rng_seed, weighted):
-    # deterministic, energy-weighted and uniform screening
+@pytest.mark.parametrize("attempt", [0, 1, 2])
+def test_screened_pair_block_svd_matches_zero_padded_svd(attempt):
+    # energy screening, then the energy-weighted and uniform restarts
     ens, _, b, _ = plant_instance(32, 16, 3, 3, seed=116)
     T = adjoint_apply(ens, b)
-    rng = None if rng_seed is None else rng_for(rng_seed, "screen")
     energies = np.linalg.norm(T, axis=1) ** 2, np.linalg.norm(T, axis=0) ** 2
-    p = _screened_pair(T, energies, 6, 5, rng, weighted)
+    flavor, p = _attempt_init(T, energies, 6, 5, attempt, 117)
+    assert flavor == ("screened", "weighted", "uniform")[attempt]
     rows, cols = np.nonzero(p.u)[0], np.nonzero(p.v)[0]
     assert (rows.size, cols.size) == (6, 5)
-    if rng_seed is None:
+    if attempt == 0:
         assert set(rows) == set(np.argsort(-np.linalg.norm(T, axis=1))[:6])
     # the leading pair of the k1 x k2 block zero-padded to n x n
     S = np.zeros_like(T)
@@ -98,6 +98,33 @@ def test_screened_pair_block_svd_matches_zero_padded_svd(rng_seed, weighted):
     U, _, Vh = np.linalg.svd(S)
     ref = np.outer(unit(U[:, 0]), unit(Vh[0, :]))
     assert np.linalg.norm(np.outer(p.u, p.v) - ref) <= 1e-12
+
+
+def test_an_all_zero_screened_block_falls_back_to_the_thresholded_leading_pair():
+    # over identity dictionaries T[j, k] = sqrt(n/m) b_l where (j + k) mod n
+    # is omega_l, and 0 elsewhere; omega here misses every entry that the
+    # uniform screening of attempt 2 selects. T is built exactly, since the
+    # operator's FFTs leave rounding residue in its zeros
+    n, m, seed = 16, 4, 5
+    rng = rng_for(seed, "restart", 2)
+    rows = rng.choice(n, size=2, replace=False)
+    cols = rng.choice(n, size=2, replace=False)
+    hit = {(r + c) % n for r in rows for c in cols}
+    omega = np.array([pos for pos in range(n) if pos not in hit][:m])
+    b = complex_gaussian(rng_for(seed, "b"), m)
+    diagonals = np.add.outer(np.arange(n), np.arange(n)) % n
+    T = np.zeros((n, n), dtype=complex)
+    for pos, b_l in zip(omega, b):
+        T[diagonals == pos] = np.sqrt(n / m) * b_l
+    ens = Ensemble(n, m, omega, "identity", "identity")
+    assert np.allclose(T, FactoredOperator.of(ens).adjoint_image(b), atol=1e-12)
+    assert not np.any(T[np.ix_(rows, cols)])
+    energies = np.linalg.norm(T, axis=1) ** 2, np.linalg.norm(T, axis=0) ** 2
+    flavor, p = _attempt_init(T, energies, 2, 2, 2, seed)
+    u0, v0 = _leading_pair_dense(T)
+    assert flavor == "uniform"
+    assert np.array_equal(p.u, unit(hard_threshold(u0, 2)))
+    assert np.array_equal(p.v, unit(hard_threshold(v0, 2)))
 
 
 def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch):
