@@ -26,7 +26,11 @@ sweep
     timing, so reruns and different --workers counts (at most one per
     cell) produce identical bytes. Rows are written in cell order as
     cells finish and the .meta sidecar (the resolved config) last, so a
-    CSV without a .meta is an interrupted run. A failed estimator cell
+    CSV without a .meta is an interrupted run. With --workers 1 the
+    cells run in this process, where a solve may fan its restarts out
+    to a pool of its own (solver.recover); with more, each cell runs in
+    a worker, whose solves keep their restarts in process, so pools
+    never nest; no byte depends on it. A failed estimator cell
     keeps its row with empty statistics; the sweep then exits 3. A
     recover trial succeeds at relative error 1e-4 or less; one that
     fails numerically is logged and counts as a miss.

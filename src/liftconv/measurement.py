@@ -322,9 +322,10 @@ class FactoredOperator:
     @classmethod
     def of(cls, ens: Ensemble) -> "FactoredOperator":
         n = ens.n
-        # reduce omega * k mod n in integers, so every angle lies in [0, 2 pi)
-        phase = np.outer(ens.omega, np.arange(n)) % n
-        W = np.sqrt(n / ens.m) * np.exp(2j * np.pi * phase / n) / n
+        # W[l, k] is the scaled root of unity of index omega_l * k mod n,
+        # reduced in integers, so every angle lies in [0, 2 pi)
+        roots = np.sqrt(n / ens.m) * np.exp(2j * np.pi * np.arange(n) / n) / n
+        W = roots[np.outer(ens.omega, np.arange(n)) % n]
         return cls(_spectrum(ens.phi), _spectrum(ens.psi), W)
 
     def forward(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -82,6 +82,9 @@ class FlatProjectionError(RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
 
+    def __reduce__(self):
+        return type(self), (*self.args, self.last_iterate)
+
 
 class OrthogonalizationError(RuntimeError):
     """No model-feasible orthogonal partner was found."""

@@ -40,6 +40,18 @@ Restarts draw from a stream derived from SolveOptions.seed, so a solve
 is a deterministic function of (ensemble, data, options);
 SolveResult.attempt_log records what each attempt did.
 
+Attempts are independent given the operator, T, the options and the
+attempt's index, and one function (_attempt) runs each. Attempt 0 runs
+in process. When it does not meet the residual stop, the restarts run
+in process too, unless _pool_workers sizes a fork-context process pool
+for them: their estimated serial time (attempt 0's wall time times
+their number) must reach _FAN_OUT_S, the caller must not itself be a
+multiprocessing child (a sweep's pool worker), and the usable CPUs
+divided by the BLAS threads of a process must give two workers or more.
+recover takes the results in attempt order through the same keep and
+stop rule either way, so no output depends on the schedule, and no
+pool worker outlives the call.
+
 A flatness cap bounds the spectral flatness of a coefficient vector u,
 not of its image Phi u. When it binds (mu < s), recover projects and
 rethresholds the kept factor once, which need not land it in the model;
@@ -48,8 +60,13 @@ otherwise it does no flatness work.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -99,6 +116,16 @@ _WARM_TOL = 1e-4
 # are at 0.31 ||b|| or more and successful ones at 1.3e-2 ||b|| or less.
 _POLISH_RESID = 0.1
 
+# Restarts move to a process pool only when attempt 0's wall time times
+# their number, the restarts' estimated serial time, is at least this
+# many seconds. On a 2-core x86-64 host with BLAS pinned to one thread,
+# a two-worker fork pool took the restarts' time halved plus 25 to 35 ms
+# (its start-up alone about 11 ms), so it breaks even at 50 to 70 ms:
+# n = 16 solves (14 restarts in about 35 ms) ran 1.9 times slower
+# fanned out, n = 32 (45 ms) as fast, and the n = 128 slice's failing
+# solves (55 to 270 ms) about 1.3 times faster.
+_FAN_OUT_S = 0.06
+
 
 class SolverBreakdownError(RuntimeError):
     """Inner solver broke down; carries the current iterate pair."""
@@ -106,6 +133,9 @@ class SolverBreakdownError(RuntimeError):
     def __init__(self, message: str, iterate: LiftedPoint):
         super().__init__(message)
         self.iterate = iterate
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.iterate)
 
 
 @dataclass
@@ -372,6 +402,96 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
     return u, v, resid
 
 
+def _attempt(solve: tuple, a: int):
+    """Attempt a of the solve (op, b, opts, T, energies, levels): its
+    AttemptRecord and either (u, v, residual) or the SolverBreakdownError
+    it raised. Both schedules of _attempt_results run this on the same
+    inputs, so an attempt's output does not depend on where it ran."""
+    op, b, opts, T, energies, levels = solve
+    flavor, init = _attempt_init(T, energies, *levels[0], a, opts.seed)
+    rec = AttemptRecord(flavor)
+    try:
+        with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
+            return rec, _run_attempt(op, b, opts, init, levels, rec)
+    except SolverBreakdownError as err:
+        return rec, err
+
+
+# The solve a pool worker's attempts belong to, set once per worker.
+_worker_solve = None
+
+
+def _init_worker(solve: tuple):
+    global _worker_solve
+    _worker_solve = solve
+
+
+def _worker_attempt(a: int):
+    return _attempt(_worker_solve, a)
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads per process of NumPy's bundled OpenBLAS, read from the
+    environment as it reads them: the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer,
+    else one per usable CPU (cpus)."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _pool_workers(restarts: int, first_s: float) -> int:
+    """Pool size for restarts 1..restarts after attempt 0 took first_s
+    seconds, or 0 to run them in process.
+
+    A pool needs the restarts' estimated serial time, first_s * restarts,
+    to reach _FAN_OUT_S, and a fork start method. Its workers are the
+    usable CPUs divided by the BLAS threads of one process (_blas_threads),
+    at most one per restart, and it starts only with two or more: two
+    processes that each ran a two-thread BLAS on two CPUs took a slice
+    m = 16 solve 5 to 9 times longer than one process. A process
+    that is itself a multiprocessing child, such as a sweep's pool
+    worker, never starts one, so pools do not nest.
+    """
+    if (first_s * restarts < _FAN_OUT_S or multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cpus // _blas_threads(cpus), restarts)
+    return workers if workers > 1 else 0
+
+
+def _attempt_results(solve: tuple, restarts: int):
+    """_attempt's results for attempts 0..restarts, in attempt order.
+
+    Attempt 0 runs in process. The restarts run in process too, one after
+    the other, unless _pool_workers sizes a pool for them: then all are
+    queued at once on a fork-context pool whose workers receive solve
+    once, and are yielded as they come due. Closing the generator cancels
+    the attempts still queued and joins the pool, so no worker outlives
+    it.
+    """
+    start = perf_counter()
+    first = _attempt(solve, 0)
+    first_s = perf_counter() - start
+    yield first
+    workers = _pool_workers(restarts, first_s)
+    if not workers:
+        for a in range(1, restarts + 1):
+            yield _attempt(solve, a)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(solve,))
+    try:
+        for future in [pool.submit(_worker_attempt, a) for a in range(1, restarts + 1)]:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _support(w: np.ndarray) -> np.ndarray:
     """The columns a refit of factor w keeps: its nonzeros, or all if none."""
     return w.nonzero()[0] if w.any() else np.arange(w.size)
@@ -388,8 +508,11 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     a residual falls below _RESID_STOP * ||b||. Every attempt, one that
     breaks down included, counts in `attempts` and leaves its
     AttemptRecord in `attempt_log`; a breakdown is re-raised only if
-    every attempt broke down. Each side whose cap binds (mu < s) then
-    has its kept factor replaced by hard_threshold(project_flat(u, mu1),
+    every attempt broke down. Attempt 0 runs in process; the restarts run
+    there or on a fork pool (_attempt_results, _pool_workers), with the
+    same results bit for bit. The first residual stop cancels the queued
+    attempts, and the pool is joined before recover returns or raises.
+    Each side whose cap binds (mu < s) then has its kept factor replaced by hard_threshold(project_flat(u, mu1),
     s1), and the other factor refit on its support; the thresholding can
     push the flatness back above mu1, so the factor need not lie in the
     model. A cap above n, or with s > n, is rejected before the first
@@ -423,16 +546,14 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     best = None
     breakdown = None
     attempt_log = []
-    with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
-        for a in range(opts.restarts + 1):
-            flavor, init = _attempt_init(T, energies, *levels[0], a, opts.seed)
-            rec = AttemptRecord(flavor)
+    results = _attempt_results((op, b, opts, T, energies, levels), opts.restarts)
+    with contextlib.closing(results):
+        for rec, outcome in results:
             attempt_log.append(rec)
-            try:
-                u, v, resid = _run_attempt(op, b, opts, init, levels, rec)
-            except SolverBreakdownError as err:
-                breakdown = err
+            if isinstance(outcome, SolverBreakdownError):
+                breakdown = outcome
                 continue
+            u, v, resid = outcome
             rec.resid_rel = resid / b_norm
             # no earlier residual met the stop, so this tests the smallest so far
             rec.stop = "resid_stop" if resid <= _RESID_STOP * b_norm else "done"
@@ -440,10 +561,11 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
                 best = (u, v, resid, rec)
             if rec.stop == "resid_stop":
                 break
-        if best is None:
-            raise breakdown
-        u, v, resid, kept = best
+    if best is None:
+        raise breakdown
+    u, v, resid, kept = best
 
+    with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
         if binds1:
             u = hard_threshold(project_flat(u, opts.mu1), opts.s1)
             v, _ = _fit(*op.frozen("right", u), b, _support(v))

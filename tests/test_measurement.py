@@ -145,6 +145,20 @@ def test_factored_operator_matches_fft_forward_and_dense_adjoint(kinds, omega_mo
     assert close(swapped.forward(p.u, p.v), forward(ens_phi, p))
 
 
+@pytest.mark.parametrize("n", [1, 7, 16, 64, 128, 256, 512])
+@pytest.mark.parametrize("omega_mode", ["without_replacement", "iid_uniform"])
+def test_factored_operator_w_matches_the_exponential_formula_bit_for_bit(n, omega_mode):
+    # W indexes the n scaled roots of unity by omega * k mod n; at m = n
+    # the iid draws repeat positions
+    m = n if omega_mode == "iid_uniform" else max(1, n // 2)
+    ens = Ensemble.generate(n, m, seed=n, omega_mode=omega_mode)
+    if omega_mode == "iid_uniform" and n > 1:
+        assert np.unique(ens.omega).size < m
+    phase = np.outer(ens.omega, np.arange(n)) % n
+    ref = np.sqrt(n / m) * np.exp(2j * np.pi * phase / n) / n
+    assert FactoredOperator.of(ens).W.tobytes() == ref.tobytes()
+
+
 def test_adjoint_handles_repeated_omega_entries():
     # iid sampling can repeat a position; the scatter must accumulate
     omega = np.array([3, 3, 0])

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from liftconv import models
 from liftconv.fourier import ifftu
 from liftconv.models import (
     FLATNESS_SLACK,
+    FlatProjectionError,
     InfeasibleModelError,
     ModelSpec,
     OrthogonalizationError,
@@ -283,6 +285,14 @@ def test_project_flat_cap_within_rounding_of_flatness():
         out = project_flat(x, mu)
         assert spectral_flatness(out) <= mu + FLATNESS_SLACK
         assert np.linalg.norm(out - x) <= 1e-9 * np.linalg.norm(x)
+
+
+def test_flat_projection_error_survives_pickling():
+    # it crosses process boundaries, from a pool worker to its parent
+    x = complex_gaussian(rng_for(3, "pickle"), 8)
+    err = pickle.loads(pickle.dumps(FlatProjectionError("missed the cap", x)))
+    assert type(err) is FlatProjectionError and str(err) == "missed the cap"
+    assert err.last_iterate.tobytes() == x.tobytes()
 
 
 # -- sampling -----------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Recovery solver: planted instances, invariances, and failure modes."""
 
 import hashlib
+import math
+import multiprocessing
+import os
+import pickle
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +35,14 @@ from liftconv.solver import (
     _sparsity_schedule,
 )
 from liftconv.util import complex_gaussian, rng_for, unit
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    # keeps every restart in process: a restart fanned out to a pool
+    # worker calls the worker's copy of a monkeypatched counter, which
+    # the test never sees
+    monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
 
 
 # -- planting -----------------------------------------------------------------
@@ -127,7 +140,7 @@ def test_an_all_zero_screened_block_falls_back_to_the_thresholded_leading_pair()
     assert np.array_equal(p.v, unit(hard_threshold(v0, 2)))
 
 
-def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch):
+def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch, serial):
     # above n = 256 the screened restarts still draw their own supports
     inits = []
 
@@ -267,7 +280,7 @@ def test_refit_on_an_exactly_singular_gram_block_keeps_the_min_norm_fit():
     assert zero_pivots == {True, False}
 
 
-def test_recover_lets_no_warning_escape_on_a_rank_deficient_ensemble(monkeypatch):
+def test_recover_lets_no_warning_escape_on_a_rank_deficient_ensemble(monkeypatch, serial):
     # identity dictionaries over four distinct sample positions: some
     # half-step Gram blocks are exactly singular, and their LAPACK
     # inverses come back NaN with the invalid flag raised. With the
@@ -295,7 +308,7 @@ def test_recover_lets_no_warning_escape_on_a_rank_deficient_ensemble(monkeypatch
         assert res.attempts == 15 and np.isfinite(res.residual_norm)
 
 
-def test_recover_refits_without_lstsq_on_a_c10_instance(monkeypatch):
+def test_recover_refits_without_lstsq_on_a_c10_instance(monkeypatch, serial):
     # the Gaussian-dictionary blocks of the C10 grid are well conditioned,
     # so every refit takes the Gram solve
     calls = []
@@ -560,7 +573,7 @@ def test_residuals_monotone_without_thresholding(monkeypatch):
     assert all(hs[i + 1] <= hs[i] + 1e-10 for i in range(len(hs) - 1))
 
 
-def test_recover_builds_the_adjoint_image_once(monkeypatch):
+def test_recover_builds_the_adjoint_image_once(monkeypatch, serial):
     calls = []
     real = FactoredOperator.adjoint_image
 
@@ -575,7 +588,7 @@ def test_recover_builds_the_adjoint_image_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch):
+def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch, serial):
     real = solver._run_attempt
     calls = []
 
@@ -602,7 +615,7 @@ def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch):
     assert len(calls) == 3
 
 
-def test_attempts_equal_up_to_rounding_keep_the_earliest(monkeypatch):
+def test_attempts_equal_up_to_rounding_keep_the_earliest(monkeypatch, serial):
     # residuals 1e-15 apart (relative) are one residual: the later,
     # longer attempt must not replace the earlier one on rounding alone
     ens, _, b, _ = plant_instance(16, 8, 2, 2, seed=122)
@@ -689,6 +702,182 @@ def test_solve_options_validation():
         SolveOptions(s1=1, s2=1, restarts=-1)
     with pytest.raises(ValueError):
         SolveOptions(s1=1, s2=1, mu2=float("nan"))
+
+
+# -- restarts on a process pool -------------------------------------------------
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fan_out(monkeypatch) -> list:
+    """Fans out the restarts of every later solve, whatever attempt 0 took
+    and whatever BLAS thread count the environment sets; returns the list
+    of the pool sizes recover starts, in which a host with one usable CPU
+    starts none."""
+    sizes = []
+    real = solver.ProcessPoolExecutor
+
+    def recording(workers, **kwargs):
+        sizes.append(workers)
+        return real(workers, **kwargs)
+
+    monkeypatch.setattr(solver, "_FAN_OUT_S", 0.0)
+    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", recording)
+    return sizes
+
+
+def _pools_for(restarts: int) -> list:
+    workers = min(_usable_cpus(), restarts)
+    return [workers] if workers > 1 else []
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("recover started a pool")
+
+
+@pytest.mark.parametrize("m, t, attempts", [(16, 0, 15), (32, 5, 13)])
+def test_fanned_out_restarts_match_the_serial_loop_bit_for_bit(monkeypatch, m, t, attempts):
+    # slice instances: m = 16 runs all 15 attempts; m = 32, t = 5 meets the
+    # residual stop at attempt 12, which cancels the attempts still queued
+    ens, _, b, _ = plant_instance(128, m, 3, 3, seed=7000 + t, mu1=3, mu2=3)
+    opts = SolveOptions(s1=3, s2=3, seed=7000 + t)
+    monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
+    serial = recover(ens, b, opts)
+    pools = _fan_out(monkeypatch)
+    fanned = recover(ens, b, opts)
+    assert pools == _pools_for(opts.restarts)
+    assert multiprocessing.active_children() == []
+    assert fanned.attempts == serial.attempts == attempts
+    assert fanned.u_hat.tobytes() == serial.u_hat.tobytes()
+    assert fanned.v_hat.tobytes() == serial.v_hat.tobytes()
+    assert fanned.attempt_log == serial.attempt_log
+    assert fanned.residual_norm.hex() == serial.residual_norm.hex()
+    assert (fanned.iterations, fanned.converged) == (serial.iterations, serial.converged)
+
+
+def test_a_fanned_out_breakdown_is_logged_and_reraised_as_in_the_serial_loop(monkeypatch):
+    ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
+    opts = SolveOptions(s1=3, s2=3, seed=119)
+    real = solver._run_attempt
+
+    def gaussian_breaks(op, b, opts, init, levels, rec):
+        if rec.init != "gaussian":
+            return real(op, b, opts, init, levels, rec)
+        rec.level_iters.append(1)
+        rec.half_steps += 1
+        raise SolverBreakdownError(f"{rec.init} pair collapsed", init)
+
+    def every_attempt_breaks(op, b, opts, init, levels, rec):
+        rec.half_steps += 1
+        raise SolverBreakdownError(f"{rec.init} pair collapsed", init)
+
+    outcomes = []
+    for fan_out in (False, True):
+        pools = _fan_out(monkeypatch) if fan_out else []
+        if not fan_out:
+            monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
+        monkeypatch.setattr(solver, "_run_attempt", gaussian_breaks)
+        res = recover(ens, b, opts)
+        monkeypatch.setattr(solver, "_run_attempt", every_attempt_breaks)
+        with pytest.raises(SolverBreakdownError) as raised:
+            recover(ens, b, opts)
+        outcomes.append((res, raised.value))
+    assert pools == 2 * _pools_for(opts.restarts)
+    assert multiprocessing.active_children() == []
+    (serial, serial_err), (fanned, fanned_err) = outcomes
+    broken = [rec for rec in fanned.attempt_log if rec.init == "gaussian"]
+    assert len(broken) == 4  # attempts 3, 6, 9 and 12
+    assert all((rec.stop, rec.resid_rel, rec.level_iters, rec.half_steps)
+               == ("breakdown", None, [1], 1) for rec in broken)
+    assert fanned.attempt_log == serial.attempt_log
+    assert fanned.u_hat.tobytes() == serial.u_hat.tobytes()
+    assert fanned.v_hat.tobytes() == serial.v_hat.tobytes()
+    # every attempt broke down: the last one's error is re-raised
+    assert str(fanned_err) == str(serial_err) == "uniform pair collapsed"
+    assert fanned_err.iterate.u.tobytes() == serial_err.iterate.u.tobytes()
+    assert fanned_err.iterate.v.tobytes() == serial_err.iterate.v.tobytes()
+
+
+def test_an_error_in_a_fanned_out_attempt_is_raised_after_the_pool_is_joined(monkeypatch):
+    ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
+    real = solver._run_attempt
+
+    def restarts_fail(op, b, opts, init, levels, rec):
+        if rec.init == "screened":
+            return real(op, b, opts, init, levels, rec)
+        raise FloatingPointError(f"{rec.init} restart failed")
+
+    pools = _fan_out(monkeypatch)
+    monkeypatch.setattr(solver, "_run_attempt", restarts_fail)
+    with pytest.raises(FloatingPointError, match="weighted restart failed"):
+        recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
+    assert pools == _pools_for(14)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_solve_inside_a_pool_worker_keeps_its_restarts_in_process(monkeypatch):
+    # as in a sweep run with two or more workers: pools never nest
+    ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
+    opts = SolveOptions(s1=3, s2=3, seed=119)
+    _fan_out(monkeypatch)
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", _no_pool)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        in_worker = pool.submit(recover, ens, b, opts).result(timeout=120)
+    monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
+    serial = recover(ens, b, opts)
+    assert in_worker.attempts == 15
+    assert in_worker.attempt_log == serial.attempt_log
+    assert in_worker.u_hat.tobytes() == serial.u_hat.tobytes()
+
+
+def test_a_small_solve_keeps_its_restarts_in_process(monkeypatch):
+    # 14 restarts at n = 16 take a few ms, far below the pool's cost
+    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", _no_pool)
+    ens, _, b, _ = plant_instance(16, 4, 1, 1, seed=4)
+    assert recover(ens, b, SolveOptions(s1=1, s2=1, seed=4)).attempts == 15
+
+
+def test_pool_workers_follow_the_fan_out_rule(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
+    workers = solver._pool_workers
+    assert workers(14, 1.0) == 4
+    assert workers(3, 1.0) == 3
+    assert workers(1, 1.0) == 0  # a pool of one runs nothing in parallel
+    assert workers(14, 0.0) == 0  # restarts too short to pay for a pool
+    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 2)
+    assert workers(14, 1.0) == 2  # one worker per CPU its BLAS threads leave
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert workers(14, 1.0) == 0
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 8),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "4,2"}, 8),  # a list: no single count
+])
+def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert solver._blas_threads(8) == threads
+
+
+def test_solver_breakdown_error_survives_pickling():
+    # a fanned-out attempt's breakdown crosses from the worker to recover
+    p = LiftedPoint(complex_gaussian(rng_for(4, "pickle"), 5), np.arange(5) + 0j)
+    err = pickle.loads(pickle.dumps(SolverBreakdownError("left factor collapsed", p)))
+    assert type(err) is SolverBreakdownError and str(err) == "left factor collapsed"
+    assert err.iterate.u.tobytes() == p.u.tobytes()
+    assert err.iterate.v.tobytes() == p.v.tobytes()
 
 
 # -- scoring -------------------------------------------------------------------
