@@ -2,8 +2,9 @@
 
 The measurement model convolves two dictionary-sparse signals,
 subsamples the result at random time points, and rescales. This
-package provides the forward and adjoint operators in dense and
-implicit form, restricted signal models with spectral-flatness
+package provides the measurement operator in factored form
+(FactoredOperator), with the FFT forward that plants and scores solver
+instances, restricted signal models with spectral-flatness
 projections, Monte Carlo estimators of restricted isometry, angle, and
 orthogonality constants, closed-form entropy and sample-complexity
 calculators, and an alternating least-squares recovery solver with a
@@ -34,7 +35,6 @@ from .concentration import (
     estimate_rop,
     exact_rip_small,
     isotropy_check,
-    polarization_check,
     rop_form_samples,
 )
 from .fourier import dft_matrix, fftu, ifftu
@@ -44,14 +44,10 @@ from .measurement import (
     LiftedPoint,
     adjoint_apply,
     forward,
-    forward_dense,
     lifted_dist,
     lifted_inner,
-    measurement_matrix,
     partial_forward,
-    r_matrix,
     sample_omega,
-    xi_vector,
 )
 from .models import (
     FlatProjectionError,

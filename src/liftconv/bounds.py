@@ -46,8 +46,10 @@ class BoundQuery:
     def __post_init__(self):
         if min(self.n, self.m, self.s1, self.s2) < 1:
             raise ValueError("dimensions must be positive")
-        if self.mu1 < 1 or self.mu2 < 1:
-            raise ValueError("flatness caps must be at least 1")
+        if max(self.m, self.s1, self.s2) > self.n:
+            raise ValueError("need m, s1 and s2 <= n")
+        if not (1 <= self.mu1 <= self.n and 1 <= self.mu2 <= self.n):
+            raise ValueError("flatness caps must lie in [1, n]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.big_c <= 0:

@@ -36,9 +36,7 @@ sweep
     fails numerically is logged and counts as a miss.
 bounds
     Closed-form sample-complexity and entropy quantities for one
-    parameter point.
-selftest
-    Fast exact identity checks of the operator plumbing.
+    parameter point; exits 2 when m, s1, s2 or a cap exceeds n.
 
 Exit codes: 0 success, 2 bad arguments or config, 3 numeric failure
 (including a zero vector met partway through a draw or a solve).
@@ -78,20 +76,12 @@ from .concentration import (
     estimate_rip,
     estimate_rop,
     isotropy_check,
-    polarization_check,
 )
 from .measurement import (
     DICTIONARY_KINDS,
     OMEGA_MODES,
     Ensemble,
-    FactoredOperator,
     LiftedPoint,
-    adjoint_apply,
-    forward,
-    forward_dense,
-    measurement_matrix,
-    r_matrix,
-    xi_vector,
 )
 from .models import (
     FlatProjectionError,
@@ -107,7 +97,7 @@ from .solver import (
     recover,
     success_metric,
 )
-from .util import ZeroVectorError, complex_gaussian, derive_seed, fmt_float, rng_for
+from .util import ZeroVectorError, derive_seed, fmt_float, rng_for
 
 log = logging.getLogger("liftconv")
 
@@ -562,50 +552,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _selftest_checks(seed: int):
-    """Exact identities on small instances; (name, residual) pairs."""
-    out = []
-    rng = rng_for(seed, "selftest")
-
-    ens = Ensemble.generate(12, 5, seed=derive_seed(seed, "st-ens"))
-    X = complex_gaussian(rng, (12, 12))
-    b = complex_gaussian(rng, 5)
-    lhs = np.vdot(b, forward_dense(ens, X))
-    rhs = np.vdot(adjoint_apply(ens, b), X)
-    out.append(("adjoint-balance", abs(lhs - rhs)))
-
-    ens8 = Ensemble.generate(8, 4, seed=derive_seed(seed, "st-ens8"))
-    u = complex_gaussian(rng, 8)
-    v = complex_gaussian(rng, 8)
-    p = LiftedPoint(u, v)
-    fwd = forward(ens8, p)
-    per_entry = np.array([np.vdot(measurement_matrix(ens8, ell), p.dense())
-                          for ell in range(4)])
-    out.append(("entrywise-forward", float(np.max(np.abs(fwd - per_entry)))))
-
-    out.append(("factorized-forward",
-                float(np.max(np.abs(r_matrix(ens8, p) @ xi_vector(ens8) - fwd)))))
-
-    op = FactoredOperator.of(ens8)
-    c = complex_gaussian(rng, 4)
-    gaps = (op.forward(u, v) - fwd, op.adjoint_image(c) - adjoint_apply(ens8, c))
-    out.append(("operator", max(float(np.max(np.abs(g))) for g in gaps)))
-
-    m1 = complex_gaussian(rng, (6, 6))
-    m2 = complex_gaussian(rng, (6, 6))
-    out.append(("polarization", polarization_check(m1, m2, complex_gaussian(rng, 6))))
-    return out
-
-
-def _cmd_selftest(args) -> int:
-    failures = 0
-    for name, residual in _selftest_checks(args.seed):
-        ok = residual < 1e-10
-        print(f"selftest {name} {'ok' if ok else 'FAIL'} residual={residual:.3e}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 3
-
-
 # -- argument parsing ---------------------------------------------------------
 
 
@@ -670,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--big-c", type=float, default=1.0)
     sp.set_defaults(func=_cmd_bounds)
-
-    sp = sub.add_parser("selftest", help="fast exact identity checks")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_selftest)
     return parser
 
 

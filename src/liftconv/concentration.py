@@ -46,7 +46,6 @@ __all__ = [
     "estimate_rop",
     "estimate_rip_matrix",
     "isotropy_check",
-    "polarization_check",
     "exact_rip_small",
     "rop_form_samples",
 ]
@@ -337,30 +336,6 @@ def isotropy_check(
         acc += op_k.adjoint_image(op_k.forward(x.u, x.v))
     mean = acc / draws
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))
-
-
-def polarization_check(m_prime: np.ndarray, m_mat: np.ndarray, xi: np.ndarray) -> float:
-    """Residual of the complex polarization identity on one vector.
-
-    With <a, b> conjugate linear in a,
-
-        <M' xi, M xi> = (1/4) sum_{alpha in {1,-1,i,-i}} alpha
-                         * ||(M + alpha M') xi||^2.
-
-    The weight alpha multiplies M' inside the norm unchanged;
-    conjugating it there instead recovers <M xi, M' xi>. Returns the
-    absolute residual, zero to rounding for any inputs.
-    """
-    m_prime = np.asarray(m_prime, dtype=complex)
-    m_mat = np.asarray(m_mat, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
-    a = m_prime @ xi
-    b = m_mat @ xi
-    lhs = np.vdot(a, b)
-    rhs = 0.25 * sum(
-        alpha * np.linalg.norm(b + alpha * a) ** 2 for alpha in (1, -1, 1j, -1j)
-    )
-    return float(abs(lhs - rhs))
 
 
 def rop_form_samples(

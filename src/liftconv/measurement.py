@@ -13,9 +13,9 @@ omega is a list of m sample positions. Ensemble holds both dictionaries
 as matrices, the identity included. Inner products are conjugate
 linear in the first argument throughout (numpy.vdot convention).
 
-The solver, the estimators and the isotropy check measure with
-FactoredOperator; the FFT paths (forward, partial_forward) and the dense
-constructions (guarded to small n) are the references it is checked against.
+FactoredOperator is the library's operator: the solver, the estimators
+and the isotropy check measure with it, and the FFT forward plants and
+scores solver instances.
 """
 
 from __future__ import annotations
@@ -29,25 +29,19 @@ from .util import ZeroVectorError, complex_gaussian, rng_for, vnorm
 
 __all__ = [
     "DENSE_GUARD",
-    "R_MATRIX_GUARD",
     "LiftedPoint",
     "Ensemble",
     "sample_omega",
     "forward",
-    "forward_dense",
-    "measurement_matrix",
     "adjoint_apply",
     "FactoredOperator",
     "PartialMap",
     "partial_forward",
-    "r_matrix",
-    "xi_vector",
     "lifted_inner",
     "lifted_dist",
 ]
 
 DENSE_GUARD = 256
-R_MATRIX_GUARD = 64
 
 DICTIONARY_KINDS = ("gaussian", "identity")
 OMEGA_MODES = ("without_replacement", "iid_uniform")
@@ -201,42 +195,9 @@ def forward(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
     return np.sqrt(ens.n / ens.m) * conv[ens.omega]
 
 
-def forward_dense(ens: Ensemble, X: np.ndarray) -> np.ndarray:
-    """Measure an arbitrary matrix: A(X)[l] = <M_l, X>.
-
-    Uses A(X) = (n/sqrt(m)) S_omega F^* diag(F (Phi X Psi^T) F); costs
-    two dense products plus FFTs. Guarded to n <= DENSE_GUARD; for
-    rank-one points use forward.
-    """
-    n, m = ens.n, ens.m
-    if n > DENSE_GUARD:
-        raise ValueError(
-            f"dense evaluation is limited to n <= {DENSE_GUARD}; use forward"
-        )
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (n, n):
-        raise ValueError("X must be n x n")
-    Z = ens.phi @ X @ ens.psi.T
-    d = np.diagonal(np.fft.fft(np.fft.fft(Z, axis=0), axis=1) / n).copy()
-    return (n**1.5 / np.sqrt(m)) * np.fft.ifft(d)[ens.omega]
-
-
-def measurement_matrix(ens: Ensemble, ell: int) -> np.ndarray:
-    """Dense measurement matrix M_l for one sample position (0-based l).
-
-    Guarded to n <= DENSE_GUARD.
-    """
-    n, m = ens.n, ens.m
-    if n > DENSE_GUARD:
-        raise ValueError(f"measurement matrices are materialized only for n <= {DENSE_GUARD}")
-    if not 0 <= ell < m:
-        raise ValueError("ell out of range")
-    F = dft_matrix(n)
-    fcol = F[:, ens.omega[ell]]
-    core = (F.conj().T * fcol[None, :]) @ F.conj()
-    return (n / np.sqrt(m)) * (ens.phi.conj().T @ core @ ens.psi.conj())
-
-
+# adjoint_apply, PartialMap and partial_forward stay in src only because
+# perfbench/tracer.py TARGETS names them; no library code calls them, and
+# the tests check FactoredOperator against them.
 def _scatter(ens: Ensemble, b: np.ndarray) -> np.ndarray:
     acc = np.zeros(ens.n, dtype=complex)
     np.add.at(acc, ens.omega, b)
@@ -346,30 +307,3 @@ class FactoredOperator:
         G_fixed, G = (self.G_psi, self.G_phi) if side == "left" else (self.G_phi, self.G_psi)
         S = fixed.nonzero()[0]
         return self.W * (G_fixed[:, S] @ fixed[S]), G
-
-
-# -- flattened operator pieces ----------------------------------------------
-
-
-def r_matrix(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
-    """m x n^2 matrix u^T kron (sqrt(n/m) S_omega F^* diag(F Psi v)).
-
-    Applied to xi_vector(ens) it reproduces forward(ens, p). Guarded to
-    n <= R_MATRIX_GUARD.
-    """
-    n, m = ens.n, ens.m
-    if n > R_MATRIX_GUARD:
-        raise ValueError(f"r_matrix is materialized only for n <= {R_MATRIX_GUARD}")
-    F = dft_matrix(n)
-    d = F @ (ens.psi @ np.asarray(p.v, dtype=complex))
-    B = np.sqrt(n / m) * ((F.conj().T)[ens.omega, :] * d[None, :])
-    return np.kron(np.asarray(p.u, dtype=complex).reshape(1, n), B)
-
-
-def xi_vector(ens: Ensemble) -> np.ndarray:
-    """Column-stacked sqrt(n) * vec(F Phi), the flattened dictionary."""
-    n = ens.n
-    if n > R_MATRIX_GUARD:
-        raise ValueError(f"xi_vector is materialized only for n <= {R_MATRIX_GUARD}")
-    F = dft_matrix(n)
-    return np.sqrt(n) * (F @ ens.phi).flatten(order="F")

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import unit_vec
+from helpers import forward_dense, measurement_matrix, polarization_check, r_matrix, unit_vec
 from liftconv.bounds import (
     angle_preservation_bound,
     dyadic_chain_check,
@@ -28,7 +28,6 @@ from liftconv.concentration import (
     estimate_rop,
     exact_rip_small,
     isotropy_check,
-    polarization_check,
 )
 from liftconv.fourier import dft_matrix
 from liftconv.measurement import (
@@ -36,9 +35,6 @@ from liftconv.measurement import (
     LiftedPoint,
     adjoint_apply,
     forward,
-    forward_dense,
-    measurement_matrix,
-    r_matrix,
 )
 from liftconv.models import ModelSpec, spectral_flatness
 from liftconv.solver import SolveOptions, plant_instance, recover, success_metric

@@ -187,6 +187,10 @@ def test_bound_query_validation():
         BoundQuery(n=4, m=1, s1=1, s2=1, delta=1.0)
     with pytest.raises(ValueError):
         BoundQuery(n=4, m=1, s1=1, s2=1, big_c=0.0)
+    # no model or ensemble admits these: s1, s2, m and the caps are at most n
+    for bad in (dict(s1=200), dict(s2=200), dict(m=200), dict(mu1=500.0), dict(mu2=500.0)):
+        with pytest.raises(ValueError):
+            BoundQuery(**{**dict(n=128, m=64, s1=2, s2=2), **bad})
 
 
 # -- angle distortion --------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from liftconv.models import ModelSpec
 import liftconv.solver as solver
 from liftconv.solver import SolveOptions, SolverBreakdownError
 from liftconv.util import ZeroVectorError, derive_seed, fmt_float
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 RIP_CONFIG = """
 # two-cell isometry sweep
@@ -466,11 +469,6 @@ def test_cli_bounds_table(capsys):
     assert "a_star=" in out and "m_required_orthogonal=" in out
 
 
-def test_cli_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
-
-
 def test_cli_sweep_with_overrides(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(RIP_CONFIG)
@@ -491,6 +489,9 @@ def test_cli_exit_codes():
                  "--s2", "1", "--diagonal"]) == 2           # option removed
     assert main(["recover", "--n", "8", "--m", "4", "--s1", "1",
                  "--s2", "1", "--outer-tol", "1e-3"]) == 2  # a solver constant
+    assert main(["selftest"]) == 2                          # subcommand removed
+    # s1 > n: a point no sparse model admits
+    assert main(["bounds", "--n", "128", "--m", "64", "--s1", "200", "--s2", "2"]) == 2
     # orthogonal partners cannot exist in a one-dimensional model: bad input
     assert main(["rop-estimate", "--n", "1", "--m", "1", "--s1", "1",
                  "--s2", "1", "--trials", "1"]) == 2
@@ -686,3 +687,14 @@ def test_cli_single_run_logs_nothing_and_rejects_a_grid(caplog, capsys):
     # a flag takes one value; a grid is a sweep
     assert main(["rip-estimate", "--n", "8", "--m", "4,6", "--s1", "1",
                  "--s2", "1", "--trials", "2"]) == 2
+
+
+def test_readme_and_docstring_name_exactly_the_subcommands():
+    registered = set(next(a for a in build_parser()._actions if a.dest == "command").choices)
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert {line.split()[1] for line in block.splitlines()
+            if line.startswith("liftconv ")} == registered
+    body = cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\nExit codes", 1)[0]
+    assert {name for line in body.splitlines() if line and not line[0].isspace()
+            for name in line.split(" / ")} == registered

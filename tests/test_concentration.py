@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import polarization_check
 from liftconv.concentration import (
     EstimateReport,
     estimate_rap,
@@ -13,7 +14,6 @@ from liftconv.concentration import (
     estimate_rop,
     exact_rip_small,
     isotropy_check,
-    polarization_check,
     rop_form_samples,
 )
 from liftconv.fourier import dft_matrix

@@ -6,25 +6,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import naive_forward_matrix, naive_forward_pair, unit_vec
+from helpers import (
+    R_MATRIX_GUARD,
+    forward_dense,
+    measurement_matrix,
+    naive_forward_matrix,
+    naive_forward_pair,
+    r_matrix,
+    unit_vec,
+    xi_vector,
+)
 from liftconv.concentration import estimate_rop, isotropy_check
 from liftconv.fourier import dft_matrix
 from liftconv.measurement import (
     DENSE_GUARD,
-    R_MATRIX_GUARD,
     Ensemble,
     FactoredOperator,
     LiftedPoint,
     adjoint_apply,
     forward,
-    forward_dense,
     lifted_dist,
     lifted_inner,
-    measurement_matrix,
     partial_forward,
-    r_matrix,
     sample_omega,
-    xi_vector,
 )
 from liftconv.models import ModelSpec
 from liftconv.solver import SolveOptions, plant_instance, recover

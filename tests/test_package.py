@@ -19,12 +19,11 @@ PUBLIC_NAMES = {
     "gamma2_bound", "greedy_cover", "maurey_f", "maurey_h",
     "sample_complexity", "solve_a",
     "EstimateReport", "estimate_rap", "estimate_rip", "estimate_rip_matrix",
-    "estimate_rop", "exact_rip_small", "isotropy_check", "polarization_check",
+    "estimate_rop", "exact_rip_small", "isotropy_check",
     "rop_form_samples",
     "dft_matrix", "fftu", "ifftu",
     "Ensemble", "FactoredOperator", "LiftedPoint", "adjoint_apply", "forward",
-    "forward_dense", "lifted_dist", "lifted_inner", "measurement_matrix",
-    "partial_forward", "r_matrix", "sample_omega", "xi_vector",
+    "lifted_dist", "lifted_inner", "partial_forward", "sample_omega",
     "FlatProjectionError", "InfeasibleModelError", "ModelSpec",
     "OrthogonalizationError", "hard_threshold", "in_gamma", "in_tilde_gamma",
     "orthogonalize_pair", "project_flat", "sample_model", "spectral_flatness",
@@ -36,7 +35,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 54
     assert len(liftconv.__all__) == len(set(liftconv.__all__))
     assert set(liftconv.__all__) == PUBLIC_NAMES
 
