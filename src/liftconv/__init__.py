@@ -50,7 +50,6 @@ from .measurement import (
     sample_omega,
 )
 from .models import (
-    FlatProjectionError,
     InfeasibleModelError,
     ModelSpec,
     OrthogonalizationError,

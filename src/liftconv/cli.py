@@ -17,8 +17,8 @@ recover
     the result as key=value lines, with the attempts and the half-steps
     they took after the CSV fields; --csv writes a one-row CSV without
     those two. The planted --mu1/--mu2 caps bound the coefficient
-    vectors' flatness; the solver projects and rethresholds a factor
-    whose cap binds, once, which need not land it in the model.
+    vectors' flatness; the solver moves a factor whose cap binds inside
+    the cap on its support, once.
 sweep
     Grid of estimation or recovery cells from a key=value config file.
     The output CSV is a pure function of the resolved config: cell
@@ -84,7 +84,6 @@ from .measurement import (
     LiftedPoint,
 )
 from .models import (
-    FlatProjectionError,
     InfeasibleModelError,
     ModelSpec,
     OrthogonalizationError,
@@ -120,7 +119,6 @@ class CellFailureError(RuntimeError):
 
 _NUMERIC_ERRORS = (
     CellFailureError,
-    FlatProjectionError,
     InfeasibleModelError,
     OrthogonalizationError,
     SolverBreakdownError,
@@ -192,13 +190,10 @@ class SweepConfig:
         return [dict(zip(_GRID_KEYS, point)) for point in itertools.product(*axes)]
 
     def cell_seed(self, cell: dict) -> int:
-        return derive_seed(
-            self.seed, self.kind,
-            "n", cell["n"], "m", cell["m"],
-            "s1", cell["s1"], "s2", cell["s2"],
-            "mu1", cell["mu1"], "mu2", cell["mu2"],
-            "noise", cell["noise"], "trials", self.trials,
-        )
+        """Seed derived from the kind, each grid key and its value in
+        _GRID_KEYS order, and the trial count."""
+        keyed = itertools.chain.from_iterable((key, cell[key]) for key in _GRID_KEYS)
+        return derive_seed(self.seed, self.kind, *keyed, "trials", self.trials)
 
     def resolved(self) -> dict:
         """Canonical text of the keys that apply to this kind, for the .meta sidecar."""
@@ -344,8 +339,8 @@ def _run_estimate(cfg: SweepConfig, cell: dict, seed: int):
 def _run_recover(cfg: SweepConfig, cell: dict, seed: int):
     """Plant, solve and score one instance at a cell: (result, relative
     error, noise ratio). The cell's caps bound the flatness of the planted
-    coefficient vectors and reach the solver, which projects and
-    rethresholds its estimate once on each side whose cap binds (mu < s)."""
+    coefficient vectors and reach the solver, which moves its estimate
+    inside the cap on each side whose cap binds (mu < s)."""
     solve_opts = SolveOptions(s1=cell["s1"], s2=cell["s2"],
                               max_outer_iters=cfg.max_outer_iters,
                               restarts=cfg.restarts, seed=seed,

@@ -224,7 +224,7 @@ def estimate_rop(
                     u_hat = u_hat0
                     v_hat = orthogonalize_pair(v, v_hat0, spec_v)
                 break
-            except (OrthogonalizationError, InfeasibleModelError):
+            except OrthogonalizationError:
                 resamples += 1
         else:
             raise InfeasibleModelError(
@@ -345,12 +345,12 @@ def rop_form_samples(
     draws: int,
     seed: int = 0,
     decoupled: bool = False,
-    omega_mode: str = "without_replacement",
 ) -> np.ndarray:
     """Sample the orthogonal-pair cross form over fresh ensembles.
 
     For a fixed 4-tuple (u, v, u_hat, v_hat), draws the value
-    <A(u_hat v_hat^T), A(u v^T)> over independent ensembles, either
+    <A(u_hat v_hat^T), A(u v^T)> over independent ensembles (sample
+    positions without replacement, Gaussian dictionaries), either
     coupled (shared dictionaries) or decoupled (independent copies on
     the hatted side). Under factor-wise orthogonality the two value
     distributions match; tests compare them with a two-sample location
@@ -361,7 +361,7 @@ def rop_form_samples(
     vals = np.empty(draws, dtype=complex)
     for k in range(draws):
         rng = rng_for(seed, "ens", k)
-        omega = sample_omega(n, m, omega_mode, rng)
+        omega = sample_omega(n, m, "without_replacement", rng)
         phi = _gaussian_dictionary(n, rng)
         psi = _gaussian_dictionary(n, rng)
         base = Ensemble(n=n, m=m, omega=omega, phi=phi, psi=psi)

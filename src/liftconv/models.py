@@ -15,36 +15,33 @@ that builds model-feasible orthogonal partners.
 The flatness cap constrains an s-sparse vector only when mu < s: every
 DFT bin obeys |(Fx)_k| <= ||x||_1 <= sqrt(s) ||x||_2, so a vector with at
 most s nonzeros has flatness at most s. The sampler and the partner
-routine build their candidates with at most s nonzeros, so they do
-flatness work (tests, projections) only when ModelSpec.cap_binds.
-ModelSpec.admits still tests flatness whenever a cap is set, since it
-takes arbitrary inputs.
+routine build their candidates with at most s nonzeros, and the flat
+projection (a descent on the vector's own support) keeps them so; they
+do flatness work only when ModelSpec.cap_binds. ModelSpec.admits tests
+flatness whenever a cap is set, since it takes arbitrary inputs.
 
 sample_model and orthogonalize_pair run several times per Monte Carlo
 trial on short vectors, where NumPy's Python-level wrappers cost more
 than the arithmetic. So they, hard_threshold and as_signal take norms
-with util.vnorm, call the array methods (argsort, nonzero, all) in place
-of the np.* wrappers and np.zeros in place of np.zeros_like, and
-normalize by the norm they already took for their zero test. Each
-evaluates the same kernels in the same order, so every draw is
-bit-identical to the wrapper form.
+with util.vnorm and call the array methods (argsort, nonzero, all) in
+place of the np.* wrappers, evaluating the same kernels in the same
+order, so every draw is bit-identical to the wrapper form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fftu, ifftu
-from .util import ZeroVectorError, complex_gaussian, unit, vnorm
+from .util import ZeroVectorError, complex_gaussian, vnorm
 
 __all__ = [
     "ZERO_TOL",
     "FLATNESS_SLACK",
     "ModelSpec",
     "InfeasibleModelError",
-    "FlatProjectionError",
     "OrthogonalizationError",
     "as_signal",
     "spectral_flatness",
@@ -63,27 +60,22 @@ ZERO_TOL = 1e-12
 # Numerical headroom on spectral-flatness membership tests.
 FLATNESS_SLACK = 1e-9
 
-# Budgets of the flat-model alternation: rounds per support, supports per
-# draw. orthogonalize_pair uses the same round budget and accepts a
-# partner whose overlap with u is at most _ORTH_TOL * ||u||.
-_MAX_ROUNDS = 50
-_MAX_RESTARTS = 20
+# orthogonalize_pair accepts a partner whose overlap with u is at most
+# _ORTH_TOL * ||u||.
 _ORTH_TOL = 1e-10
+
+# The flat descent (_flat_descent): the power q of its objective
+# sum |Fx|^(2q), its margin below the cap, its trials and its fallback's
+# bisection steps (one FFT each).
+_FLAT_POWER = 8
+_FLAT_MARGIN = 1e-6
+_DESCENT_TRIALS = 400
+_FALLBACK_STEPS = 30
 
 
 class InfeasibleModelError(RuntimeError):
-    """The sampler exhausted its restart budget for the requested model."""
-
-
-class FlatProjectionError(RuntimeError):
-    """Flat projection failed to meet its contract; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: np.ndarray):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-    def __reduce__(self):
-        return type(self), (*self.args, self.last_iterate)
+    """No model-feasible draw was formed: concentration.estimate_rop
+    raises it when a trial spends its orthogonalization resamples."""
 
 
 class OrthogonalizationError(RuntimeError):
@@ -239,129 +231,140 @@ def hard_threshold(x, s: int) -> np.ndarray:
     return out
 
 
+def _flat_state(y: np.ndarray):
+    """(Fy unnormalized, bin powers over their peak p, h = their sum of
+    q-th powers, p, log h + q log(flatness), flatness as spectral_flatness)."""
+    Y = np.fft.fft(y)
+    P = np.abs(Y) ** 2
+    peak = P.max()
+    flat = float(y.size * peak / P.sum())
+    R = P / peak
+    h = (R**_FLAT_POWER).sum()
+    return Y, R, h, peak, math.log(h) + _FLAT_POWER * math.log(flat), flat
+
+
 def project_flat(x, mu: float) -> np.ndarray:
-    """Return the nearest-in-spirit vector with spectral flatness <= mu.
+    """x moved inside the flatness cap mu on its own support, norm kept.
 
-    Works on DFT magnitudes, preserving phases and the l2 norm: bins
-    above the admissible ceiling sqrt(mu/n)*||x||_2 are clipped to it,
-    and the removed energy is restored by raising the low bins to the
-    exact water-filling floor (the one-shot limit of repeated
-    clip-and-renormalize, which stalls when low bins are exactly zero).
-    The floor comes from the sorted clipped magnitudes in closed form,
-    O(n log n).
+    Backtracking descent of L(y) = log sum_k |(Fy)_k|^(2q) - q log ||y||^2
+    (q = _FLAT_POWER = 8) over y with the norm of x, zero off its support
+    S, stopped at flatness mu (1 - 1e-6) or less, strictly inside the
+    cap: tone reservation (Krongold and Jones, IEEE TSP 2004) on the
+    sparse-and-flat model. The gradient of L in conj(y) on S is q g, g =
+    n F^-1(|Fy|^(2q-2) Fy) / sum_k |(Fy)_k|^(2q) - y / ||y||^2, and a step
+    rescales y - t g to the norm of x. As L is about q log(flatness) and
+    falls at rate 2 q ||g||^2, each gradient's first trial step t =
+    log(flatness / goal) / (2 ||g||^2) just reaches the goal, so x near
+    the cap moves little; a trial that neither reaches the goal nor
+    lowers L by 1e-4 t ||g||^2 halves t. A descent that stops above the
+    goal, at g = 0 (a spectrum on bins 0 and n/2 only keeps that form)
+    or after _DESCENT_TRIALS trials (near flatness 1, where L tells the
+    peak bin little from the rest), falls back: it keeps the largest
+    entry of its iterate, scales the others by the largest factor in
+    [0, 1] that _FALLBACK_STEPS bisection steps find within the goal (0
+    leaves flatness 1), and rescales. A goal below 1 keeps the largest
+    entry of x alone. So the result always lies inside the cap; x
+    itself (a copy) when it already does.
 
-    Returns x unchanged (a copy) when it already satisfies the cap.
-
-    Raises
-    ------
-    ValueError
-        If mu is outside [1, n]; ZeroVectorError if x is zero.
-    FlatProjectionError
-        If the result misses the cap by more than FLATNESS_SLACK;
-        carries the last iterate in ``last_iterate``.
+    Raises ValueError if mu is outside [1, n] and ZeroVectorError if x
+    is zero.
     """
-    x = as_signal(x)
+    return _flat_descent(as_signal(x), mu)
+
+
+def _flat_descent(x: np.ndarray, mu: float, off: np.ndarray | None = None):
+    """project_flat of a complex array x. A unit vector off, zero outside
+    the support of x, is projected out of every gradient and the fallback
+    keeps an entry where off vanishes, so an x orthogonal to off stays
+    so; None when the fallback finds no such entry."""
     n = x.size
     if not 1.0 <= mu <= n:
         raise ValueError("need 1 <= mu <= n")
-    nrm = np.linalg.norm(x)
+    nrm = vnorm(x)
     if nrm == 0:
         raise ZeroVectorError("cannot flatten the zero vector")
-    if spectral_flatness(x) <= mu:
+    Y, R, h, peak, L, flat = _flat_state(x)
+    if flat <= mu:
         return x.copy()
-
-    spec = fftu(x)
-    mags = np.abs(spec)
-    cap = np.sqrt(mu / n) * nrm
-    target = nrm * nrm
-
-    # With c the clipped magnitudes in ascending order, raising every bin
-    # below f to f gives energy P(f) = sum max(c_i, f)^2, non-decreasing in
-    # f. With tail[k] = sum_{i >= k} c_i^2, P(c_k) = k c_k^2 + tail[k]; the
-    # first k where that reaches the target brackets the floor in
-    # (c_{k-1}, c_k], where P(f) = k f^2 + tail[k] (k = n: f = cap up to
-    # rounding). k = 0 only when clipping removed no energy (flatness
-    # within rounding of mu): then no bin is raised.
-    c = np.sort(np.minimum(mags, cap))
-    tail = np.append(np.cumsum((c * c)[::-1])[::-1], 0.0)
-    k = int(np.searchsorted(np.arange(n) * c * c + tail[:n], target))
-    floor = np.sqrt((target - tail[k]) / k) if k else 0.0
-
-    shaped = np.clip(mags, floor, cap)
-    phases = np.exp(1j * np.angle(spec))
-    new_spec = shaped * phases
-    new_spec *= nrm / np.linalg.norm(new_spec)
-    out = ifftu(new_spec)
-
-    if spectral_flatness(out) > mu + FLATNESS_SLACK:
-        raise FlatProjectionError("flat projection missed its target", out)
+    goal = mu * (1.0 - _FLAT_MARGIN)
+    y, g, support = x, None, x.nonzero()[0]
+    for _ in range(_DESCENT_TRIALS if goal >= 1.0 else 0):
+        if g is None:
+            grad = (n / h * np.fft.ifft(R ** (_FLAT_POWER - 1) * Y) - flat * y) / peak
+            g = np.zeros(n, dtype=complex)
+            g[support] = grad[support]
+            if off is not None:
+                g -= np.vdot(off, g) * off
+            gg = np.vdot(g, g).real
+            if not gg > 0:
+                break
+            t = math.log(flat / goal) / (2.0 * gg)
+        z = y - t * g
+        z *= nrm / vnorm(z)
+        state = _flat_state(z)
+        if state[-1] <= goal or state[-2] <= L - 1e-4 * t * gg:
+            y, (Y, R, h, peak, L, flat) = z, state
+            if flat <= goal:
+                return y
+            g = None
+        else:
+            t *= 0.5
+    mags = np.abs(y)
+    if off is not None:
+        mags[off.nonzero()[0]] = 0.0
+    k = mags.argmax()
+    if mags[k] == 0:
+        return None
+    out = np.zeros(n, dtype=complex)
+    out[k] = y[k] * (nrm / mags[k])
+    lo, hi = 0.0, 1.0
+    for _ in range(_FALLBACK_STEPS if goal >= 1.0 else 0):
+        lam = 0.5 * (lo + hi)
+        z = lam * y
+        z[k] = y[k]
+        z *= nrm / vnorm(z)
+        if _flat_state(z)[-1] <= goal:
+            out, lo = z, lam
+        else:
+            hi = lam
     return out
 
 
 def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw a unit-norm vector from the model described by spec.
 
-    Construction: a uniformly random support of size spec.s is filled
-    with i.i.d. complex Gaussian entries, and the draw is normalized.
-    An s-sparse vector always has flatness at most s, so when the cap
-    does not bind (no cap, or mu >= s) that draw is the answer. Only a
-    cap mu < s runs the alternation: flat projection and re-thresholding
-    until both predicates pass, with the support resampled after a
-    budget of rounds.
-
-    Raises
-    ------
-    InfeasibleModelError
-        When every support in the restart budget fails to produce a
-        member (mu < s only).
+    A uniformly random support of size spec.s is filled with i.i.d.
+    complex Gaussian entries, and the draw is normalized. Without a
+    binding cap (mu < s) that draw is the answer; under one it goes
+    through project_flat, which returns it as drawn when it meets the
+    cap and otherwise moves it inside the cap on its support. So every
+    draw, of either flavor, has at most s nonzeros.
     """
     n, s = spec.n, spec.s
-    for _ in range(_MAX_RESTARTS):
-        support = rng.choice(n, size=s, replace=False)
-        x = np.zeros(n, dtype=complex)
-        x[support] = complex_gaussian(rng, s)
-        nrm = vnorm(x)
-        if nrm == 0:
-            continue
-        if not spec.cap_binds:
-            return x / nrm
-        for _ in range(_MAX_ROUNDS):
-            if spec.admits(x):
-                return unit(x)
-            x = project_flat(x, spec.mu)
-            if spec.admits(x):
-                return unit(x)
-            x = hard_threshold(x, s)
-            if vnorm(x) == 0:
-                break
-    raise InfeasibleModelError(
-        f"no admissible draw for {spec} after {_MAX_RESTARTS} restarts"
-    )
+    support = rng.choice(n, size=s, replace=False)
+    x = np.zeros(n, dtype=complex)
+    x[support] = complex_gaussian(rng, s)
+    x /= vnorm(x)
+    if not spec.cap_binds:
+        return x
+    return project_flat(x, spec.mu)
 
 
 def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
     """Turn u_hat into a unit-norm model member exactly orthogonal to u.
 
-    Gram-Schmidt removes the u-component, the candidate is re-projected
-    into the model set, and a final Gram-Schmidt step restricted to the
-    candidate's support restores exact orthogonality without breaking
-    sparsity. When u vanishes on that support the candidate is already
-    orthogonal and the final step is skipped.
-
-    The candidate keeps at most s nonzeros throughout: it is hard
-    thresholded, and the restricted Gram-Schmidt step and the
-    normalization stay on its support. So when the cap does not bind
-    (spec.cap_binds is False) it is a model member by construction, and
-    the round runs no flatness test, no projection and no membership
-    test; only the overlap with u is checked.
-
-    Raises
-    ------
-    ZeroVectorError
-        If u is zero (a ValueError).
-    OrthogonalizationError
-        If u_hat is parallel to u, or no feasible vector emerges within
-        the round budget.
+    Gram-Schmidt removes the u-component, the candidate is hard
+    thresholded to s entries, and a Gram-Schmidt step restricted to its
+    support (skipped where u vanishes) restores exact orthogonality. The
+    candidate then has at most s nonzeros, so without a binding cap it
+    is a member by construction and only its overlap with u is checked.
+    Under one, project_flat's descent moves it inside the cap on its
+    support, with every step projected off u there and a fallback that
+    keeps an entry where u vanishes, and membership is checked too.
+    Raises ZeroVectorError (a ValueError) if u is zero, and
+    OrthogonalizationError if u_hat is parallel to u, the candidate
+    collapses to zero, the descent needs its fallback but u is nonzero
+    on the candidate's whole support, or the final check fails.
     """
     u = as_signal(u, spec.n)
     u_hat = as_signal(u_hat, spec.n)
@@ -373,26 +376,22 @@ def orthogonalize_pair(u, u_hat, spec: ModelSpec) -> np.ndarray:
     if vnorm(w) <= 1e-12 * vnorm(u_hat):
         raise OrthogonalizationError("u_hat is parallel to u")
 
+    w = hard_threshold(w, spec.s)
+    support = w.nonzero()[0]
+    u_sub = np.zeros(spec.n, dtype=complex)
+    u_sub[support] = u[support]
+    nsub = vnorm(u_sub)
+    if nsub > 0:
+        w = w - (np.vdot(u_sub, w) / nsub**2) * u_sub
+    nw = vnorm(w)
+    if nw == 0:
+        raise OrthogonalizationError("candidate collapsed to zero")
+    w = w / nw
     binds = spec.cap_binds
-    for _ in range(_MAX_ROUNDS):
-        w = hard_threshold(w, spec.s)
-        if binds and vnorm(w) > 0:
-            if spectral_flatness(w) > spec.mu + FLATNESS_SLACK:
-                w = hard_threshold(project_flat(w, spec.mu), spec.s)
-        support = w.nonzero()[0]
-        if support.size == 0:
-            raise OrthogonalizationError("candidate collapsed to zero")
-        u_sub = np.zeros(spec.n, dtype=complex)
-        u_sub[support] = u[support]
-        nsub = vnorm(u_sub)
-        if nsub > 0:
-            w = w - (np.vdot(u_sub, w) / nsub**2) * u_sub
-        nw = vnorm(w)
-        if nw == 0:
-            raise OrthogonalizationError("candidate collapsed to zero")
-        w = w / nw
-        if abs(np.vdot(u, w)) <= _ORTH_TOL * nu and (not binds or spec.admits(w)):
-            return w
-    raise OrthogonalizationError(
-        f"no feasible orthogonal partner for {spec} after {_MAX_ROUNDS} rounds"
-    )
+    if binds:
+        w = _flat_descent(w, spec.mu, off=u_sub / nsub if nsub > 0 else None)
+        if w is None:
+            raise OrthogonalizationError(f"no flat partner for {spec} off the support of u")
+    if abs(np.vdot(u, w)) <= _ORTH_TOL * nu and (not binds or spec.admits(w)):
+        return w
+    raise OrthogonalizationError(f"no feasible orthogonal partner for {spec}")

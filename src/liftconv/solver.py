@@ -53,9 +53,9 @@ stop rule either way, so no output depends on the schedule, and no
 pool worker outlives the call.
 
 A flatness cap bounds the spectral flatness of a coefficient vector u,
-not of its image Phi u. When it binds (mu < s), recover projects and
-rethresholds the kept factor once, which need not land it in the model;
-otherwise it does no flatness work.
+not of its image Phi u. When it binds (mu < s), recover moves the kept
+factor inside the cap on its support (models.project_flat) and refits
+the other factor; otherwise it does no flatness work.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .measurement import Ensemble, FactoredOperator, LiftedPoint, forward, lifted_dist
-from .models import ModelSpec, hard_threshold, project_flat, sample_model
+from .models import ZERO_TOL, ModelSpec, hard_threshold, project_flat, sample_model
 from .util import ZeroVectorError, complex_gaussian, derive_seed, rng_for, unit, vnorm
 
 __all__ = [
@@ -145,8 +145,7 @@ class SolveOptions:
     _OUTER_TOL and _WARM_TOL (_run_attempt); restarts counts the attempts
     after the first. A flatness cap mu1 (mu2), from 1 to n, bounds the
     flatness of the left (right) coefficient vector; when the cap binds
-    (mu < s), recover projects and rethresholds that factor once, which
-    need not land it in the model."""
+    (mu < s), recover moves that factor inside the cap on its support."""
 
     s1: int
     s2: int
@@ -221,9 +220,11 @@ def _attempt_init(T: np.ndarray, energies: tuple, k1: int, k2: int,
     and dense random pairs, so repeated restarts explore genuinely
     different basins even when the adjoint image misranks the true
     support. A screened pair is the leading singular pair of the
-    selected k1 x k2 block, zero elsewhere; an all-zero block falls back
-    to the thresholded leading pair of T. energies holds the squared
-    row and column norms of T, which recover computes once.
+    selected k1 x k2 block, zero elsewhere; a block whose entries are all
+    at most ZERO_TOL times the largest modulus of T, zero up to the
+    rounding residue the operator's FFTs leave where T is structurally
+    zero, falls back to the thresholded leading pair of T. energies holds
+    the squared row and column norms of T, which recover computes once.
     """
     n = T.shape[0]
     row_e, col_e = energies
@@ -241,7 +242,7 @@ def _attempt_init(T: np.ndarray, energies: tuple, k1: int, k2: int,
         rows = rng.choice(n, size=k1, replace=False, p=row_e / row_e.sum() if weighted else None)
         cols = rng.choice(n, size=k2, replace=False, p=col_e / col_e.sum() if weighted else None)
     block = T[np.ix_(rows, cols)]
-    if not np.any(block):
+    if np.abs(block).max() <= ZERO_TOL * np.abs(T).max():
         u0, v0 = _leading_pair_dense(T)
         return flavor, LiftedPoint(unit(hard_threshold(u0, k1)), unit(hard_threshold(v0, k2)))
     U, _, Vh = np.linalg.svd(block)
@@ -492,11 +493,6 @@ def _attempt_results(solve: tuple, restarts: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _support(w: np.ndarray) -> np.ndarray:
-    """The columns a refit of factor w keeps: its nonzeros, or all if none."""
-    return w.nonzero()[0] if w.any() else np.arange(w.size)
-
-
 def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     """Alternating restricted least squares with restarts and continuation.
 
@@ -512,16 +508,18 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     there or on a fork pool (_attempt_results, _pool_workers), with the
     same results bit for bit. The first residual stop cancels the queued
     attempts, and the pool is joined before recover returns or raises.
-    Each side whose cap binds (mu < s) then has its kept factor replaced by hard_threshold(project_flat(u, mu1),
-    s1), and the other factor refit on its support; the thresholding can
-    push the flatness back above mu1, so the factor need not lie in the
-    model. A cap above n, or with s > n, is rejected before the first
-    attempt. All stochastic choices derive from opts.seed, never from
-    global state. The factored operator (F Phi, F Psi and the scaled
-    inverse-DFT rows, 2 n^2 + m n complex entries) and the n x n adjoint
-    image of b built from it are made once per call, at every n: 3 n^2
-    + m n entries in all, about what the two dictionaries the ensemble
-    already stores take.
+    Each side whose cap binds (mu < s) then has its kept factor replaced
+    by project_flat(u, mu1), which keeps its support and lands strictly
+    inside the cap, and the other factor, unless its own cap binds, refit
+    on its support (a kept factor is never zero: an attempt whose factor
+    collapses breaks down); so the factors lie in the model. A cap above
+    n, or with s > n, is rejected before the first attempt. All
+    stochastic choices derive from opts.seed, never from global state.
+    The factored operator (F Phi, F Psi and the scaled inverse-DFT rows,
+    2 n^2 + m n complex entries) and the n x n adjoint image of b built
+    from it are made once per call, at every n: 3 n^2 + m n entries in
+    all, about what the two dictionaries the ensemble already stores
+    take.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape != (ens.m,):
@@ -567,11 +565,12 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
 
     with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
         if binds1:
-            u = hard_threshold(project_flat(u, opts.mu1), opts.s1)
-            v, _ = _fit(*op.frozen("right", u), b, _support(v))
+            u = project_flat(u, opts.mu1)
+            v, _ = _fit(*op.frozen("right", u), b, v.nonzero()[0])
         if binds2:
-            v = hard_threshold(project_flat(v, opts.mu2), opts.s2)
-            u, _ = _fit(*op.frozen("left", v), b, _support(u))
+            v = project_flat(v, opts.mu2)
+            if not binds1:
+                u, _ = _fit(*op.frozen("left", v), b, u.nonzero()[0])
     if binds1 or binds2:
         resid = vnorm(op.forward(u, v) - b)
 

@@ -5,20 +5,13 @@ explicit anti-diagonal sums, no FFTs. The dense forms of the
 measurement operator (forward_dense, measurement_matrix, r_matrix,
 xi_vector) build it from FFTs and dense DFT matrices, guarded to small
 n, and the polarization check verifies the identity the analysis uses
-on explicit matrices. The flat-projection oracle keeps the FFTs and
-changes only how its floor is found. Tests treat these as ground truth.
+on explicit matrices. Tests treat these as ground truth.
 """
 
 import numpy as np
 
-from liftconv.fourier import dft_matrix, fftu, ifftu
+from liftconv.fourier import dft_matrix
 from liftconv.measurement import DENSE_GUARD, Ensemble, LiftedPoint
-from liftconv.models import (
-    FLATNESS_SLACK,
-    FlatProjectionError,
-    as_signal,
-    spectral_flatness,
-)
 
 
 def naive_circular_conv(x, y):
@@ -158,46 +151,3 @@ def unit_vec(n, i):
     e = np.zeros(n, dtype=complex)
     e[i] = 1.0
     return e
-
-
-def bisect_project_flat(x, mu, max_bisect=120):
-    """Flat projection with the floor found by bisection on its energy.
-
-    The oracle for ``project_flat``'s closed-form water-filling floor:
-    the same clip, phase restore, renormalization and final check, but
-    the floor is the midpoint of ``max_bisect`` halvings of [0, cap].
-    """
-    x = as_signal(x)
-    n = x.size
-    if not 1.0 <= mu <= n:
-        raise ValueError("need 1 <= mu <= n")
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        raise ValueError("cannot flatten the zero vector")
-    if spectral_flatness(x) <= mu:
-        return x.copy()
-
-    spec = fftu(x)
-    mags = np.abs(spec)
-    cap = np.sqrt(mu / n) * nrm
-    target = nrm * nrm
-
-    lo, hi = 0.0, cap
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        power = float(np.sum(np.clip(mags, mid, cap) ** 2))
-        if power < target:
-            lo = mid
-        else:
-            hi = mid
-    floor = 0.5 * (lo + hi)
-
-    shaped = np.clip(mags, floor, cap)
-    phases = np.exp(1j * np.angle(spec))
-    new_spec = shaped * phases
-    new_spec *= nrm / np.linalg.norm(new_spec)
-    out = ifftu(new_spec)
-
-    if spectral_flatness(out) > mu + FLATNESS_SLACK:
-        raise FlatProjectionError("flat projection missed its target", out)
-    return out

@@ -23,7 +23,8 @@ from liftconv.cli import (
 )
 from liftconv.concentration import estimate_rip
 from liftconv.measurement import Ensemble
-from liftconv.models import ModelSpec
+import liftconv.models as models
+from liftconv.models import InfeasibleModelError, ModelSpec
 import liftconv.solver as solver
 from liftconv.solver import SolveOptions, SolverBreakdownError
 from liftconv.util import ZeroVectorError, derive_seed, fmt_float
@@ -271,8 +272,13 @@ trials = 25
 """
 
 
-def test_failed_estimator_cell_keeps_its_row_and_exits_3(tmp_path):
-    # the mu2 = 2.0 cell cannot draw a flat partner on some trial streams
+def test_failed_estimator_cell_keeps_its_row_and_exits_3(tmp_path, monkeypatch):
+    # the mu2 = 2.0 cap binds (s2 = 3), and its flat projection is made
+    # to fail; the forked workers inherit the patch
+    def refuse(x, mu, off=None):
+        raise InfeasibleModelError("flat projection refused")
+
+    monkeypatch.setattr(models, "_flat_descent", refuse)
     cfg_path = tmp_path / "flat.cfg"
     cfg_path.write_text(FAILING_CELL_CONFIG)
     outs = []

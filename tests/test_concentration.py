@@ -1,6 +1,9 @@
 """Monte Carlo estimators: replay contracts, oracles, and determinism."""
 
 import hashlib
+import importlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from liftconv.measurement import (
 from liftconv.models import ModelSpec
 from liftconv.util import complex_gaussian, derive_seed, rng_for
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.fixture(scope="module")
 def ens():
@@ -180,11 +184,12 @@ def test_rop_at_c9_matches_its_recorded_bytes(seed, orthogonality):
 
 
 # estimate_rap at C9 (n=64, m=32, s=4, mu2=4), at C8 (n=128, m=32, s=2,
-# mu2=4) and at the flat spec mu2=3.5 < s, whose right draws run the
-# project/threshold alternation, and estimate_rip at C8, recorded as
-# _report_bytes from the implementation that called np.linalg.norm and
-# drew complex Gaussians in two calls. The trial path's norms and draws
-# must evaluate exactly what those did. A case is (estimator, n, ensemble
+# mu2=4) and at the flat spec mu2=3.5 < s, and estimate_rip at C8,
+# recorded as _report_bytes from the implementation that called
+# np.linalg.norm and drew complex Gaussians in two calls. The trial
+# path's norms and draws must evaluate exactly what those did. The flat
+# spec's right draws above the cap are moved inside it by the flat
+# descent; its record is that of the descent. A case is (estimator, n, ensemble
 # seed, s, mu2, trials, seed), with m = 32.
 _C8_SEED = derive_seed(800, "ens", 32)
 _C9_SEED = derive_seed(900, "ens")
@@ -201,9 +206,9 @@ _ESTIMATE_RECORD = {
     "rap-c8": ("0x1.3903c3f3f8baap-2", ("0x1.06fcc36d84b20p-3",
                "0x1.e84604f372948p-3", "0x1.299f198f84d12p-2"),
                39, "87cc7433bde7eee3"),
-    "rap-flat": ("0x1.a04a6151d51f9p-3", ("0x1.3854cf8a46feep-3",
-                 "0x1.875fc146e8b18p-3", "0x1.9dcc8483f0ae3p-3"),
-                 8, "4b194afd9b72db2c"),
+    "rap-flat": ("0x1.f777df357fa14p-3", ("0x1.3854cf8a46feep-3",
+                 "0x1.a902211bcc92ep-3", "0x1.ef9f4c32edb97p-3"),
+                 1, "9b489ff4883b8bf0"),
     "rip-c8": ("0x1.bb36315bb2e35p-2", ("0x1.3ffa9c7b9fc01p-3",
                "0x1.2542ecf10829dp-2", "0x1.abb680cb145a1p-2"),
                3, "35a5a5a8a05a3de9"),
@@ -363,3 +368,19 @@ def test_rop_form_coupled_and_decoupled_share_location():
     for vals in (coupled, split):
         spread = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals)) <= 5 * spread
+
+
+# -- the benchmark's estimate probe ---------------------------------------------
+
+
+def test_estimate_probe_matches_the_benchmark_fingerprint(monkeypatch):
+    # perfbench's estimate workload counts a probe value that drifts from
+    # its fingerprint past REL_TOL as a failed operation; the probe is
+    # read-only, so a sampler change that would fail it fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    recorded = json.loads((PERFBENCH / "fingerprint.json").read_text())["estimate"]
+    got = workloads.Estimate({"estimate": recorded}, "").probe()
+    assert set(got) == set(recorded)
+    for label, value in got.items():
+        assert workloads.rel_close(value, recorded[label], workloads.REL_TOL), label

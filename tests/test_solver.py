@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import liftconv.models as models
 import liftconv.solver as solver
 from liftconv.measurement import (
     Ensemble,
@@ -138,6 +139,32 @@ def test_an_all_zero_screened_block_falls_back_to_the_thresholded_leading_pair()
     assert flavor == "uniform"
     assert np.array_equal(p.u, unit(hard_threshold(u0, 2)))
     assert np.array_equal(p.v, unit(hard_threshold(v0, 2)))
+
+
+def test_a_screened_block_of_rounding_residue_falls_back_to_the_leading_pair():
+    # over identity dictionaries (n=16, m=4, omega={0, 3, 7, 9}) the
+    # operator's adjoint image is structurally zero where (j + k) mod n
+    # misses omega, but its FFTs leave residue there; a block that holds
+    # only residue counts as zero against the floor ZERO_TOL * max|T|
+    n, m, seed = 16, 4, 5
+    omega = np.array([0, 3, 7, 9])
+    ens = Ensemble(n, m, omega, "identity", "identity")
+    T = FactoredOperator.of(ens).adjoint_image(complex_gaussian(rng_for(seed, "b"), m))
+    energies = np.linalg.norm(T, axis=1) ** 2, np.linalg.norm(T, axis=0) ** 2
+    u0, v0 = _leading_pair_dense(T)
+    fallback = (unit(hard_threshold(u0, 2)), unit(hard_threshold(v0, 2)))
+    residue = 0
+    for attempt in range(2, 60, 3):  # the uniform screenings
+        rng = rng_for(seed, "restart", attempt)
+        rows = rng.choice(n, size=2, replace=False)
+        cols = rng.choice(n, size=2, replace=False)
+        misses = not np.isin(np.add.outer(rows, cols) % n, omega).any()
+        flavor, p = _attempt_init(T, energies, 2, 2, attempt, seed)
+        assert flavor == "uniform"
+        took_fallback = np.array_equal(p.u, fallback[0]) and np.array_equal(p.v, fallback[1])
+        assert took_fallback == misses
+        residue += misses and np.any(T[np.ix_(rows, cols)])
+    assert residue > 0
 
 
 def test_restart_pool_explores_distinct_supports_beyond_n_256(monkeypatch, serial):
@@ -285,10 +312,10 @@ def test_recover_lets_no_warning_escape_on_a_rank_deficient_ensemble(monkeypatch
     # half-step Gram blocks are exactly singular, and their LAPACK
     # inverses come back NaN with the invalid flag raised. With the
     # binding cap mu2 = 1.5 < s2 the post-step's refit of u on its five
-    # columns, the last inverse of the solve, is one of them
+    # columns, the last inverse of the solve, is one of them for this b
     ens = Ensemble(n=16, m=8, omega=np.array([0, 0, 3, 3, 5, 5, 9, 9]),
                    phi_kind="identity", psi_kind="identity")
-    b = complex_gaussian(rng_for(126, "rank-deficient"), 8)
+    b = complex_gaussian(rng_for(136, "rank-deficient"), 8)
     nan_inverses = []
     real = solver._umath_linalg.inv
 
@@ -674,6 +701,33 @@ def test_binding_caps_return_a_hit_inside_the_flat_model(n, m, s, mu, seed):
     assert success_metric(res.point, truth, b, 0.0, ens)[0] <= 1e-6
     spec = ModelSpec(n, s, mu=mu)
     assert spec.admits(res.u_hat) and spec.admits(res.v_hat)
+
+
+def test_binding_cap_returns_factors_inside_the_model_on_failed_solves_too():
+    # planted (n=128, s1=s2=3, mu2=2) at m=32: the cap step moves v_hat
+    # inside the cap on its support and refits u_hat, so every returned
+    # v_hat is admitted, the failed solves' as well
+    spec = ModelSpec(128, 3, mu=2.0)
+    misses = 0
+    for seed in (0, 3, 4, 5, 9):
+        ens, truth, b, _ = plant_instance(128, 32, 3, 3, seed=seed, mu2=2.0)
+        res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=seed, mu2=2.0))
+        assert spec.admits(res.v_hat) and np.count_nonzero(res.v_hat) <= 3
+        misses += success_metric(res.point, truth, b, 0.0, ens)[0] > 1e-4
+    assert misses >= 3
+
+
+@pytest.mark.parametrize("trials", [models._DESCENT_TRIALS, 0], ids=["descent", "fallback"])
+def test_caps_near_1_return_factors_inside_the_model(trials, monkeypatch):
+    # both caps bind at mu = 1.00001 < s; with no descent trials the
+    # cap step lands by project_flat's fallback toward one entry alone
+    monkeypatch.setattr(models, "_DESCENT_TRIALS", trials)
+    spec = ModelSpec(32, 3, mu=1.00001)
+    for seed in range(4):
+        ens, _, b, _ = plant_instance(32, 24, 3, 3, seed=seed)
+        res = recover(ens, b, SolveOptions(s1=3, s2=3, seed=seed, mu1=1.00001, mu2=1.00001))
+        assert spec.admits(res.u_hat) and spec.admits(res.v_hat)
+        assert np.count_nonzero(res.u_hat) <= 3 and np.count_nonzero(res.v_hat) <= 3
 
 
 def test_flatness_caps_are_rejected_before_the_first_attempt(monkeypatch):
