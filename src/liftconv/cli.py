@@ -145,7 +145,7 @@ _FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no"
 
 _BASE_KEYS = frozenset(
     ("kind", "n", "m", "s1", "s2", "mu1", "mu2", "trials", "seed",
-     "phi", "psi", "flavor", "omega_mode")
+     "phi", "psi", "omega_mode")
 )
 _KIND_KEYS = {
     "rip": _BASE_KEYS,
@@ -155,7 +155,7 @@ _KIND_KEYS = {
 }
 _ALL_KEYS = frozenset().union(*_KIND_KEYS.values())
 # keys with a fixed set of values, checked by _validate_cells and listed in the run flags' help
-_CHOICES = {"phi": DICTIONARY_KINDS, "psi": DICTIONARY_KINDS, "flavor": ("exact", "approximate"),
+_CHOICES = {"phi": DICTIONARY_KINDS, "psi": DICTIONARY_KINDS,
             "omega_mode": OMEGA_MODES, "orthogonality": ("both", "either")}
 
 
@@ -175,7 +175,6 @@ class SweepConfig:
     seed: int = 0
     phi: str = "gaussian"
     psi: str = "gaussian"
-    flavor: str = "exact"
     omega_mode: str = "without_replacement"
     orthogonality: str = "both"
     decoupled: bool = False
@@ -291,8 +290,8 @@ def _validate_cells(cfg: SweepConfig) -> SweepConfig:
             raise ConfigError(f"bad solver settings: {exc}") from None
     for cell in cfg.cells():
         try:
-            ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"], flavor=cfg.flavor)
-            ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"], flavor=cfg.flavor)
+            ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"])
+            ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"])
         except ValueError as exc:
             raise ConfigError(f"bad cell {cell}: {exc}") from None
         if not 1 <= cell["m"] <= cell["n"]:
@@ -323,10 +322,8 @@ def _run_estimate(cfg: SweepConfig, cell: dict, seed: int):
     ens = Ensemble.generate(cell["n"], cell["m"], cfg.phi, cfg.psi,
                             seed=derive_seed(seed, "ensemble"),
                             omega_mode=cfg.omega_mode)
-    spec_u = ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"],
-                       flavor=cfg.flavor, side="left")
-    spec_v = ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"],
-                       flavor=cfg.flavor, side="right")
+    spec_u = ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"], side="left")
+    spec_v = ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"], side="right")
     if cfg.kind == "rip":
         return estimate_rip(ens, spec_u, spec_v, cfg.trials, seed=seed)
     if cfg.kind == "rap":
@@ -349,8 +346,7 @@ def _run_recover(cfg: SweepConfig, cell: dict, seed: int):
         cell["n"], cell["m"], cell["s1"], cell["s2"], seed=seed,
         phi_kind=cfg.phi, psi_kind=cfg.psi,
         mu1=cell["mu1"], mu2=cell["mu2"],
-        noise_level=cell["noise"], flavor=cfg.flavor,
-        omega_mode=cfg.omega_mode)
+        noise_level=cell["noise"], omega_mode=cfg.omega_mode)
     res = recover(ens, b, solve_opts)
     rel, noise_ratio = success_metric(res.point, truth, b, z_norm, ens)
     return res, rel, noise_ratio
@@ -525,24 +521,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    query = BoundQuery(n=args.n, m=args.m, s1=args.s1, s2=args.s2,
-                       mu1=args.mu1, mu2=args.mu2, delta=args.delta,
-                       big_c=args.big_c)
+    query = BoundQuery(**{f.name: getattr(args, f.name) for f in dataclasses.fields(BoundQuery)
+                          if hasattr(args, f.name)})
+    n, m = query.n, query.m
     row: dict = {"a_star": solve_a()}
     for which in _COMPLEXITY_COMBOS:
         sc = sample_complexity(query, which)
         row[f"m_required_{which.replace('-', '_')}"] = sc.m_required
         row[f"feasible_{which.replace('-', '_')}"] = sc.feasible
-    row["gamma2"] = gamma2_bound(args.s1, args.s2, args.mu2, args.m, args.n)
-    row["angle_bound"] = angle_preservation_bound(args.delta)
-    for label, s in (("s1", args.s1), ("s2", args.s2)):
-        row[f"maurey_f_{label}"] = maurey_f(s, args.n)
-        row[f"maurey_h_{label}"] = maurey_h(s, args.n, args.m)
-        if 2 <= s <= args.n and args.n >= 3:
-            row[f"dudley_sparse_{label}"] = dudley_sparse_bound(s, args.n)
-        if 2 <= s <= args.n and 2 <= args.m <= args.n:
-            row[f"dudley_fourier_{label}"] = dudley_fourier_bound(
-                s, args.n, args.m, norm_t=1.0)
+    row["gamma2"] = gamma2_bound(query.s1, query.s2, query.mu2, m, n)
+    row["angle_bound"] = angle_preservation_bound(query.delta)
+    for label, s in (("s1", query.s1), ("s2", query.s2)):
+        row[f"maurey_f_{label}"] = maurey_f(s, n)
+        row[f"maurey_h_{label}"] = maurey_h(s, n, m)
+        if 2 <= s <= n and n >= 3:
+            row[f"dudley_sparse_{label}"] = dudley_sparse_bound(s, n)
+        if 2 <= s <= n and 2 <= m <= n:
+            row[f"dudley_fourier_{label}"] = dudley_fourier_bound(s, n, m, norm_t=1.0)
     _print_kv(row)
     return 0
 
@@ -601,15 +596,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override a config entry (repeatable)")
     sp.set_defaults(func=_cmd_sweep)
 
+    # bound flags are BoundQuery's fields: the ones without a default are
+    # the integer dimensions, the rest parse as their default's type
     sp = sub.add_parser("bounds", help="closed-form bound table for one point")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--s1", type=int, required=True)
-    sp.add_argument("--s2", type=int, required=True)
-    sp.add_argument("--mu1", type=float, default=1.0)
-    sp.add_argument("--mu2", type=float, default=1.0)
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--big-c", type=float, default=1.0)
+    for f in dataclasses.fields(BoundQuery):
+        required = f.default is dataclasses.MISSING
+        sp.add_argument("--" + f.name.replace("_", "-"), required=required,
+                        type=int if required else type(f.default), default=argparse.SUPPRESS)
     sp.set_defaults(func=_cmd_bounds)
     return parser
 

@@ -1,16 +1,16 @@
 """Restricted signal models.
 
-Three families of admissible coefficient vectors:
-
-* exactly sparse vectors, at most ``s`` nonzero entries;
-* approximately sparse vectors, ``||x||_1 <= sqrt(s) * ||x||_2``
-  (a superset of the exact family, by Cauchy-Schwarz);
-* spectrally flat vectors, whose unitary-DFT energy peak is at most
-  ``mu`` times the average bin energy.
+One model of admissible coefficient vectors, the paper's two priors
+together: s-sparse vectors (at most ``s`` nonzero entries) that are
+spectrally flat, their unitary-DFT energy peak at most ``mu`` times the
+average bin energy (no cap when ``mu`` is None).
 
 The module provides the membership predicates, the projections used to
-push a vector into a model set, a sampler, and a Gram-Schmidt routine
-that builds model-feasible orthogonal partners.
+push a vector into the model, a sampler, and a Gram-Schmidt routine that
+builds model-feasible orthogonal partners. It also keeps the predicate
+of the approximately sparse set, ``||x||_1 <= sqrt(s) * ||x||_2`` (a
+superset of the s-sparse vectors, by Cauchy-Schwarz), which no model
+samples from.
 
 The flatness cap constrains an s-sparse vector only when mu < s: every
 DFT bin obeys |(Fx)_k| <= ||x||_1 <= sqrt(s) ||x||_2, so a vector with at
@@ -96,7 +96,8 @@ def as_signal(x, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Description of one restricted signal family.
+    """Description of one restricted signal family: the s-sparse
+    vectors of length n within the flatness cap mu.
 
     Parameters
     ----------
@@ -106,9 +107,6 @@ class ModelSpec:
         Sparsity level, 1 <= s <= n.
     mu : float or None
         Spectral-flatness cap in [1, n]; None disables the constraint.
-    flavor : str
-        "exact" uses the hard support-count predicate, "approximate"
-        the l1/l2 relaxation.
     side : str
         Which dictionary this coefficient vector rides through,
         "left" or "right". Metadata only; it does not change sampling.
@@ -124,7 +122,6 @@ class ModelSpec:
     n: int
     s: int
     mu: float | None = None
-    flavor: str = "exact"
     side: str = "left"
 
     def __post_init__(self):
@@ -134,8 +131,6 @@ class ModelSpec:
             raise ValueError("need 1 <= s <= n")
         if self.mu is not None and not 1.0 <= self.mu <= self.n:
             raise ValueError("need 1 <= mu <= n")
-        if self.flavor not in ("exact", "approximate"):
-            raise ValueError("flavor must be 'exact' or 'approximate'")
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
 
@@ -146,11 +141,7 @@ class ModelSpec:
 
     def admits(self, x: np.ndarray) -> bool:
         """Membership test for this model, with flatness headroom."""
-        if self.flavor == "exact":
-            sparse_ok = in_gamma(x, self.s)
-        else:
-            sparse_ok = in_tilde_gamma(x, self.s)
-        if not sparse_ok:
+        if not in_gamma(x, self.s):
             return False
         if self.mu is None:
             return True
@@ -338,7 +329,7 @@ def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     binding cap (mu < s) that draw is the answer; under one it goes
     through project_flat, which returns it as drawn when it meets the
     cap and otherwise moves it inside the cap on its support. So every
-    draw, of either flavor, has at most s nonzeros.
+    draw has at most s nonzeros.
     """
     n, s = spec.n, spec.s
     support = rng.choice(n, size=s, replace=False)

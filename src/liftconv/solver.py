@@ -618,7 +618,6 @@ def plant_instance(
     mu1: float | None = None,
     mu2: float | None = None,
     noise_level: float = 0.0,
-    flavor: str = "exact",
     omega_mode: str = "without_replacement",
 ):
     """Draw an ensemble, a planted model pair, and its noisy measurement.
@@ -632,9 +631,9 @@ def plant_instance(
     ens = Ensemble.generate(n, m, phi_kind, psi_kind,
                             seed=derive_seed(seed, "ensemble"),
                             omega_mode=omega_mode)
-    u = sample_model(ModelSpec(n, s1, mu=mu1, flavor=flavor, side="left"),
+    u = sample_model(ModelSpec(n, s1, mu=mu1, side="left"),
                      rng_for(seed, "plant-u"))
-    v = sample_model(ModelSpec(n, s2, mu=mu2, flavor=flavor, side="right"),
+    v = sample_model(ModelSpec(n, s2, mu=mu2, side="right"),
                      rng_for(seed, "plant-v"))
     truth = LiftedPoint(u, v)
     b0 = forward(ens, truth)

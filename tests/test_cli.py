@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liftconv.bounds import BoundQuery
 import liftconv.cli as cli
 from liftconv.cli import (
     ConfigError,
@@ -91,6 +92,20 @@ def test_parse_config_rejects_unknown_key():
     # the aliased angle statistic is the isometry statistic: kind=rip
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("kind=rap\nn=8\nm=4\ns1=1\ns2=1\ndiagonal=true\n")
+
+
+def test_the_sparsity_flavor_is_not_a_config_key():
+    # every model is s-sparse: the flavor picked nothing a run could observe
+    with pytest.raises(ConfigError, match="unknown key 'flavor'"):
+        parse_config("kind=rap\nn=8\nm=4\ns1=1\ns2=1\nflavor=exact\n")
+
+
+@pytest.mark.parametrize("command", ["rip-estimate", "rap-estimate", "rop-estimate",
+                                     "recover"])
+def test_the_sparsity_flavor_is_not_a_run_flag(command, capsys):
+    assert main([command, "--n", "8", "--m", "4", "--s1", "1", "--s2", "1",
+                 "--flavor", "exact"]) == 2
+    assert "unrecognized arguments: --flavor exact" in capsys.readouterr().err
 
 
 def test_parse_config_rejects_key_for_wrong_kind():
@@ -317,7 +332,7 @@ max_outer_iters = 20
 """
 _NONBINDING_CAP_RECORD = (
     "ef7a1bf368f43de58a8eb66143e238ff00a7b668f487726556f2c74e00b2cefe",
-    "f111d750189a5446e6e2f40549d4aec0a086e7cb42f2f77c07a04f7b79c234ef",
+    "cb4a06c301f908d83482b9b09bd5029210557ad224acd8133aa0a28263d48e05",
 )
 
 
@@ -473,6 +488,40 @@ def test_cli_bounds_table(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "a_star=" in out and "m_required_orthogonal=" in out
+
+
+@pytest.mark.parametrize("args, digest", [
+    ("--n 64 --m 16 --s1 2 --s2 2",
+     "a64ede0295cd2dbd4eef84a5f88e1ce31d28ce64414220af160a71fd44d33860"),
+    ("--n 128 --m 32 --s1 3 --s2 3 --mu1 1.5 --mu2 2",
+     "48dbf613d1244a80b2a91b94b93626cc026ec7dbbe81eaec8416a291e7b2cfe4"),
+    ("--n 256 --m 64 --s1 4 --s2 2 --delta 0.1 --big-c 2.5",
+     "56459f6f074424aa8017cea0f742070bce1911427fcbec3c4a31101a06d71704"),
+], ids=["defaults", "caps", "delta-big-c"])
+def test_cli_bounds_table_is_pinned(args, digest, capsys):
+    # sha256 of the whole table, recorded before the flags were declared
+    # from BoundQuery's fields
+    assert main(["bounds", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_bounds_flags_are_the_bound_query_fields(monkeypatch, capsys):
+    # the flags' defaults are BoundQuery's, and the table reads the query
+    queries = []
+    real = cli.sample_complexity
+    monkeypatch.setattr(cli, "sample_complexity",
+                        lambda query, which: queries.append(query) or real(query, which))
+    core = ["bounds", "--n", "64", "--m", "16", "--s1", "2", "--s2", "3"]
+    assert main(core) == 0
+    assert set(queries) == {BoundQuery(n=64, m=16, s1=2, s2=3)}
+    queries.clear()
+    assert main([*core, "--mu1", "1.5", "--mu2", "2", "--delta", "0.25", "--big-c", "3"]) == 0
+    assert set(queries) == {BoundQuery(64, 16, 2, 3, mu1=1.5, mu2=2.0, delta=0.25, big_c=3.0)}
+    capsys.readouterr()
+    assert main(["bounds", "--help"]) == 0
+    usage = capsys.readouterr().out.split("options:", 1)[0]
+    assert [tok.strip("[]") for tok in usage.split() if tok.lstrip("[").startswith("--")] == [
+        "--" + f.name.replace("_", "-") for f in dataclasses.fields(BoundQuery)]
 
 
 def test_cli_sweep_with_overrides(tmp_path, capsys):
@@ -680,9 +729,10 @@ def test_cli_run_help_lists_choices_and_required_flags(capsys):
     assert main(["rop-estimate", "--help"]) == 0
     out = capsys.readouterr().out
     assert "--n N --m M --s1 S1 --s2 S2" in out
-    for choices in ("{gaussian,identity}", "{exact,approximate}",
-                    "{without_replacement,iid_uniform}", "{both,either}"):
+    for choices in ("{gaussian,identity}", "{without_replacement,iid_uniform}",
+                    "{both,either}"):
         assert choices in out
+    assert "--flavor" not in out
 
 
 def test_cli_single_run_logs_nothing_and_rejects_a_grid(caplog, capsys):

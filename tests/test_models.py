@@ -114,7 +114,7 @@ def test_cap_binds_only_below_the_sparsity_level():
     assert not ModelSpec(16, 4, mu=4.0).cap_binds
     assert not ModelSpec(16, 4, mu=9.5).cap_binds
     assert ModelSpec(16, 4, mu=3.99).cap_binds
-    assert ModelSpec(16, 4, mu=1.0, flavor="approximate").cap_binds
+    assert ModelSpec(16, 4, mu=1.0).cap_binds
 
 
 # -- sparsity predicates ------------------------------------------------------
@@ -138,6 +138,8 @@ def test_in_tilde_gamma_basics():
     x = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
     assert in_tilde_gamma(x, 3)
     assert not in_tilde_gamma(np.ones(9), 4)
+    # five nonzeros, but concentrated enough that the l1/l2 relaxation accepts
+    assert in_tilde_gamma(np.array([1.0, 0.05, 0.05, 0.05, 0.05, 0.0]), 2)
 
 
 def test_in_tilde_gamma_rejects_zero():
@@ -310,26 +312,24 @@ def test_project_flat_leaves_a_symmetric_spectrum():
 # -- sampling -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("flavor", ["exact", "approximate"])
 @pytest.mark.parametrize("mu", [None, 2.0, 4.0])
-def test_sample_model_draws_admissible_unit_vectors(flavor, mu):
-    spec = ModelSpec(24, 3, mu=mu, flavor=flavor)
+def test_sample_model_draws_admissible_unit_vectors(mu):
+    spec = ModelSpec(24, 3, mu=mu)
     for t in range(10):
         x = sample_model(spec, rng_for(5, "draw", t))
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
         assert spec.admits(x)
 
 
-@pytest.mark.parametrize("flavor", ["exact", "approximate"])
 @pytest.mark.parametrize("n, s, mu", [
     (24, 3, None), (24, 3, 3.0), (24, 3, 5.5),
     (8, 8, None), (8, 8, 8.0),
     (8, 1, 1.0),
 ])
-def test_sample_model_without_active_cap_is_the_raw_draw(n, s, mu, flavor):
+def test_sample_model_without_active_cap_is_the_raw_draw(n, s, mu):
     # no cap, or a cap of at least s: the normalized support-and-Gaussian
     # draw is returned as is, with nothing more drawn from the stream
-    spec = ModelSpec(n, s, mu=mu, flavor=flavor)
+    spec = ModelSpec(n, s, mu=mu)
     for t in range(20):
         rng = rng_for(16, "raw", n, s, t)
         support = rng.choice(n, size=s, replace=False)
@@ -404,11 +404,10 @@ def _counting(fn):
     (ModelSpec(64, 4, mu=2.5), 200),
     (ModelSpec(128, 3, mu=2.0), 200),
     (ModelSpec(128, 6, mu=2.0), 50),
-    (ModelSpec(64, 6, mu=3.0, flavor="approximate"), 50),
-], ids=["n64-s4", "n128-s3", "n128-s6", "n64-s6-approx"])
+    (ModelSpec(64, 6, mu=3.0), 50),
+], ids=["n64-s4", "n128-s3", "n128-s6", "n64-s6"])
 def test_flat_draws_are_s_sparse_members(spec, streams, monkeypatch):
-    # every draw is admitted with at most s nonzeros, the approximate
-    # flavor's too, and none fails
+    # every draw is admitted with at most s nonzeros, and none fails
     projections = _counting(project_flat)
     monkeypatch.setattr(models, "project_flat", projections)
     for t in range(streams):
@@ -457,11 +456,30 @@ def test_orthogonalize_pair_contract():
         assert spec.admits(w)
 
 
-@pytest.mark.parametrize("flavor", ["exact", "approximate"])
+@pytest.mark.parametrize("n, s, mu", [
+    (24, 3, None), (24, 3, 5.0), (32, 4, 2.0), (8, 8, 3.0), (8, 1, 1.0),
+])
+def test_side_does_not_change_sampling_or_orthogonalization(n, s, mu):
+    # side is metadata: a left and a right model draw and orthogonalize
+    # bitwise alike from the same stream, with or without a binding cap
+    left, right = ModelSpec(n, s, mu=mu), ModelSpec(n, s, mu=mu, side="right")
+    for t in range(5):
+        x = sample_model(left, rng_for(18, "side", n, s, t))
+        assert np.array_equal(x, sample_model(right, rng_for(18, "side", n, s, t)))
+        u_hat = sample_model(left, rng_for(18, "side-hat", n, s, t))
+        try:
+            w = orthogonalize_pair(x, u_hat, left)
+        except models.OrthogonalizationError:
+            with pytest.raises(models.OrthogonalizationError):
+                orthogonalize_pair(x, u_hat, right)
+        else:
+            assert np.array_equal(w, orthogonalize_pair(x, u_hat, right))
+
+
 @pytest.mark.parametrize("n, s, mu", [(64, 4, 4.0), (64, 4, 6.5), (16, 2, 16.0),
                                       (32, 5, 5.0)])
 def test_orthogonalize_pair_does_no_flatness_work_when_the_cap_cannot_bind(
-        n, s, mu, flavor, monkeypatch):
+        n, s, mu, monkeypatch):
     # the partner stays s-sparse, so a cap mu >= s cannot exclude it: the
     # result is bitwise the uncapped one, found without a flatness test
     flatness = _counting(spectral_flatness)
@@ -472,8 +490,8 @@ def test_orthogonalize_pair_does_no_flatness_work_when_the_cap_cannot_bind(
         # overlapping supports, so thresholding and the restricted
         # Gram-Schmidt step both act
         u_hat = u + sample_model(ModelSpec(n, s), rng)
-        got = orthogonalize_pair(u, u_hat, ModelSpec(n, s, mu=mu, flavor=flavor))
-        ref = orthogonalize_pair(u, u_hat, ModelSpec(n, s, flavor=flavor))
+        got = orthogonalize_pair(u, u_hat, ModelSpec(n, s, mu=mu))
+        ref = orthogonalize_pair(u, u_hat, ModelSpec(n, s))
         assert np.array_equal(got, ref)
     assert flatness.calls == 0
 
@@ -538,19 +556,20 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(8, 2, mu=9.0)
     with pytest.raises(ValueError):
-        ModelSpec(8, 2, flavor="fuzzy")
-    with pytest.raises(ValueError):
         ModelSpec(8, 2, side="middle")
 
 
-def test_admits_flavors_differ():
-    spec_exact = ModelSpec(6, 2, flavor="exact")
-    spec_relaxed = ModelSpec(6, 2, flavor="approximate")
-    # five nonzeros fail the support count, but the mass is concentrated
-    # enough that the l1/l2 relaxation accepts
-    x = np.array([1.0, 0.05, 0.05, 0.05, 0.05, 0.0])
-    assert not spec_exact.admits(x)
-    assert spec_relaxed.admits(x)
+def test_model_spec_has_no_sparsity_flavor():
+    # the model is s-sparse; the l1/l2 relaxation is only a predicate
+    with pytest.raises(TypeError):
+        ModelSpec(8, 2, flavor="exact")
+
+
+def test_admits_counts_the_support():
+    spec = ModelSpec(6, 2)
+    assert spec.admits(np.array([1.0, 0.0, 0.5j, 0.0, 0.0, 0.0]))
+    # five nonzeros fail the support count, however concentrated the mass
+    assert not spec.admits(np.array([1.0, 0.05, 0.05, 0.05, 0.05, 0.0]))
 
 
 def test_as_signal_validation():

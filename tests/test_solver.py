@@ -71,6 +71,12 @@ def test_plant_instance_rejects_a_negative_or_non_finite_noise_level(noise):
         plant_instance(16, 8, 2, 2, seed=94, noise_level=noise)
 
 
+def test_plant_instance_has_no_sparsity_flavor():
+    # every planted factor is s-sparse; there is no flavor to choose
+    with pytest.raises(TypeError):
+        plant_instance(16, 8, 2, 2, seed=93, flavor="exact")
+
+
 def test_plant_instance_respects_flatness_caps():
     _, truth, _, _ = plant_instance(32, 16, 3, 3, seed=92, mu1=3.0, mu2=3.0)
     assert spectral_flatness(truth.u) <= 3.0 + 1e-8
