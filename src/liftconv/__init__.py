@@ -19,9 +19,7 @@ from .bounds import (
     angle_preservation_bound,
     dudley_fourier_bound,
     dudley_sparse_bound,
-    dyadic_chain_check,
     gamma2_bound,
-    greedy_cover,
     maurey_f,
     maurey_h,
     sample_complexity,
@@ -31,11 +29,8 @@ from .concentration import (
     EstimateReport,
     estimate_rap,
     estimate_rip,
-    estimate_rip_matrix,
     estimate_rop,
-    exact_rip_small,
     isotropy_check,
-    rop_form_samples,
 )
 from .fourier import dft_matrix, fftu, ifftu
 from .measurement import (
@@ -55,7 +50,6 @@ from .models import (
     OrthogonalizationError,
     hard_threshold,
     in_gamma,
-    in_tilde_gamma,
     orthogonalize_pair,
     project_flat,
     sample_model,

@@ -1,9 +1,7 @@
 """Closed-form entropy and sample-complexity calculators.
 
-Natural logarithms throughout; the only fixed constant baked into a
-formula is the exact sqrt(log 2) of the dyadic chain comparison. Every
-leading constant the analysis leaves unnamed enters as an explicit
-factor of 1 times a user knob C.
+Natural logarithms throughout. Every leading constant the analysis
+leaves unnamed enters as an explicit factor of 1 times a user knob C.
 """
 
 from __future__ import annotations
@@ -11,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "BoundQuery",
@@ -25,8 +21,6 @@ __all__ = [
     "SampleComplexity",
     "sample_complexity",
     "angle_preservation_bound",
-    "dyadic_chain_check",
-    "greedy_cover",
 ]
 
 
@@ -182,66 +176,3 @@ def angle_preservation_bound(delta: float) -> float:
     if val > 2.0 * math.sqrt(2.0) * delta + 1e-12:
         raise ArithmeticError("angle bound exceeded its envelope")
     return val
-
-
-def dyadic_chain_check(e) -> bool:
-    """Entropy integral vs dyadic series comparison on a finite sequence.
-
-    Interprets e as dyadic entropy numbers e_1 >= e_2 >= ... >= e_K >= 0
-    (zero beyond K), inducing the piecewise covering profile
-    N(eps) = 2^{k-1} on [e_{k+1}, e_k). Evaluates
-
-        integral_0^inf sqrt(log N(eps)) d eps
-          = sqrt(log 2) * sum_k (e_k - e_{k+1}) * sqrt(k - 1)
-
-    exactly and compares against sqrt(log 2) * sum_k e_k / sqrt(k).
-    Returns True when integral <= series + 1e-12.
-    """
-    e = np.asarray(e, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise ValueError("e must be a nonempty 1-D sequence")
-    if np.any(e < 0):
-        raise ValueError("entropy numbers must be nonnegative")
-    if np.any(np.diff(e) > 0):
-        raise ValueError("entropy numbers must be nonincreasing")
-    k = np.arange(1, e.size + 1, dtype=float)
-    steps = e - np.append(e[1:], 0.0)
-    integral = math.sqrt(math.log(2.0)) * float(np.sum(steps * np.sqrt(k - 1.0)))
-    series = math.sqrt(math.log(2.0)) * float(np.sum(e / np.sqrt(k)))
-    return integral <= series + 1e-12
-
-
-def greedy_cover(points: np.ndarray, eps: float) -> int:
-    """Size of a greedy eps-cover of a finite point set (euclidean).
-
-    Farthest-point traversal: the first center is a point minimizing
-    the maximum distance to the sample, and each subsequent center is
-    the point farthest from the chosen ones, until everything lies
-    within eps. The center sequence does not depend on eps, so the
-    count is nonincreasing in eps, equals 1 exactly when eps is at
-    least the sample's radius about its best point, and always upper
-    bounds the true covering number.
-    """
-    pts = np.asarray(points)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a nonempty (count, dim) array")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    count = pts.shape[0]
-
-    # max distance from each candidate center, chunked to bound memory
-    worst = np.empty(count)
-    chunk = max(1, int(2**22 // max(count, 1)))
-    for start in range(0, count, chunk):
-        block = pts[start : start + chunk]
-        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
-        worst[start : start + chunk] = d.max(axis=1)
-    center = int(np.argmin(worst))
-
-    mind = np.linalg.norm(pts - pts[center], axis=1)
-    n_centers = 1
-    while mind.max() > eps:
-        center = int(np.argmax(mind))
-        n_centers += 1
-        mind = np.minimum(mind, np.linalg.norm(pts - pts[center], axis=1))
-    return n_centers

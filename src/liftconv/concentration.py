@@ -15,7 +15,6 @@ all from rng_for(seed, "trial", t), in that order.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -44,14 +43,9 @@ __all__ = [
     "estimate_rip",
     "estimate_rap",
     "estimate_rop",
-    "estimate_rip_matrix",
     "isotropy_check",
-    "exact_rip_small",
-    "rop_form_samples",
 ]
 
-EXACT_RIP_N_GUARD = 16
-EXACT_RIP_S_GUARD = 4
 ISOTROPY_GUARD = 64
 
 # Fresh 4-tuples a rop trial may draw before its orthogonalization
@@ -241,56 +235,6 @@ def estimate_rop(
     return rep
 
 
-def estimate_rip_matrix(
-    A: np.ndarray,
-    spec: ModelSpec,
-    trials: int,
-    seed: int = 0,
-) -> EstimateReport:
-    """Vector-level isometry deviation of an explicit matrix.
-
-    Sample max of | ||A x||^2 - ||x||^2 | / ||x||^2 over draws from the
-    model. Every draw lies in the model set, so the estimate can never
-    exceed the exact restricted constant of A at the same level.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[1] != spec.n:
-        raise ValueError("A must be m x n with n matching the model")
-
-    def trial(t, rng):
-        x = sample_model(spec, rng)
-        nsq = float(np.linalg.norm(x) ** 2)
-        return abs(float(np.linalg.norm(A @ x) ** 2) - nsq) / nsq, {"x": x}
-
-    return _run_trials(trials, seed, trial)
-
-
-def exact_rip_small(A: np.ndarray, s: int) -> float:
-    """Exact restricted isometry constant by support enumeration.
-
-    max over |J| = s of || A_J^* A_J - I ||_2. Guarded to n <= 16 and
-    s <= 4.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    n = A.shape[1]
-    if n > EXACT_RIP_N_GUARD or s > EXACT_RIP_S_GUARD:
-        raise ValueError(
-            f"exact enumeration is limited to n <= {EXACT_RIP_N_GUARD}, s <= {EXACT_RIP_S_GUARD}"
-        )
-    if not 1 <= s <= n:
-        raise ValueError("need 1 <= s <= n")
-    eye = np.eye(s)
-    worst = 0.0
-    for J in itertools.combinations(range(n), s):
-        G = A[:, J]
-        gram = G.conj().T @ G - eye
-        ev = np.linalg.eigvalsh(gram)
-        worst = max(worst, float(max(abs(ev[0]), abs(ev[-1]))))
-    return worst
-
-
 def isotropy_check(
     n: int,
     m: int,
@@ -336,36 +280,3 @@ def isotropy_check(
         acc += op_k.adjoint_image(op_k.forward(x.u, x.v))
     mean = acc / draws
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))
-
-
-def rop_form_samples(
-    n: int,
-    m: int,
-    point4: tuple,
-    draws: int,
-    seed: int = 0,
-    decoupled: bool = False,
-) -> np.ndarray:
-    """Sample the orthogonal-pair cross form over fresh ensembles.
-
-    For a fixed 4-tuple (u, v, u_hat, v_hat), draws the value
-    <A(u_hat v_hat^T), A(u v^T)> over independent ensembles (sample
-    positions without replacement, Gaussian dictionaries), either
-    coupled (shared dictionaries) or decoupled (independent copies on
-    the hatted side). Under factor-wise orthogonality the two value
-    distributions match; tests compare them with a two-sample location
-    test.
-    """
-    u, v, u_hat, v_hat = (np.asarray(w, dtype=complex) for w in point4)
-    p, p_hat = LiftedPoint(u, v), LiftedPoint(u_hat, v_hat)
-    vals = np.empty(draws, dtype=complex)
-    for k in range(draws):
-        rng = rng_for(seed, "ens", k)
-        omega = sample_omega(n, m, "without_replacement", rng)
-        phi = _gaussian_dictionary(n, rng)
-        psi = _gaussian_dictionary(n, rng)
-        base = Ensemble(n=n, m=m, omega=omega, phi=phi, psi=psi)
-        op = FactoredOperator.of(base)
-        ops = _decoupled_ops(base, op, rng) if decoupled else (op, op)
-        vals[k] = _form(p_hat, p, *ops)
-    return vals

@@ -7,10 +7,7 @@ average bin energy (no cap when ``mu`` is None).
 
 The module provides the membership predicates, the projections used to
 push a vector into the model, a sampler, and a Gram-Schmidt routine that
-builds model-feasible orthogonal partners. It also keeps the predicate
-of the approximately sparse set, ``||x||_1 <= sqrt(s) * ||x||_2`` (a
-superset of the s-sparse vectors, by Cauchy-Schwarz), which no model
-samples from.
+builds model-feasible orthogonal partners.
 
 The flatness cap constrains an s-sparse vector only when mu < s: every
 DFT bin obeys |(Fx)_k| <= ||x||_1 <= sqrt(s) ||x||_2, so a vector with at
@@ -46,7 +43,6 @@ __all__ = [
     "as_signal",
     "spectral_flatness",
     "in_gamma",
-    "in_tilde_gamma",
     "hard_threshold",
     "project_flat",
     "sample_model",
@@ -181,27 +177,6 @@ def in_gamma(x, s: int) -> bool:
     if peak == 0:
         return True
     return int(np.count_nonzero(mags > ZERO_TOL * peak)) <= s
-
-
-def in_tilde_gamma(x, s: int) -> bool:
-    """True when ||x||_1 <= sqrt(s) * ||x||_2.
-
-    Contains every vector accepted by in_gamma at the same level, by
-    Cauchy-Schwarz. Scale-invariant.
-
-    Raises
-    ------
-    ZeroVectorError
-        If x is the zero vector (a ValueError).
-    """
-    x = as_signal(x)
-    if not 1 <= s <= x.size:
-        raise ValueError("need 1 <= s <= n")
-    l2 = np.linalg.norm(x)
-    if l2 == 0:
-        raise ZeroVectorError("membership undefined for the zero vector")
-    # relative slack so boundary cases (equal-modulus supports) are stable
-    return float(np.abs(x).sum()) <= np.sqrt(s) * l2 * (1 + 1e-12)
 
 
 def hard_threshold(x, s: int) -> np.ndarray:

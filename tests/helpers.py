@@ -6,12 +6,33 @@ measurement operator (forward_dense, measurement_matrix, r_matrix,
 xi_vector) build it from FFTs and dense DFT matrices, guarded to small
 n, and the polarization check verifies the identity the analysis uses
 on explicit matrices. Tests treat these as ground truth.
+
+The calibration oracles are paper content no library path calls:
+estimate_rip_matrix samples the restricted isometry constant of an
+explicit matrix and exact_rip_small enumerates it (C7 compares the
+two), rop_form_samples draws the orthogonal-pair cross form over fresh
+ensembles, dyadic_chain_check compares the entropy integral with its
+dyadic series (C11), greedy_cover upper bounds a covering number, and
+in_tilde_gamma is the predicate of the approximately sparse set.
 """
+
+import itertools
+import math
 
 import numpy as np
 
+from liftconv.concentration import EstimateReport, _decoupled_ops, _form, _run_trials
 from liftconv.fourier import dft_matrix
-from liftconv.measurement import DENSE_GUARD, Ensemble, LiftedPoint
+from liftconv.measurement import (
+    DENSE_GUARD,
+    Ensemble,
+    FactoredOperator,
+    LiftedPoint,
+    _gaussian_dictionary,
+    sample_omega,
+)
+from liftconv.models import ModelSpec, as_signal, sample_model
+from liftconv.util import ZeroVectorError, rng_for
 
 
 def naive_circular_conv(x, y):
@@ -151,3 +172,180 @@ def unit_vec(n, i):
     e = np.zeros(n, dtype=complex)
     e[i] = 1.0
     return e
+
+
+# -- calibration oracles for the estimators ----------------------------------
+
+
+EXACT_RIP_N_GUARD = 16
+EXACT_RIP_S_GUARD = 4
+
+
+def estimate_rip_matrix(
+    A: np.ndarray,
+    spec: ModelSpec,
+    trials: int,
+    seed: int = 0,
+) -> EstimateReport:
+    """Vector-level isometry deviation of an explicit matrix.
+
+    Sample max of | ||A x||^2 - ||x||^2 | / ||x||^2 over draws from the
+    model. Every draw lies in the model set, so the estimate can never
+    exceed the exact restricted constant of A at the same level.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[1] != spec.n:
+        raise ValueError("A must be m x n with n matching the model")
+
+    def trial(t, rng):
+        x = sample_model(spec, rng)
+        nsq = float(np.linalg.norm(x) ** 2)
+        return abs(float(np.linalg.norm(A @ x) ** 2) - nsq) / nsq, {"x": x}
+
+    return _run_trials(trials, seed, trial)
+
+
+def exact_rip_small(A: np.ndarray, s: int) -> float:
+    """Exact restricted isometry constant by support enumeration.
+
+    max over |J| = s of || A_J^* A_J - I ||_2. Guarded to n <= 16 and
+    s <= 4.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise ValueError("A must be a matrix")
+    n = A.shape[1]
+    if n > EXACT_RIP_N_GUARD or s > EXACT_RIP_S_GUARD:
+        raise ValueError(
+            f"exact enumeration is limited to n <= {EXACT_RIP_N_GUARD}, s <= {EXACT_RIP_S_GUARD}"
+        )
+    if not 1 <= s <= n:
+        raise ValueError("need 1 <= s <= n")
+    eye = np.eye(s)
+    worst = 0.0
+    for J in itertools.combinations(range(n), s):
+        G = A[:, J]
+        gram = G.conj().T @ G - eye
+        ev = np.linalg.eigvalsh(gram)
+        worst = max(worst, float(max(abs(ev[0]), abs(ev[-1]))))
+    return worst
+
+
+def rop_form_samples(
+    n: int,
+    m: int,
+    point4: tuple,
+    draws: int,
+    seed: int = 0,
+    decoupled: bool = False,
+) -> np.ndarray:
+    """Sample the orthogonal-pair cross form over fresh ensembles.
+
+    For a fixed 4-tuple (u, v, u_hat, v_hat), draws the value
+    <A(u_hat v_hat^T), A(u v^T)> over independent ensembles (sample
+    positions without replacement, Gaussian dictionaries), either
+    coupled (shared dictionaries) or decoupled (independent copies on
+    the hatted side). Under factor-wise orthogonality the two value
+    distributions match; tests compare them with a two-sample location
+    test.
+    """
+    u, v, u_hat, v_hat = (np.asarray(w, dtype=complex) for w in point4)
+    p, p_hat = LiftedPoint(u, v), LiftedPoint(u_hat, v_hat)
+    vals = np.empty(draws, dtype=complex)
+    for k in range(draws):
+        rng = rng_for(seed, "ens", k)
+        omega = sample_omega(n, m, "without_replacement", rng)
+        phi = _gaussian_dictionary(n, rng)
+        psi = _gaussian_dictionary(n, rng)
+        base = Ensemble(n=n, m=m, omega=omega, phi=phi, psi=psi)
+        op = FactoredOperator.of(base)
+        ops = _decoupled_ops(base, op, rng) if decoupled else (op, op)
+        vals[k] = _form(p_hat, p, *ops)
+    return vals
+
+
+# -- calibration oracles for the bounds and the models ------------------------
+
+
+def dyadic_chain_check(e) -> bool:
+    """Entropy integral vs dyadic series comparison on a finite sequence.
+
+    Interprets e as dyadic entropy numbers e_1 >= e_2 >= ... >= e_K >= 0
+    (zero beyond K), inducing the piecewise covering profile
+    N(eps) = 2^{k-1} on [e_{k+1}, e_k). Evaluates
+
+        integral_0^inf sqrt(log N(eps)) d eps
+          = sqrt(log 2) * sum_k (e_k - e_{k+1}) * sqrt(k - 1)
+
+    exactly and compares against sqrt(log 2) * sum_k e_k / sqrt(k).
+    Returns True when integral <= series + 1e-12.
+    """
+    e = np.asarray(e, dtype=float)
+    if e.ndim != 1 or e.size == 0:
+        raise ValueError("e must be a nonempty 1-D sequence")
+    if np.any(e < 0):
+        raise ValueError("entropy numbers must be nonnegative")
+    if np.any(np.diff(e) > 0):
+        raise ValueError("entropy numbers must be nonincreasing")
+    k = np.arange(1, e.size + 1, dtype=float)
+    steps = e - np.append(e[1:], 0.0)
+    integral = math.sqrt(math.log(2.0)) * float(np.sum(steps * np.sqrt(k - 1.0)))
+    series = math.sqrt(math.log(2.0)) * float(np.sum(e / np.sqrt(k)))
+    return integral <= series + 1e-12
+
+
+def greedy_cover(points: np.ndarray, eps: float) -> int:
+    """Size of a greedy eps-cover of a finite point set (euclidean).
+
+    Farthest-point traversal: the first center is a point minimizing
+    the maximum distance to the sample, and each subsequent center is
+    the point farthest from the chosen ones, until everything lies
+    within eps. The center sequence does not depend on eps, so the
+    count is nonincreasing in eps, equals 1 exactly when eps is at
+    least the sample's radius about its best point, and always upper
+    bounds the true covering number.
+    """
+    pts = np.asarray(points)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a nonempty (count, dim) array")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    count = pts.shape[0]
+
+    # max distance from each candidate center, chunked to bound memory
+    worst = np.empty(count)
+    chunk = max(1, int(2**22 // max(count, 1)))
+    for start in range(0, count, chunk):
+        block = pts[start : start + chunk]
+        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
+        worst[start : start + chunk] = d.max(axis=1)
+    center = int(np.argmin(worst))
+
+    mind = np.linalg.norm(pts - pts[center], axis=1)
+    n_centers = 1
+    while mind.max() > eps:
+        center = int(np.argmax(mind))
+        n_centers += 1
+        mind = np.minimum(mind, np.linalg.norm(pts - pts[center], axis=1))
+    return n_centers
+
+
+def in_tilde_gamma(x, s: int) -> bool:
+    """True when ||x||_1 <= sqrt(s) * ||x||_2.
+
+    Contains every vector accepted by in_gamma at the same level, by
+    Cauchy-Schwarz. Scale-invariant.
+
+    Raises
+    ------
+    ZeroVectorError
+        If x is the zero vector (a ValueError).
+    """
+    x = as_signal(x)
+    if not 1 <= s <= x.size:
+        raise ValueError("need 1 <= s <= n")
+    l2 = np.linalg.norm(x)
+    if l2 == 0:
+        raise ZeroVectorError("membership undefined for the zero vector")
+    # relative slack so boundary cases (equal-modulus supports) are stable
+    return float(np.abs(x).sum()) <= np.sqrt(s) * l2 * (1 + 1e-12)

@@ -13,10 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from helpers import forward_dense, measurement_matrix, polarization_check, r_matrix, unit_vec
+from helpers import (
+    dyadic_chain_check,
+    estimate_rip_matrix,
+    exact_rip_small,
+    forward_dense,
+    measurement_matrix,
+    polarization_check,
+    r_matrix,
+    unit_vec,
+)
 from liftconv.bounds import (
     angle_preservation_bound,
-    dyadic_chain_check,
     maurey_f,
     maurey_h,
     solve_a,
@@ -24,9 +32,7 @@ from liftconv.bounds import (
 from liftconv.cli import parse_config, run_sweep
 from liftconv.concentration import (
     estimate_rap,
-    estimate_rip_matrix,
     estimate_rop,
-    exact_rip_small,
     isotropy_check,
 )
 from liftconv.fourier import dft_matrix

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dyadic_chain_check, greedy_cover
 from liftconv.bounds import (
     BoundQuery,
     angle_preservation_bound,
     dudley_fourier_bound,
     dudley_sparse_bound,
-    dyadic_chain_check,
     gamma2_bound,
-    greedy_cover,
     maurey_f,
     maurey_h,
     sample_complexity,

@@ -8,16 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import polarization_check
+from helpers import estimate_rip_matrix, exact_rip_small, polarization_check, rop_form_samples
 from liftconv.concentration import (
     EstimateReport,
     estimate_rap,
     estimate_rip,
-    estimate_rip_matrix,
     estimate_rop,
-    exact_rip_small,
     isotropy_check,
-    rop_form_samples,
 )
 from liftconv.fourier import dft_matrix
 from liftconv.measurement import (

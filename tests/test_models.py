@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_dft, unit_vec
+from helpers import in_tilde_gamma, naive_dft, unit_vec
 from liftconv import models
 from liftconv.fourier import ifftu
 from liftconv.models import (
@@ -18,7 +18,6 @@ from liftconv.models import (
     as_signal,
     hard_threshold,
     in_gamma,
-    in_tilde_gamma,
     orthogonalize_pair,
     project_flat,
     sample_model,
