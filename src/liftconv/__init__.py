@@ -8,7 +8,9 @@ instances, restricted signal models with spectral-flatness
 projections, Monte Carlo estimators of restricted isometry, angle, and
 orthogonality constants, closed-form entropy and sample-complexity
 calculators, and an alternating least-squares recovery solver with a
-phase-transition sweep harness.
+phase-transition sweep harness. The package namespace re-exports only
+what the library runs: the FFTs are NumPy's, and the dense reference
+maps (partial_forward, adjoint_apply) stay in liftconv.measurement.
 """
 
 from types import ModuleType as _ModuleType
@@ -32,16 +34,13 @@ from .concentration import (
     estimate_rop,
     isotropy_check,
 )
-from .fourier import dft_matrix, fftu, ifftu
 from .measurement import (
     Ensemble,
     FactoredOperator,
     LiftedPoint,
-    adjoint_apply,
     forward,
     lifted_dist,
     lifted_inner,
-    partial_forward,
     sample_omega,
 )
 from .models import (

@@ -36,7 +36,7 @@ from .models import (
     orthogonalize_pair,
     sample_model,
 )
-from .util import derive_seed, rng_for, vnorm
+from .util import ZeroVectorError, derive_seed, rng_for, vnorm
 
 __all__ = [
     "EstimateReport",
@@ -250,7 +250,8 @@ def isotropy_check(
     Holding omega and one dictionary fixed and averaging over fresh
     draws of the other, the expectation is X (Psi^* Psi)^T when the
     left dictionary is averaged out and (Phi^* Phi) X when the right
-    one is. Returns ||mean - target||_F / ||target||_F.
+    one is. Returns ||mean - target||_F / ||target||_F; a zero point,
+    whose target is zero, raises ZeroVectorError.
 
     Each draw is A^*(A(X)) for the factored operator of omega and the
     fixed dictionary with the averaged factor swapped for that draw's.
@@ -261,6 +262,8 @@ def isotropy_check(
         raise ValueError(f"isotropy check materializes matrices; n <= {ISOTROPY_GUARD}")
     if draws < 1:
         raise ValueError("draws must be positive")
+    if x.norm_f == 0:
+        raise ZeroVectorError("the isotropy check needs a nonzero point")
 
     setup = rng_for(seed, "setup")
     omega = sample_omega(n, m, omega_mode, setup)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import dft_matrix, fftu, ifftu
 from .util import ZeroVectorError, complex_gaussian, rng_for, vnorm
 
 __all__ = [
@@ -195,9 +194,9 @@ def forward(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
     return np.sqrt(ens.n / ens.m) * conv[ens.omega]
 
 
-# adjoint_apply, PartialMap and partial_forward stay in src only because
-# perfbench/tracer.py TARGETS names them; no library code calls them, and
-# the tests check FactoredOperator against them.
+# adjoint_apply, PartialMap and partial_forward stay here, out of the
+# package namespace, only for perfbench/tracer.py TARGETS; no library code
+# calls them, and the tests check FactoredOperator against them.
 def _scatter(ens: Ensemble, b: np.ndarray) -> np.ndarray:
     acc = np.zeros(ens.n, dtype=complex)
     np.add.at(acc, ens.omega, b)
@@ -215,7 +214,8 @@ def adjoint_apply(ens: Ensemble, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if b.shape != (m,):
         raise ValueError("b must have length m")
-    F = dft_matrix(n)
+    j = np.arange(n)
+    F = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)  # unitary DFT
     d = F @ _scatter(ens, b)
     core = F.conj().T @ (d[:, None] * F.conj())
     return (n / np.sqrt(m)) * (ens.phi.conj().T @ core @ ens.psi.conj())
@@ -237,7 +237,9 @@ class PartialMap:
 
     def adjoint(self, b: np.ndarray) -> np.ndarray:
         ens = self.ens
-        s = ifftu(np.conj(self.fixed_hat) * fftu(_scatter(ens, b)))
+        root_n = np.sqrt(ens.n)  # the unitary DFT's scale
+        s_hat = np.conj(self.fixed_hat) * (np.fft.fft(_scatter(ens, b)) / root_n)
+        s = np.fft.ifft(s_hat) * root_n
         s *= np.sqrt(ens.n / ens.m)
         return (ens.phi if self.side == "left" else ens.psi).conj().T @ s
 

@@ -512,9 +512,10 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     by project_flat(u, mu1), which keeps its support and lands strictly
     inside the cap, and the other factor, unless its own cap binds, refit
     on its support (a kept factor is never zero: an attempt whose factor
-    collapses breaks down); so the factors lie in the model. A cap above
-    n, or with s > n, is rejected before the first attempt. All
-    stochastic choices derive from opts.seed, never from global state.
+    collapses breaks down); so the factors lie in the model. A b with a
+    NaN or inf entry, and a cap above n or with s > n, are rejected
+    before the first attempt. All stochastic choices derive from
+    opts.seed, never from global state.
     The factored operator (F Phi, F Psi and the scaled inverse-DFT rows,
     2 n^2 + m n complex entries) and the n x n adjoint image of b built
     from it are made once per call, at every n: 3 n^2 + m n entries in
@@ -524,6 +525,8 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     b = np.asarray(b, dtype=complex)
     if b.shape != (ens.m,):
         raise ValueError("b must have length m")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b must be finite")
     b_norm = vnorm(b)
     if b_norm == 0:
         raise ZeroVectorError("cannot initialize from zero measurements")

@@ -1,11 +1,13 @@
 """Reference implementations the fast paths are tested against.
 
 The naive oracles are written the obvious way: explicit loops and
-explicit anti-diagonal sums, no FFTs. The dense forms of the
-measurement operator (forward_dense, measurement_matrix, r_matrix,
-xi_vector) build it from FFTs and dense DFT matrices, guarded to small
-n, and the polarization check verifies the identity the analysis uses
-on explicit matrices. Tests treat these as ground truth.
+explicit anti-diagonal sums, no FFTs. dft_matrix is the dense unitary
+DFT matrix F, entries exp(-2i*pi*j*k/n)/sqrt(n), in which the
+measurement algebra is stated. The dense forms of the measurement
+operator (forward_dense, measurement_matrix, r_matrix, xi_vector) build
+it from FFTs and dft_matrix, guarded to small n, and the polarization
+check verifies the identity the analysis uses on explicit matrices.
+Tests treat these as ground truth.
 
 The calibration oracles are paper content no library path calls:
 estimate_rip_matrix samples the restricted isometry constant of an
@@ -22,7 +24,6 @@ import math
 import numpy as np
 
 from liftconv.concentration import EstimateReport, _decoupled_ops, _form, _run_trials
-from liftconv.fourier import dft_matrix
 from liftconv.measurement import (
     DENSE_GUARD,
     Ensemble,
@@ -82,6 +83,14 @@ def naive_forward_matrix(ens, X):
 
 
 R_MATRIX_GUARD = 64
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Dense unitary DFT matrix. Symmetric: F.T == F."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
 def forward_dense(ens: Ensemble, X: np.ndarray) -> np.ndarray:

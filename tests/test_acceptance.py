@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dft_matrix,
     dyadic_chain_check,
     estimate_rip_matrix,
     exact_rip_small,
@@ -35,7 +36,6 @@ from liftconv.concentration import (
     estimate_rop,
     isotropy_check,
 )
-from liftconv.fourier import dft_matrix
 from liftconv.measurement import (
     Ensemble,
     LiftedPoint,

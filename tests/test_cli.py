@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -754,3 +755,19 @@ def test_readme_and_docstring_name_exactly_the_subcommands():
     body = cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\nExit codes", 1)[0]
     assert {name for line in body.splitlines() if line and not line[0].isspace()
             for name in line.split(" / ")} == registered
+
+
+def test_readme_command_lines_and_sweep_config_parse():
+    # nothing runs: each command line parses, each run line's flags resolve
+    # to a one-cell config, and the sample sweep config is a valid config
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    run_kinds = []
+    for line in block.splitlines():
+        if line.startswith("liftconv "):
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            if hasattr(args, "kind"):
+                run_kinds.append(cli._one_cell(args).kind)
+    assert sorted(run_kinds) == sorted(SWEEP_KINDS)
+    ini = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(ini).kind == "recover"

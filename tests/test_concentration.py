@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import estimate_rip_matrix, exact_rip_small, polarization_check, rop_form_samples
+from helpers import (
+    dft_matrix,
+    estimate_rip_matrix,
+    exact_rip_small,
+    polarization_check,
+    rop_form_samples,
+)
 from liftconv.concentration import (
     EstimateReport,
     estimate_rap,
@@ -16,7 +22,6 @@ from liftconv.concentration import (
     estimate_rop,
     isotropy_check,
 )
-from liftconv.fourier import dft_matrix
 from liftconv.measurement import (
     Ensemble,
     LiftedPoint,
@@ -27,7 +32,7 @@ from liftconv.measurement import (
     sample_omega,
 )
 from liftconv.models import ModelSpec
-from liftconv.util import complex_gaussian, derive_seed, rng_for
+from liftconv.util import ZeroVectorError, complex_gaussian, derive_seed, rng_for
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -329,6 +334,13 @@ def test_isotropy_check_validates():
         isotropy_check(4, 2, x, 0)
     with pytest.raises(ValueError):
         isotropy_check(128, 2, LiftedPoint(np.ones(128), np.ones(128)), 10)
+
+
+@pytest.mark.parametrize("u, v", [(np.zeros(8), np.ones(8)), (np.ones(8), np.zeros(8))])
+def test_isotropy_check_rejects_the_zero_point(u, v):
+    # its target is zero, so the relative error is undefined
+    with pytest.raises(ZeroVectorError):
+        isotropy_check(8, 4, LiftedPoint(u, v), 5)
 
 
 def test_polarization_residual_vanishes():

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     R_MATRIX_GUARD,
+    dft_matrix,
     forward_dense,
     measurement_matrix,
     naive_forward_matrix,
@@ -17,7 +18,6 @@ from helpers import (
     xi_vector,
 )
 from liftconv.concentration import estimate_rop, isotropy_check
-from liftconv.fourier import dft_matrix
 from liftconv.measurement import (
     DENSE_GUARD,
     Ensemble,

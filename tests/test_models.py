@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import in_tilde_gamma, naive_dft, unit_vec
 from liftconv import models
-from liftconv.fourier import ifftu
 from liftconv.models import (
     FLATNESS_SLACK,
     ModelSpec,
@@ -258,7 +257,7 @@ def _flat_projection_cases(draw):
     else:
         # two magnitude levels shared by many bins, random phases
         levels = np.where(rng.random(n) < 0.25, 5.0, 1.0)
-        x = ifftu(levels * np.exp(2j * np.pi * rng.random(n)))
+        x = np.fft.ifft(levels * np.exp(2j * np.pi * rng.random(n))) * np.sqrt(n)
     mu = draw(st.one_of(st.just(1.0), st.just(float(n)),
                         st.floats(1.0, float(n), allow_nan=False)))
     return x, mu

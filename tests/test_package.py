@@ -23,9 +23,8 @@ PUBLIC_NAMES = {
     "sample_complexity", "solve_a",
     "EstimateReport", "estimate_rap", "estimate_rip",
     "estimate_rop", "isotropy_check",
-    "dft_matrix", "fftu", "ifftu",
-    "Ensemble", "FactoredOperator", "LiftedPoint", "adjoint_apply", "forward",
-    "lifted_dist", "lifted_inner", "partial_forward", "sample_omega",
+    "Ensemble", "FactoredOperator", "LiftedPoint", "forward",
+    "lifted_dist", "lifted_inner", "sample_omega",
     "InfeasibleModelError", "ModelSpec",
     "OrthogonalizationError", "hard_threshold", "in_gamma",
     "orthogonalize_pair", "project_flat", "sample_model", "spectral_flatness",
@@ -37,7 +36,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 42
     assert len(liftconv.__all__) == len(set(liftconv.__all__))
     assert set(liftconv.__all__) == PUBLIC_NAMES
 
@@ -67,11 +66,13 @@ def _tracer_targets():
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # a public name stays only if library code, a benchmark workload or
-    # the benchmark's tracer uses it; test oracles live in tests/helpers.py
+    # a public name stays only if library code or a benchmark workload
+    # uses it; test oracles live in tests/helpers.py. The tracer's TARGETS
+    # name module attributes, not package names, so they count for nothing
+    # here (test_traced_benchmark_targets_resolve guards them)
     sources = LIBRARY + sorted(p for p in (ROOT / "perfbench").glob("*.py")
                                if not p.name.startswith("test_"))
-    used = {part for _, attr in _tracer_targets() for part in attr.split(".")}
+    used = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

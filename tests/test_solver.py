@@ -755,6 +755,24 @@ def test_flatness_caps_are_rejected_before_the_first_attempt(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_data_is_rejected_before_the_first_attempt(bad, monkeypatch):
+    # bad input, not a numerical failure: no SVD of a NaN adjoint image
+    calls = []
+    real = solver._attempt_init
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_attempt_init", counting)
+    ens, _, b, _ = plant_instance(32, 16, 2, 2, seed=1)
+    b[3] = bad
+    with pytest.raises(ValueError, match="b must be finite"):
+        recover(ens, b, SolveOptions(s1=2, s2=2, seed=1))
+    assert calls == []
+
+
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(s1=0, s2=1)
