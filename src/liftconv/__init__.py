@@ -44,7 +44,6 @@ from .measurement import (
     sample_omega,
 )
 from .models import (
-    InfeasibleModelError,
     ModelSpec,
     OrthogonalizationError,
     hard_threshold,
@@ -58,7 +57,6 @@ from .solver import (
     AttemptRecord,
     SolveOptions,
     SolveResult,
-    SolverBreakdownError,
     plant_instance,
     recover,
     success_metric,

@@ -26,7 +26,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """Inputs to the bound calculators, validated once."""
+    """Inputs to the bound calculators, validated once; n >= 2, as they take log n."""
 
     n: int
     m: int
@@ -40,6 +40,8 @@ class BoundQuery:
     def __post_init__(self):
         if min(self.n, self.m, self.s1, self.s2) < 1:
             raise ValueError("dimensions must be positive")
+        if self.n < 2:
+            raise ValueError("need n >= 2")
         if max(self.m, self.s1, self.s2) > self.n:
             raise ValueError("need m, s1 and s2 <= n")
         if not (1 <= self.mu1 <= self.n and 1 <= self.mu2 <= self.n):
@@ -54,17 +56,18 @@ _ROOT_TOL = 1e-12
 
 
 def solve_a() -> float:
-    """Root of log(a + 1) = 1/a on (1, 2), by bisection, to residual _ROOT_TOL."""
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.log(mid + 1.0) - 1.0 / mid < 0.0:
-            lo = mid
+    """Root of log(a + 1) = 1/a on (1, 2), by bisection, to residual _ROOT_TOL.
+
+    Bisects until the midpoint equals an endpoint, where the bracket is
+    two adjacent doubles: about 52 steps on (1, 2).
+    """
+    lo, a, hi = 1.0, 1.5, 2.0
+    while lo < a < hi:
+        if math.log(a + 1.0) - 1.0 / a < 0.0:
+            lo = a
         else:
-            hi = mid
-        if hi - lo < 1e-16:
-            break
-    a = 0.5 * (lo + hi)
+            hi = a
+        a = 0.5 * (lo + hi)
     if abs(math.log(a + 1.0) - 1.0 / a) > _ROOT_TOL:
         raise ArithmeticError("bisection failed to converge")
     return a

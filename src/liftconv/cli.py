@@ -7,8 +7,10 @@ rip-estimate / rap-estimate / rop-estimate
     lines (wall_time and resamples included); --csv writes the report
     with its wall_time as a one-row CSV, replacing any old content.
     rip-estimate measures the isometry deviation, rap-estimate the
-    angle deviation over independent pairs. Their flags, like recover's,
-    are the sweep keys of the same name, parsed by parse_config.
+    angle deviation over independent pairs, rop-estimate the measured
+    inner product of pairs orthogonal on --orthogonality's sides. Their
+    flags, like recover's, are the sweep keys of the same name, parsed
+    by parse_config.
 isotropy
     Monte Carlo check (no --phi/--psi: see --fixed-kind) that averaging
     A*A over one dictionary reproduces the closed-form expectation.
@@ -36,7 +38,7 @@ sweep
     fails numerically is logged and counts as a miss.
 bounds
     Closed-form sample-complexity and entropy quantities for one
-    parameter point; exits 2 when m, s1, s2 or a cap exceeds n.
+    parameter point; exits 2 when n < 2 or m, s1, s2 or a cap exceeds n.
 
 Exit codes: 0 success, 2 bad arguments or config, 3 numeric failure
 (including a zero vector met partway through a draw or a solve).
@@ -83,19 +85,8 @@ from .measurement import (
     Ensemble,
     LiftedPoint,
 )
-from .models import (
-    InfeasibleModelError,
-    ModelSpec,
-    OrthogonalizationError,
-    sample_model,
-)
-from .solver import (
-    SolveOptions,
-    SolverBreakdownError,
-    plant_instance,
-    recover,
-    success_metric,
-)
+from .models import ModelSpec, OrthogonalizationError, sample_model
+from .solver import SolveOptions, plant_instance, recover, success_metric
 from .util import ZeroVectorError, derive_seed, fmt_float, rng_for
 
 log = logging.getLogger("liftconv")
@@ -119,9 +110,7 @@ class CellFailureError(RuntimeError):
 
 _NUMERIC_ERRORS = (
     CellFailureError,
-    InfeasibleModelError,
     OrthogonalizationError,
-    SolverBreakdownError,
     ZeroVectorError,
     np.linalg.LinAlgError,
     ArithmeticError,

@@ -30,7 +30,6 @@ from .measurement import (
     _spectrum,
 )
 from .models import (
-    InfeasibleModelError,
     ModelSpec,
     OrthogonalizationError,
     orthogonalize_pair,
@@ -192,7 +191,7 @@ def estimate_rop(
     dictionaries are their own copy), the comparison form used to
     justify reducing to independent factors. Failed orthogonalizations
     resample the whole 4-tuple from the trial stream and are counted in
-    the report's resamples field; a trial raises InfeasibleModelError
+    the report's resamples field; a trial raises OrthogonalizationError
     once its resample budget is spent.
     """
     if orthogonality not in ("both", "either"):
@@ -221,7 +220,7 @@ def estimate_rop(
             except OrthogonalizationError:
                 resamples += 1
         else:
-            raise InfeasibleModelError(
+            raise OrthogonalizationError(
                 f"orthogonalization failed {_ROP_MAX_ATTEMPTS} times in trial {t}"
             )
         p = LiftedPoint(u, v)

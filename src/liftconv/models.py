@@ -38,7 +38,6 @@ __all__ = [
     "ZERO_TOL",
     "FLATNESS_SLACK",
     "ModelSpec",
-    "InfeasibleModelError",
     "OrthogonalizationError",
     "as_signal",
     "spectral_flatness",
@@ -69,13 +68,10 @@ _DESCENT_TRIALS = 400
 _FALLBACK_STEPS = 30
 
 
-class InfeasibleModelError(RuntimeError):
-    """No model-feasible draw was formed: concentration.estimate_rop
-    raises it when a trial spends its orthogonalization resamples."""
-
-
 class OrthogonalizationError(RuntimeError):
-    """No model-feasible orthogonal partner was found."""
+    """No model-feasible orthogonal partner was found: orthogonalize_pair
+    raises it for one candidate, and concentration.estimate_rop for a
+    trial that spends its _ROP_MAX_ATTEMPTS draws on such failures."""
 
 
 def as_signal(x, n: int | None = None) -> np.ndarray:

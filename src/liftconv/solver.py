@@ -38,7 +38,10 @@ final residual stays large, which is how failed basins announce
 themselves.
 Restarts draw from a stream derived from SolveOptions.seed, so a solve
 is a deterministic function of (ensemble, data, options);
-SolveResult.attempt_log records what each attempt did.
+SolveResult.attempt_log records what each attempt did. An attempt whose
+half-step leaves a factor zero breaks down: it is logged with stop
+"breakdown" and the solve goes on; only when every attempt broke down
+does recover raise ZeroVectorError.
 
 Attempts are independent given the operator, T, the options and the
 attempt's index, and one function (_attempt) runs each. Attempt 0 runs
@@ -79,7 +82,6 @@ __all__ = [
     "AttemptRecord",
     "SolveOptions",
     "SolveResult",
-    "SolverBreakdownError",
     "recover",
     "success_metric",
     "plant_instance",
@@ -127,17 +129,6 @@ _POLISH_RESID = 0.1
 _FAN_OUT_S = 0.06
 
 
-class SolverBreakdownError(RuntimeError):
-    """Inner solver broke down; carries the current iterate pair."""
-
-    def __init__(self, message: str, iterate: LiftedPoint):
-        super().__init__(message)
-        self.iterate = iterate
-
-    def __reduce__(self):
-        return type(self), (*self.args, self.iterate)
-
-
 @dataclass
 class SolveOptions:
     """Solver settings. max_outer_iters caps the outer iterations of
@@ -169,7 +160,8 @@ class SolveOptions:
 @dataclass
 class AttemptRecord:
     """What one attempt of recover did, as kept in SolveResult.attempt_log;
-    _run_attempt fills it as it runs, so a breakdown keeps the work done."""
+    _run_attempt fills it as it runs, so a breakdown (a collapsed factor)
+    keeps the work done."""
 
     init: str  # "screened", "weighted", "uniform" or "gaussian"
     level_iters: list = field(default_factory=list)  # outer iterations per level reached
@@ -350,7 +342,8 @@ def _step_norm(u, v, u0, v0, v_norm: float, u0_norm: float) -> float:
 
 
 def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecord):
-    """One continuation sweep from init over the (s1, s2) levels: (u, v, residual).
+    """One continuation sweep from init over the (s1, s2) levels: (u, v,
+    residual), or None once a half-step leaves its factor zero.
 
     A level stops once the step between consecutive iterates falls below
     its tolerance times ||X||, or after opts.max_outer_iters outer
@@ -364,7 +357,7 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
     Fills rec as it goes: the outer iterations of each level in
     level_iters, the stop reason of each finished level ("outer_tol",
     "warm" or "cap") in level_stops, and half_steps, so that all three
-    stay readable after a SolverBreakdownError.
+    stay readable after a collapse, which leaves rec.stop at "breakdown".
     """
     u, v = init.u, init.v
     Aw = op.forward(u, v)
@@ -381,14 +374,12 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
             rec.half_steps += 1
             nu = vnorm(u)
             if nu == 0:
-                raise SolverBreakdownError("left factor collapsed",
-                                           LiftedPoint(u, v))
+                return None
             v, Aw, resid = _half_step(*op.frozen("right", u), b, v, Aw, s2_now)
             rec.half_steps += 1
             nv = vnorm(v)
             if nv == 0:
-                raise SolverBreakdownError("right factor collapsed",
-                                           LiftedPoint(u, v))
+                return None
             # rebalance factor norms; the lifted point, of norm nu * nv,
             # is unchanged and both factors now have norm sqrt(nu * nv)
             ratio = math.sqrt(nv / nu)
@@ -405,17 +396,14 @@ def _run_attempt(op, b, opts, init: LiftedPoint, levels: list, rec: AttemptRecor
 
 def _attempt(solve: tuple, a: int):
     """Attempt a of the solve (op, b, opts, T, energies, levels): its
-    AttemptRecord and either (u, v, residual) or the SolverBreakdownError
-    it raised. Both schedules of _attempt_results run this on the same
-    inputs, so an attempt's output does not depend on where it ran."""
+    AttemptRecord and _run_attempt's (u, v, residual), or None when a
+    factor collapsed. Both schedules of _attempt_results run this on the
+    same inputs, so an attempt's output does not depend on where it ran."""
     op, b, opts, T, energies, levels = solve
     flavor, init = _attempt_init(T, energies, *levels[0], a, opts.seed)
     rec = AttemptRecord(flavor)
-    try:
-        with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
-            return rec, _run_attempt(op, b, opts, init, levels, rec)
-    except SolverBreakdownError as err:
-        return rec, err
+    with np.errstate(invalid="ignore"):  # for the fits' Gram inverses
+        return rec, _run_attempt(op, b, opts, init, levels, rec)
 
 
 # The solve a pool worker's attempts belong to, set once per worker.
@@ -501,10 +489,11 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     energy screening first). Keeps the attempt with the smallest
     residual, the earliest one unless a later residual is smaller by
     more than the relative margin _ATTEMPT_MARGIN, and stops early once
-    a residual falls below _RESID_STOP * ||b||. Every attempt, one that
-    breaks down included, counts in `attempts` and leaves its
-    AttemptRecord in `attempt_log`; a breakdown is re-raised only if
-    every attempt broke down. Attempt 0 runs in process; the restarts run
+    a residual falls below _RESID_STOP * ||b||. Every attempt counts in
+    `attempts` and leaves its AttemptRecord in `attempt_log`, one whose
+    factor collapsed to zero too (stop "breakdown", no residual); the
+    solve goes on, and raises ZeroVectorError only if every attempt
+    collapsed. Attempt 0 runs in process; the restarts run
     there or on a fork pool (_attempt_results, _pool_workers), with the
     same results bit for bit. The first residual stop cancels the queued
     attempts, and the pool is joined before recover returns or raises.
@@ -512,7 +501,7 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     by project_flat(u, mu1), which keeps its support and lands strictly
     inside the cap, and the other factor, unless its own cap binds, refit
     on its support (a kept factor is never zero: an attempt whose factor
-    collapses breaks down); so the factors lie in the model. A b with a
+    collapses is not kept); so the factors lie in the model. A b with a
     NaN or inf entry, and a cap above n or with s > n, are rejected
     before the first attempt. All stochastic choices derive from
     opts.seed, never from global state.
@@ -545,14 +534,12 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     T = op.adjoint_image(b)
     energies = np.linalg.norm(T, axis=1) ** 2, np.linalg.norm(T, axis=0) ** 2
     best = None
-    breakdown = None
     attempt_log = []
     results = _attempt_results((op, b, opts, T, energies, levels), opts.restarts)
     with contextlib.closing(results):
         for rec, outcome in results:
             attempt_log.append(rec)
-            if isinstance(outcome, SolverBreakdownError):
-                breakdown = outcome
+            if outcome is None:  # a factor collapsed; rec.stop stays "breakdown"
                 continue
             u, v, resid = outcome
             rec.resid_rel = resid / b_norm
@@ -563,7 +550,7 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
             if rec.stop == "resid_stop":
                 break
     if best is None:
-        raise breakdown
+        raise ZeroVectorError(f"a factor collapsed to zero in all {len(attempt_log)} attempts")
     u, v, resid, kept = best
 
     with np.errstate(invalid="ignore"):  # for the fits' Gram inverses

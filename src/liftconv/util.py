@@ -30,8 +30,10 @@ class ZeroVectorError(ValueError):
 
     Raised by the zero-vector guards (normalization, flatness,
     initialization from the data, the error metric), which fire on
-    degenerate draws or iterates in the middle of a run; the command
-    line reports it as a numeric failure, not as bad input.
+    degenerate draws or iterates in the middle of a run, and by
+    solver.recover when a factor collapsed to zero in every attempt; the
+    command line reports it as a numeric failure (exit 3), not as bad
+    input.
     """
 
 

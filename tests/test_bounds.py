@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dyadic_chain_check, greedy_cover
+import liftconv.bounds as bounds
 from liftconv.bounds import (
     BoundQuery,
     angle_preservation_bound,
@@ -32,6 +33,24 @@ def test_solve_a_residual_and_interval():
     a = solve_a()
     assert 1.0 < a < 2.0
     assert abs(math.log(a + 1.0) - 1.0 / a) <= 1e-12
+
+
+def test_solve_a_stops_once_the_midpoint_stops_moving(monkeypatch):
+    # the bracket shrinks to adjacent doubles in 52 steps; the old exit
+    # test, a width below 1e-16, never fired and it ran all 200
+    logs = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log(self, x):
+            logs.append(x)
+            return math.log(x)
+
+    monkeypatch.setattr(bounds, "math", CountingMath())
+    assert solve_a().hex() == (1.2399778876565501).hex()
+    assert len(logs) <= 60  # one per step, one for the residual check
 
 
 def test_solve_a_brackets_a_sign_change():
@@ -180,6 +199,8 @@ def test_sample_complexity_unknown_variant():
 def test_bound_query_validation():
     with pytest.raises(ValueError):
         BoundQuery(n=0, m=1, s1=1, s2=1)
+    with pytest.raises(ValueError, match="need n >= 2"):  # the bounds take log n
+        BoundQuery(n=1, m=1, s1=1, s2=1)
     with pytest.raises(ValueError):
         BoundQuery(n=4, m=1, s1=1, s2=1, mu1=0.5)
     with pytest.raises(ValueError):

@@ -4,12 +4,15 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import importlib
+import pkgutil
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liftconv
 from liftconv.bounds import BoundQuery
 import liftconv.cli as cli
 from liftconv.cli import (
@@ -23,12 +26,13 @@ from liftconv.cli import (
     parse_config,
     run_sweep,
 )
+import liftconv.concentration as concentration
 from liftconv.concentration import estimate_rip
 from liftconv.measurement import Ensemble
 import liftconv.models as models
-from liftconv.models import InfeasibleModelError, ModelSpec
+from liftconv.models import ModelSpec, OrthogonalizationError
 import liftconv.solver as solver
-from liftconv.solver import SolveOptions, SolverBreakdownError
+from liftconv.solver import SolveOptions
 from liftconv.util import ZeroVectorError, derive_seed, fmt_float
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -292,7 +296,7 @@ def test_failed_estimator_cell_keeps_its_row_and_exits_3(tmp_path, monkeypatch):
     # the mu2 = 2.0 cap binds (s2 = 3), and its flat projection is made
     # to fail; the forked workers inherit the patch
     def refuse(x, mu, off=None):
-        raise InfeasibleModelError("flat projection refused")
+        raise OrthogonalizationError("flat projection refused")
 
     monkeypatch.setattr(models, "_flat_descent", refuse)
     cfg_path = tmp_path / "flat.cfg"
@@ -312,6 +316,45 @@ def test_failed_estimator_cell_keeps_its_row_and_exits_3(tmp_path, monkeypatch):
     assert failed["seed"] == str(cfg.cell_seed(cfg.cells()[1]))
     assert all(failed[k] == "" for k in ("delta_hat", "q50", "q90", "q99"))
     assert "cells=2" in outs[0][1].decode()
+
+
+ROP_CONFIG = """
+kind = rop
+n = 16
+m = 8
+s1 = 1
+s2 = 1,2
+trials = 5
+"""
+
+
+def test_rop_cell_that_spends_its_draws_keeps_its_row_and_exits_3(
+        tmp_path, monkeypatch, caplog):
+    # partners on the s2 = 2 side are refused, so trial 0 of that cell
+    # spends all its draws; the forked workers inherit the patch
+    real = concentration.orthogonalize_pair
+
+    def refuse_s2(u, u_hat, spec):
+        if spec.s == 2:
+            raise OrthogonalizationError("partner refused")
+        return real(u, u_hat, spec)
+
+    monkeypatch.setattr(concentration, "orthogonalize_pair", refuse_s2)
+    cfg_path = tmp_path / "rop.cfg"
+    cfg_path.write_text(ROP_CONFIG)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        with caplog.at_level("ERROR", logger="liftconv"):
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--workers", workers]) == 3
+        outs.append((_read(out), _read(str(out) + ".meta")))
+    assert outs[0] == outs[1]
+    assert "orthogonalization failed 8 times in trial 0" in caplog.text
+    ok, failed = csv.DictReader(outs[0][0].decode().splitlines())
+    assert float(ok["delta_hat"]) > 0 and ok["s2"] == "1"
+    assert failed["s2"] == "2" and failed["trials"] == "5"
+    assert all(failed[k] == "" for k in ("delta_hat", "q50", "q90", "q99"))
 
 
 # A recover sweep whose caps cannot bind (mu2 = 3.0 >= s2 = 2): sha256
@@ -350,7 +393,7 @@ def test_recover_sweep_with_caps_that_cannot_bind_matches_its_recorded_bytes(
     (1, ZeroVectorError("degenerate data"), "0.0"),
     (1, np.linalg.LinAlgError("degenerate data"), "0.0"),
     (1, FloatingPointError("degenerate data"), "0.0"),
-    (0, SolverBreakdownError("degenerate data", None), "0.5"),
+    (0, ZeroVectorError("degenerate data"), "0.5"),
 ], ids=["zero-vector", "linalg", "floating-point", "breakdown-on-a-miss"])
 def test_a_failed_recover_trial_is_logged_and_counts_as_a_miss(
         trial, error, success_rate, tmp_path, monkeypatch, caplog):
@@ -553,6 +596,25 @@ def test_cli_exit_codes():
                  "--s2", "1", "--trials", "1"]) == 2
 
 
+def test_cli_recover_exits_3_when_every_attempt_collapses(monkeypatch, caplog):
+    monkeypatch.setattr(solver, "_run_attempt", lambda *args: None)
+    monkeypatch.setattr(solver, "_pool_workers", lambda restarts, first_s: 0)
+    with caplog.at_level("ERROR", logger="liftconv"):
+        assert main(["recover", "--n", "16", "--m", "8", "--s1", "1", "--s2", "1"]) == 3
+    assert "a factor collapsed to zero in all 15 attempts" in caplog.text
+
+
+def test_every_library_exception_is_handled_by_main():
+    # main maps these to exit 3 or 2; any other class would escape it as a traceback
+    handled = (*cli._NUMERIC_ERRORS, ValueError, OSError)
+    classes = {obj for info in pkgutil.iter_modules(liftconv.__path__)
+               for obj in vars(importlib.import_module(f"liftconv.{info.name}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == f"liftconv.{info.name}"}
+    assert {ZeroVectorError, OrthogonalizationError, ConfigError, cli.CellFailureError} <= classes
+    assert sorted(cls.__name__ for cls in classes if not issubclass(cls, handled)) == []
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--noise", "-0.5"), ("--noise", "nan"), ("--noise", "inf"),
 ])
@@ -589,8 +651,8 @@ def test_cli_rejects_bad_config_file(tmp_path, body):
 
 
 @pytest.mark.parametrize("kind, key, value", [
-    ("rap", "m", "16"), ("rap", "m", "0"), ("rip", "m", "-1"), ("rap", "s1", "9"),
-    ("rap", "mu1", "0.5"), ("rap", "trials", "0"),
+    ("rap", "m", "16"), ("rap", "m", "0"), ("rip", "m", "-1"), ("rip", "m", ""),
+    ("rap", "s1", "9"), ("rap", "mu1", "0.5"), ("rap", "trials", "0"),
     ("recover", "noise", "nan"), ("recover", "phi", "wavelet"),
     ("recover", "restarts", "-1"),
 ])

@@ -31,7 +31,7 @@ from liftconv.measurement import (
     lifted_inner,
     sample_omega,
 )
-from liftconv.models import ModelSpec
+from liftconv.models import ModelSpec, OrthogonalizationError
 from liftconv.util import ZeroVectorError, complex_gaussian, derive_seed, rng_for
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -121,6 +121,12 @@ def test_rop_witness_replays(ens):
     dev = abs(np.vdot(forward(ens, p_hat), forward(ens, p)))
     dev /= p.norm_f * p_hat.norm_f
     assert dev == pytest.approx(rep.delta_hat, rel=1e-12)
+
+
+def test_rop_trial_that_spends_its_draws_raises():
+    # at n = 1 every partner is parallel to its anchor: trial 0 spends all 8 draws
+    with pytest.raises(OrthogonalizationError, match="failed 8 times in trial 0"):
+        estimate_rop(Ensemble.generate(1, 1), ModelSpec(1, 1), ModelSpec(1, 1), 3)
 
 
 def test_rop_rejects_unknown_orthogonality(ens):

@@ -307,6 +307,23 @@ def test_project_flat_leaves_a_symmetric_spectrum():
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
+def test_project_flat_falls_back_at_a_zero_gradient(monkeypatch):
+    # x_j = 1 + (-1)^j has its spectrum on bins 0 and n/2 and its support
+    # on the even entries, where the descent's gradient vanishes: it stops
+    # before its first trial step, and the fallback's 30 bisection steps
+    # (one spectrum each) land the cap on the support of x
+    x = 1.0 + (-1.0) ** np.arange(8)
+    states = []
+    real = models._flat_state
+    monkeypatch.setattr(models, "_flat_state", lambda y: states.append(1) or real(y))
+    out = project_flat(x, 1.5)
+    assert len(states) == 1 + models._FALLBACK_STEPS
+    assert spectral_flatness(out) == pytest.approx(1.5 * (1 - 1e-6), abs=1e-6)
+    assert spectral_flatness(out) <= 1.5 * (1 - 1e-6)
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+    assert set(out.nonzero()[0]) <= {0, 2, 4, 6}
+
+
 # -- sampling -----------------------------------------------------------------
 
 

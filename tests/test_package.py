@@ -25,10 +25,9 @@ PUBLIC_NAMES = {
     "estimate_rop", "isotropy_check",
     "Ensemble", "FactoredOperator", "LiftedPoint", "forward",
     "lifted_dist", "lifted_inner", "sample_omega",
-    "InfeasibleModelError", "ModelSpec",
-    "OrthogonalizationError", "hard_threshold", "in_gamma",
+    "ModelSpec", "OrthogonalizationError", "hard_threshold", "in_gamma",
     "orthogonalize_pair", "project_flat", "sample_model", "spectral_flatness",
-    "AttemptRecord", "SolveOptions", "SolveResult", "SolverBreakdownError",
+    "AttemptRecord", "SolveOptions", "SolveResult",
     "plant_instance", "recover", "success_metric",
     "ZeroVectorError", "derive_seed", "rng_for",
     "__version__",
@@ -36,9 +35,16 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 40
     assert len(liftconv.__all__) == len(set(liftconv.__all__))
     assert set(liftconv.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", ["SolverBreakdownError", "InfeasibleModelError"])
+def test_retired_exception_names_are_gone(name):
+    # a collapse raises ZeroVectorError and a spent rop budget OrthogonalizationError
+    with pytest.raises(ImportError):
+        exec(f"from liftconv import {name}", {})
 
 
 def test_every_public_name_resolves():

@@ -4,7 +4,6 @@ import hashlib
 import math
 import multiprocessing
 import os
-import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -26,7 +25,6 @@ from liftconv.models import ModelSpec, hard_threshold, spectral_flatness
 from liftconv.solver import (
     SolveOptions,
     SolveResult,
-    SolverBreakdownError,
     plant_instance,
     recover,
     success_metric,
@@ -35,7 +33,7 @@ from liftconv.solver import (
     _leading_pair_dense,
     _sparsity_schedule,
 )
-from liftconv.util import complex_gaussian, rng_for, unit
+from liftconv.util import ZeroVectorError, complex_gaussian, rng_for, unit
 
 
 @pytest.fixture
@@ -503,7 +501,7 @@ def test_attempt_log_keeps_the_work_of_a_broken_attempt(monkeypatch):
         if len(calls) == 1:
             rec.level_iters.append(1)
             rec.half_steps += 1
-            raise SolverBreakdownError("right factor collapsed", init)
+            return None
         return real(op, b, opts, init, levels, rec)
 
     monkeypatch.setattr(solver, "_run_attempt", broken_first)
@@ -628,7 +626,7 @@ def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch, serial):
     def broken_first(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
-            raise SolverBreakdownError("left factor collapsed", args[3])
+            return None
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_run_attempt", broken_first)
@@ -639,11 +637,10 @@ def test_breakdown_in_one_attempt_does_not_abort_the_solve(monkeypatch, serial):
 
     def always_broken(*args, **kwargs):
         calls.append(1)
-        raise SolverBreakdownError(f"breakdown {len(calls)}", args[3])
 
     calls.clear()
     monkeypatch.setattr(solver, "_run_attempt", always_broken)
-    with pytest.raises(SolverBreakdownError, match="breakdown 3"):
+    with pytest.raises(ZeroVectorError, match="collapsed to zero in all 3 attempts"):
         recover(ens, b, SolveOptions(s1=2, s2=2, seed=101, restarts=2))
     assert len(calls) == 3
 
@@ -836,7 +833,7 @@ def test_fanned_out_restarts_match_the_serial_loop_bit_for_bit(monkeypatch, m, t
     assert (fanned.iterations, fanned.converged) == (serial.iterations, serial.converged)
 
 
-def test_a_fanned_out_breakdown_is_logged_and_reraised_as_in_the_serial_loop(monkeypatch):
+def test_a_fanned_out_breakdown_is_logged_and_raised_as_in_the_serial_loop(monkeypatch):
     ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
     opts = SolveOptions(s1=3, s2=3, seed=119)
     real = solver._run_attempt
@@ -846,11 +843,20 @@ def test_a_fanned_out_breakdown_is_logged_and_reraised_as_in_the_serial_loop(mon
             return real(op, b, opts, init, levels, rec)
         rec.level_iters.append(1)
         rec.half_steps += 1
-        raise SolverBreakdownError(f"{rec.init} pair collapsed", init)
+        return None
 
     def every_attempt_breaks(op, b, opts, init, levels, rec):
+        rec.level_iters.append(len(rec.init))
         rec.half_steps += 1
-        raise SolverBreakdownError(f"{rec.init} pair collapsed", init)
+        return None
+
+    # recover raises without a result: its attempt log is read as it is taken
+    real_results, logged = solver._attempt_results, []
+
+    def logging_results(solve, restarts):
+        for rec, outcome in real_results(solve, restarts):
+            logged.append(rec)
+            yield rec, outcome
 
     outcomes = []
     for fan_out in (False, True):
@@ -860,12 +866,15 @@ def test_a_fanned_out_breakdown_is_logged_and_reraised_as_in_the_serial_loop(mon
         monkeypatch.setattr(solver, "_run_attempt", gaussian_breaks)
         res = recover(ens, b, opts)
         monkeypatch.setattr(solver, "_run_attempt", every_attempt_breaks)
-        with pytest.raises(SolverBreakdownError) as raised:
+        monkeypatch.setattr(solver, "_attempt_results", logging_results)
+        logged.clear()
+        with pytest.raises(ZeroVectorError) as raised:
             recover(ens, b, opts)
-        outcomes.append((res, raised.value))
+        monkeypatch.setattr(solver, "_attempt_results", real_results)
+        outcomes.append((res, str(raised.value), list(logged)))
     assert pools == 2 * _pools_for(opts.restarts)
     assert multiprocessing.active_children() == []
-    (serial, serial_err), (fanned, fanned_err) = outcomes
+    (serial, serial_err, serial_log), (fanned, fanned_err, fanned_log) = outcomes
     broken = [rec for rec in fanned.attempt_log if rec.init == "gaussian"]
     assert len(broken) == 4  # attempts 3, 6, 9 and 12
     assert all((rec.stop, rec.resid_rel, rec.level_iters, rec.half_steps)
@@ -873,10 +882,13 @@ def test_a_fanned_out_breakdown_is_logged_and_reraised_as_in_the_serial_loop(mon
     assert fanned.attempt_log == serial.attempt_log
     assert fanned.u_hat.tobytes() == serial.u_hat.tobytes()
     assert fanned.v_hat.tobytes() == serial.v_hat.tobytes()
-    # every attempt broke down: the last one's error is re-raised
-    assert str(fanned_err) == str(serial_err) == "uniform pair collapsed"
-    assert fanned_err.iterate.u.tobytes() == serial_err.iterate.u.tobytes()
-    assert fanned_err.iterate.v.tobytes() == serial_err.iterate.v.tobytes()
+    # every attempt broke down: each is logged, and recover raises once
+    assert fanned_err == serial_err == "a factor collapsed to zero in all 15 attempts"
+    assert fanned_log == serial_log
+    assert [rec.init for rec in fanned_log] == [
+        "screened"] + ["weighted", "uniform", "gaussian"] * 4 + ["weighted", "uniform"]
+    assert all((rec.stop, rec.resid_rel, rec.level_iters, rec.half_steps)
+               == ("breakdown", None, [len(rec.init)], 1) for rec in fanned_log)
 
 
 def test_an_error_in_a_fanned_out_attempt_is_raised_after_the_pool_is_joined(monkeypatch):
@@ -948,14 +960,6 @@ def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads)
         monkeypatch.setenv(var, value)
     assert solver._blas_threads(8) == threads
 
-
-def test_solver_breakdown_error_survives_pickling():
-    # a fanned-out attempt's breakdown crosses from the worker to recover
-    p = LiftedPoint(complex_gaussian(rng_for(4, "pickle"), 5), np.arange(5) + 0j)
-    err = pickle.loads(pickle.dumps(SolverBreakdownError("left factor collapsed", p)))
-    assert type(err) is SolverBreakdownError and str(err) == "left factor collapsed"
-    assert err.iterate.u.tobytes() == p.u.tobytes()
-    assert err.iterate.v.tobytes() == p.v.tobytes()
 
 
 # -- scoring -------------------------------------------------------------------
