@@ -30,9 +30,11 @@ sweep
     cells finish and the .meta sidecar (the resolved config) last, so a
     CSV without a .meta is an interrupted run. With --workers 1 the
     cells run in this process, where a solve may fan its restarts out
-    to a pool of its own (solver.recover); with more, each cell runs in
-    a worker, whose solves keep their restarts in process, so pools
-    never nest; no byte depends on it. A failed estimator cell
+    to forked siblings (solver.recover); with more, this process and
+    workers - 1 forked siblings each claim the next cell, and their
+    solves keep their restarts in process, so fan-outs never nest; no
+    byte depends on it. A worker that dies without its results (killed,
+    out of memory) stops the sweep with exit 4. A failed estimator cell
     keeps its row with empty statistics; the sweep then exits 3. A
     recover trial succeeds at relative error 1e-4 or less; one that
     fails numerically is logged and counts as a miss.
@@ -41,7 +43,8 @@ bounds
     parameter point; exits 2 when n < 2 or m, s1, s2 or a cap exceeds n.
 
 Exit codes: 0 success, 2 bad arguments or config, 3 numeric failure
-(including a zero vector met partway through a draw or a solve).
+(including a zero vector met partway through a draw or a solve), 4 a
+forked worker process died without sending its results.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -87,7 +89,7 @@ from .measurement import (
 )
 from .models import ModelSpec, OrthogonalizationError, sample_model
 from .solver import SolveOptions, plant_instance, recover, success_metric
-from .util import ZeroVectorError, derive_seed, fmt_float, rng_for
+from .util import ZeroVectorError, derive_seed, fan_out, fmt_float, rng_for
 
 log = logging.getLogger("liftconv")
 
@@ -354,9 +356,9 @@ def _estimate_row(cfg: SweepConfig, cell: dict, seed: int, rep) -> dict:
 
 
 def _execute_cell(payload) -> tuple:
-    """Run one sweep cell: (formatted row, failed). Top level so worker
-    processes can import it. A numeric failure in an estimator cell is
-    logged; its row keeps coordinates, trials and seed, no statistics."""
+    """Run one sweep cell: (formatted row, failed). A numeric failure in
+    an estimator cell is logged; its row keeps coordinates, trials and
+    seed, no statistics."""
     cfg, cell = payload
     seed = cfg.cell_seed(cell)
     if cfg.kind == "recover":
@@ -394,12 +396,15 @@ def _recover_cell(cfg: SweepConfig, cell: dict, seed: int) -> dict:
 def run_sweep(cfg: SweepConfig, out_path: str, workers: int = 1) -> int:
     """Execute every cell and write the CSV plus its .meta sidecar.
 
-    Rows are written and flushed in cell order as cells finish, whatever
-    the worker count, and the .meta last; cells reseed from their own
-    coordinates, so the bytes depend only on the resolved config.
-    Returns the number of rows, or raises CellFailureError after
-    writing both files if any cell failed. A worker count below 1 is
-    rejected before anything runs.
+    The cells go through util.fan_out: this process and up to workers - 1
+    forked siblings, at most one process per cell, each claim the next
+    cell. Rows are written and flushed in cell order as cells finish,
+    whatever the worker count, and the .meta last; cells reseed from
+    their own coordinates, so the bytes depend only on the resolved
+    config. Returns the number of rows, or raises CellFailureError after
+    writing both files if any cell failed. A sibling that dies without
+    its results raises ChildProcessError, with no .meta written. A
+    worker count below 1 is rejected before anything runs.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -410,12 +415,11 @@ def run_sweep(cfg: SweepConfig, out_path: str, workers: int = 1) -> int:
     # a .meta marks a finished CSV: an old one must not outlive a rerun cut short
     with contextlib.suppress(FileNotFoundError):
         os.remove(out_path + ".meta")
-    with open(out_path, "w", newline="") as fh, (
-            ProcessPoolExecutor(max_workers=workers) if workers > 1
-            else contextlib.nullcontext()) as pool:
+    with open(out_path, "w", newline="") as fh, contextlib.closing(
+            fan_out(_execute_cell, payloads, workers)) as rows:
         writer = csv.DictWriter(fh, fieldnames=list(fields), lineterminator="\n")
         writer.writeheader()
-        for row, cell_failed in (pool.map if pool else map)(_execute_cell, payloads):
+        for row, cell_failed in rows:
             writer.writerow(row)
             fh.flush()
             failed += cell_failed
@@ -610,6 +614,10 @@ def main(argv=None) -> int:
         # before ValueError: ZeroVectorError is one
         log.error("numeric failure: %s", exc)
         return 3
+    except ChildProcessError as exc:
+        # before OSError: ChildProcessError is one
+        log.error("%s", exc)
+        return 4
     except (ConfigError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return 2

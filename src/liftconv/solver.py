@@ -45,15 +45,18 @@ does recover raise ZeroVectorError.
 
 Attempts are independent given the operator, T, the options and the
 attempt's index, and one function (_attempt) runs each. Attempt 0 runs
-in process. When it does not meet the residual stop, the restarts run
-in process too, unless _pool_workers sizes a fork-context process pool
-for them: their estimated serial time (attempt 0's wall time times
-their number) must reach _FAN_OUT_S, the caller must not itself be a
-multiprocessing child (a sweep's pool worker), and the usable CPUs
-divided by the BLAS threads of a process must give two workers or more.
-recover takes the results in attempt order through the same keep and
-stop rule either way, so no output depends on the schedule, and no
-pool worker outlives the call.
+in process. When it does not meet the residual stop, the restarts go
+through util.fan_out on the count _pool_workers gives: in process, one
+after the other, unless their estimated serial time (attempt 0's wall
+time times their number) reaches _FAN_OUT_S and the usable CPUs divided
+by the BLAS threads of a process give two processes or more. Then the
+calling process and its forked siblings each claim the next restart,
+and with no thread count in the environment each runs an equal share
+of the CPUs' BLAS threads. A solve inside a fan-out (a sweep's) keeps
+its restarts in process. recover takes the results in attempt order
+through the same keep and stop rule either way, so no output depends
+on the schedule, and a residual stop kills the siblings at once: none
+outlives the call.
 
 A flatness cap bounds the spectral flatness of a coefficient vector u,
 not of its image Phi u. When it binds (mu < s), recover moves the kept
@@ -64,10 +67,8 @@ the other factor; otherwise it does no flatness work.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -76,7 +77,17 @@ from numpy.linalg import _umath_linalg
 
 from .measurement import Ensemble, FactoredOperator, LiftedPoint, forward, lifted_dist
 from .models import ZERO_TOL, ModelSpec, hard_threshold, project_flat, sample_model
-from .util import ZeroVectorError, complex_gaussian, derive_seed, rng_for, unit, vnorm
+from .util import (
+    ZeroVectorError,
+    _blas_threads,
+    _usable_cpus,
+    complex_gaussian,
+    derive_seed,
+    fan_out,
+    rng_for,
+    unit,
+    vnorm,
+)
 
 __all__ = [
     "AttemptRecord",
@@ -118,15 +129,18 @@ _WARM_TOL = 1e-4
 # are at 0.31 ||b|| or more and successful ones at 1.3e-2 ||b|| or less.
 _POLISH_RESID = 0.1
 
-# Restarts move to a process pool only when attempt 0's wall time times
-# their number, the restarts' estimated serial time, is at least this
-# many seconds. On a 2-core x86-64 host with BLAS pinned to one thread,
-# a two-worker fork pool took the restarts' time halved plus 25 to 35 ms
-# (its start-up alone about 11 ms), so it breaks even at 50 to 70 ms:
-# n = 16 solves (14 restarts in about 35 ms) ran 1.9 times slower
-# fanned out, n = 32 (45 ms) as fast, and the n = 128 slice's failing
-# solves (55 to 270 ms) about 1.3 times faster.
-_FAN_OUT_S = 0.06
+# Restarts fan out only when attempt 0's wall time times their number,
+# the restarts' estimated serial time, is at least this many seconds.
+# On a 2-core x86-64 host with BLAS pinned to one thread, the caller and
+# one forked sibling took the restarts' time halved plus 12 to 19 ms at
+# n = 16 and 32 (util.fan_out), so the fan-out breaks even at 25 to 30
+# ms of restarts. Timed both ways, 15-attempt solves with a serial time
+# under 25 ms ran 1.2 to 1.3 times slower fanned out and those at 25 to
+# 30 ms as fast; n = 16 solves as a whole took 0.83 to 1.05 times their
+# serial time (two runs, serial medians 38 and 25 ms), n = 32 solves
+# 0.82 to 0.87 times, and the n = 128 slice's failing solves (120 to
+# 270 ms) 0.78 times.
+_FAN_OUT_S = 0.03
 
 
 @dataclass
@@ -406,49 +420,23 @@ def _attempt(solve: tuple, a: int):
         return rec, _run_attempt(op, b, opts, init, levels, rec)
 
 
-# The solve a pool worker's attempts belong to, set once per worker.
-_worker_solve = None
-
-
-def _init_worker(solve: tuple):
-    global _worker_solve
-    _worker_solve = solve
-
-
-def _worker_attempt(a: int):
-    return _attempt(_worker_solve, a)
-
-
-def _blas_threads(cpus: int) -> int:
-    """Threads per process of NumPy's bundled OpenBLAS, read from the
-    environment as it reads them: the first of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer,
-    else one per usable CPU (cpus)."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
-
-
 def _pool_workers(restarts: int, first_s: float) -> int:
-    """Pool size for restarts 1..restarts after attempt 0 took first_s
-    seconds, or 0 to run them in process.
+    """Processes to fan restarts 1..restarts out to, the caller included,
+    after attempt 0 took first_s seconds, or 0 to run them in process.
 
-    A pool needs the restarts' estimated serial time, first_s * restarts,
-    to reach _FAN_OUT_S, and a fork start method. Its workers are the
-    usable CPUs divided by the BLAS threads of one process (_blas_threads),
-    at most one per restart, and it starts only with two or more: two
-    processes that each ran a two-thread BLAS on two CPUs took a slice
-    m = 16 solve 5 to 9 times longer than one process. A process
-    that is itself a multiprocessing child, such as a sweep's pool
-    worker, never starts one, so pools do not nest.
+    A fan-out needs the restarts' estimated serial time, first_s *
+    restarts, to reach _FAN_OUT_S. Its processes are the usable CPUs
+    divided by the BLAS threads of one process (_blas_threads: the
+    environment's count, else one, which fan_out sets), at most one per
+    restart, and it starts only with two or more: two processes that
+    each ran a two-thread BLAS on two CPUs took a slice m = 16 solve 5
+    to 9 times longer than one process. fan_out itself runs the
+    restarts in process when the caller is inside a fan-out, such as a
+    sweep's, so fan-outs do not nest.
     """
-    if (first_s * restarts < _FAN_OUT_S or multiprocessing.parent_process() is not None
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")):
+    if first_s * restarts < _FAN_OUT_S:
         return 0
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _usable_cpus()
     workers = min(cpus // _blas_threads(cpus), restarts)
     return workers if workers > 1 else 0
 
@@ -456,29 +444,19 @@ def _pool_workers(restarts: int, first_s: float) -> int:
 def _attempt_results(solve: tuple, restarts: int):
     """_attempt's results for attempts 0..restarts, in attempt order.
 
-    Attempt 0 runs in process. The restarts run in process too, one after
-    the other, unless _pool_workers sizes a pool for them: then all are
-    queued at once on a fork-context pool whose workers receive solve
-    once, and are yielded as they come due. Closing the generator cancels
-    the attempts still queued and joins the pool, so no worker outlives
-    it.
+    Attempt 0 runs in process. The restarts go through fan_out on the
+    _pool_workers count: with 0 they run in process one after the other;
+    otherwise the caller and its forked siblings each claim the next
+    restart. Closing the generator, as recover does after a residual
+    stop, kills the siblings at once, so no discarded restart runs on
+    and no sibling outlives it.
     """
     start = perf_counter()
     first = _attempt(solve, 0)
     first_s = perf_counter() - start
     yield first
-    workers = _pool_workers(restarts, first_s)
-    if not workers:
-        for a in range(1, restarts + 1):
-            yield _attempt(solve, a)
-        return
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(solve,))
-    try:
-        for future in [pool.submit(_worker_attempt, a) for a in range(1, restarts + 1)]:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    yield from fan_out(functools.partial(_attempt, solve), range(1, restarts + 1),
+                       _pool_workers(restarts, first_s))
 
 
 def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
@@ -494,9 +472,11 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     factor collapsed to zero too (stop "breakdown", no residual); the
     solve goes on, and raises ZeroVectorError only if every attempt
     collapsed. Attempt 0 runs in process; the restarts run
-    there or on a fork pool (_attempt_results, _pool_workers), with the
-    same results bit for bit. The first residual stop cancels the queued
-    attempts, and the pool is joined before recover returns or raises.
+    there alone or there and on forked siblings (_attempt_results,
+    _pool_workers), with the same results bit for bit. The first
+    residual stop kills the siblings still computing, and every sibling
+    is reaped before recover returns or raises; one that dies without
+    its results raises ChildProcessError.
     Each side whose cap binds (mu < s) then has its kept factor replaced
     by project_flat(u, mu1), which keeps its support and lands strictly
     inside the cap, and the other factor, unless its own cap binds, refit

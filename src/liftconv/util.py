@@ -12,17 +12,32 @@ order, without its Python-level argument handling: a Monte Carlo trial
 or a solver half-step takes several norms of short vectors, and that
 handling cost more than the arithmetic. Axis norms of matrices keep
 np.linalg.norm.
+
+fan_out is the one place the package starts processes: it runs a
+function over a list of items on the calling process and on siblings
+forked from it, and yields the results in item order (see its
+docstring). While it runs, it gives each of those processes an equal
+share of the usable CPUs for NumPy's bundled OpenBLAS, unless the
+environment sets the thread count (_blas_threads).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
+import logging
 import math
+import os
+import pickle
+import struct
+import tempfile
 
 import numpy as np
 
 __all__ = ["ZeroVectorError", "derive_seed", "rng_for", "fmt_float", "vnorm",
-           "unit", "complex_gaussian"]
+           "unit", "complex_gaussian", "fan_out"]
 
 
 class ZeroVectorError(ValueError):
@@ -102,3 +117,232 @@ def complex_gaussian(rng: np.random.Generator, size) -> np.ndarray:
     """
     z = rng.standard_normal((2, size) if isinstance(size, (int, np.integer)) else (2, *size))
     return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+
+
+# -- fan-out --------------------------------------------------------------------
+
+log = logging.getLogger("liftconv")
+
+# The environment variables NumPy's bundled OpenBLAS reads its thread
+# count from, first match first.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# True in a process that is inside a fan-out: the caller while the
+# fan-out is open, and every sibling. Such a process runs a nested
+# fan-out's items itself, so fan-outs never nest.
+_inside = False
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _env_blas_threads() -> int | None:
+    """The thread count the environment sets for NumPy's bundled OpenBLAS,
+    read as it reads it: the first of _THREAD_VARS that holds a positive
+    integer, else None."""
+    for var in _THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+def _blas_threads(workers: int) -> int:
+    """OpenBLAS threads of each of `workers` processes sharing the usable
+    CPUs: the count the environment sets, else max(1, usable CPUs //
+    workers), which fan_out sets in every process it runs on."""
+    return _env_blas_threads() or max(1, _usable_cpus() // workers)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of NumPy's bundled OpenBLAS, or
+    None, logged once, where it exports no scipy_openblas_*_num_threads64_."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        log.info("no scipy-openblas thread control found; fanned-out processes "
+                 "keep NumPy's default BLAS threads")
+        return None
+
+
+@contextlib.contextmanager
+def _blas_share(workers: int):
+    """Within the block, this process and the siblings it forks run
+    _blas_threads(workers) OpenBLAS threads, unless the environment sets
+    the count or the library offers no control; the count is restored after."""
+    api = None if _env_blas_threads() is not None else _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(_blas_threads(workers))
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _send(fd: int, data: bytes):
+    view = memoryview(struct.pack("<Q", len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd: int) -> bytes | None:
+    """One frame from fd (b"" is the end marker), or None at end of file."""
+    header = _read_exact(fd, 8)
+    if len(header) < 8:
+        return None
+    size, = struct.unpack("<Q", header)
+    body = _read_exact(fd, size)
+    return body if len(body) == size else None
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    chunks, left = [], n
+    while left:
+        chunk = os.read(fd, left)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        left -= len(chunk)
+    return b"".join(chunks)
+
+
+def _sibling(fn, items: list, claim, fd: int, inherited: tuple):
+    """A forked sibling's whole life: close the inherited pipe ends, then
+    claim, compute and send back items until none is left, then the end
+    marker. It leaves through os._exit, so none of the caller's exit
+    hooks, buffers or enclosing finally blocks runs in it."""
+    code = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        while (k := claim()) < len(items):
+            try:
+                msg = (k, True, fn(items[k]))
+            except Exception as exc:
+                msg = (k, False, exc)
+            _send(fd, pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+        _send(fd, b"")
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _lost(pid: int) -> ChildProcessError:
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+    return ChildProcessError(f"worker process {pid} ended ({how}) without sending its results")
+
+
+def fan_out(fn, items, workers: int):
+    """Yield fn(item) for each item, in item order, computed on up to
+    `workers` processes: this one and siblings forked from it.
+
+    The caller and its workers - 1 siblings each claim the next
+    unclaimed item (a counter under a file lock) and compute it; the
+    siblings send back each result, or the exception fn raised, pickled.
+    Results and exceptions come out in item order, as a serial loop over
+    the items gives them, each as soon as it and every earlier one are
+    in. Items run in this process, one after the other, when workers < 2,
+    when the platform has no os.fork, or when this process is inside a
+    fan-out (a sibling, or a caller computing an item), so fan-outs
+    never nest. Closing the generator (after the last item, on break or
+    on an exception) kills and reaps every sibling at once, so none
+    outlives it and no discarded item runs on. A sibling that ends
+    without sending its results (killed, out of memory, os._exit inside
+    fn) raises ChildProcessError naming it, once the others are reaped;
+    so does one whose result or exception does not pickle. fn and the
+    items reach the siblings by fork, so neither needs to pickle.
+    """
+    global _inside
+    items = list(items)
+    n = len(items)
+    workers = min(workers, n)
+    if workers < 2 or _inside or not hasattr(os, "fork"):
+        for item in items:
+            yield fn(item)
+        return
+    import fcntl  # POSIX only, as os.fork is; these load on the first fan-out
+    import select
+    import signal
+
+    counter = tempfile.TemporaryFile()
+    lock = counter.fileno()
+
+    def claim() -> int:
+        fcntl.lockf(lock, fcntl.LOCK_EX)
+        try:
+            k = int.from_bytes(os.pread(lock, 8, 0), "little")
+            os.pwrite(lock, (k + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(lock, fcntl.LOCK_UN)
+        return k
+
+    pids = {}  # read end of a sibling's result pipe -> its pid, until reaped
+    live = set()  # read ends whose end marker has not come
+    done = {}  # item index -> (ok, result or exception)
+
+    def receive(timeout):
+        # take in every frame waiting, after up to timeout seconds (None: forever)
+        for fd in select.select(list(live), [], [], timeout)[0]:
+            data = _recv(fd)
+            if data is None:
+                live.discard(fd)
+                os.close(fd)
+                raise _lost(pids.pop(fd))
+            if data:
+                k, ok, value = pickle.loads(data)
+                done[k] = ok, value
+            else:
+                live.discard(fd)
+
+    _inside = True
+    try:
+        with _blas_share(workers):
+            for _ in range(workers - 1):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    _sibling(fn, items, claim, w, (r, *pids))
+                os.close(w)
+                pids[r] = pid
+                live.add(r)
+            spare = True  # items may be left to claim
+            for k in range(n):
+                while k not in done:
+                    receive(0)
+                    if k in done:
+                        break
+                    j = claim() if spare else n
+                    spare = j < n
+                    if not spare:
+                        receive(None)
+                        continue
+                    try:
+                        done[j] = True, fn(items[j])
+                    except Exception as exc:
+                        done[j] = False, exc
+                ok, value = done.pop(k)
+                if not ok:
+                    raise value
+                yield value
+    finally:
+        _inside = False
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        for fd, pid in pids.items():
+            os.waitpid(pid, 0)
+            os.close(fd)
+        counter.close()

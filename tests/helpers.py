@@ -16,10 +16,13 @@ two), rop_form_samples draws the orthogonal-pair cross form over fresh
 ensembles, dyadic_chain_check compares the entropy integral with its
 dyadic series (C11), greedy_cover upper bounds a covering number, and
 in_tilde_gamma is the predicate of the approximately sparse set.
+
+no_children is the process-hygiene check of the fan-out tests.
 """
 
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -358,3 +361,12 @@ def in_tilde_gamma(x, s: int) -> bool:
         raise ZeroVectorError("membership undefined for the zero vector")
     # relative slack so boundary cases (equal-modulus supports) are stable
     return float(np.abs(x).sum()) <= np.sqrt(s) * l2 * (1 + 1e-12)
+
+
+def no_children() -> bool:
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -5,12 +5,16 @@ import csv
 import dataclasses
 import hashlib
 import importlib
+import os
 import pkgutil
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import no_children
 
 import liftconv
 from liftconv.bounds import BoundQuery
@@ -686,25 +690,45 @@ def test_meta_lines_parse_back_to_the_config(text):
 def test_sweep_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
     started = []
 
-    class Recorder:
-        # stands in for the pool: records its size, runs cells in process
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def recorder(fn, items, workers):
+        # stands in for the fan-out: records a count that can fork, runs cells in process
+        if workers > 1:
+            started.append(workers)
+        return (fn(item) for item in items)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli, "fan_out", recorder)
     run_sweep(parse_config(RIP_CONFIG), str(tmp_path / "two.csv"), workers=64)
     assert started == [2]
     run_sweep(parse_config(RIP_CONFIG, overrides=["m=4"]), str(tmp_path / "one.csv"),
               workers=64)
     assert started == [2]
+
+
+def test_a_sweep_worker_lost_without_a_result_exits_4(tmp_path, monkeypatch, caplog):
+    # a forked sibling that dies inside a cell (killed, out of memory)
+    # raised nothing and hung or escaped as a traceback; now run_sweep
+    # names it once the others are reaped, and main exits 4
+    caller, real = os.getpid(), cli._execute_cell
+
+    def sibling_dies(payload):
+        if os.getpid() != caller:
+            os._exit(9)
+        time.sleep(0.2)  # leaves cells for the sibling to claim
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_execute_cell", sibling_dies)
+    cfg = parse_config(RIP_CONFIG, overrides=["m=4,5,6,7"])
+    out = tmp_path / "out.csv"
+    with pytest.raises(ChildProcessError, match=r"worker process \d+ ended \(exit status 9\)"):
+        run_sweep(cfg, str(out), workers=2)
+    assert not (tmp_path / "out.csv.meta").exists()
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(RIP_CONFIG)
+    with caplog.at_level("ERROR", logger="liftconv"):
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "2"]) == 4
+    assert "without sending its results" in caplog.text
+    assert no_children()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

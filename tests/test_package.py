@@ -3,7 +3,10 @@
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +131,14 @@ def test_estimate_report_keeps_the_fields_the_benchmark_reads():
     # the benchmark's estimate workload reads these report fields by name
     names = {f.name for f in dataclasses.fields(liftconv.EstimateReport)}
     assert {"delta_hat", "trials", "deviations", "witness", "resamples"} <= names
+
+
+def test_importing_the_cli_loads_no_process_pool_stack():
+    # restarts and sweep cells fan out through util.fan_out's own fork, so
+    # a fresh interpreter never pays for multiprocessing or concurrent.futures
+    code = ("import sys, liftconv.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

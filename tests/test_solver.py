@@ -2,16 +2,18 @@
 
 import hashlib
 import math
-import multiprocessing
 import os
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from helpers import no_children
+
 import liftconv.models as models
 import liftconv.solver as solver
+import liftconv.util as util
 from liftconv.measurement import (
     Ensemble,
     FactoredOperator,
@@ -38,8 +40,8 @@ from liftconv.util import ZeroVectorError, complex_gaussian, rng_for, unit
 
 @pytest.fixture
 def serial(monkeypatch):
-    # keeps every restart in process: a restart fanned out to a pool
-    # worker calls the worker's copy of a monkeypatched counter, which
+    # keeps every restart in process: a restart fanned out to a forked
+    # sibling calls the sibling's copy of a monkeypatched counter, which
     # the test never sees
     monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
 
@@ -779,7 +781,7 @@ def test_solve_options_validation():
         SolveOptions(s1=1, s2=1, mu2=float("nan"))
 
 
-# -- restarts on a process pool -------------------------------------------------
+# -- restarts fanned out to forked siblings -------------------------------------
 
 
 def _usable_cpus():
@@ -789,18 +791,19 @@ def _usable_cpus():
 def _fan_out(monkeypatch) -> list:
     """Fans out the restarts of every later solve, whatever attempt 0 took
     and whatever BLAS thread count the environment sets; returns the list
-    of the pool sizes recover starts, in which a host with one usable CPU
-    starts none."""
+    of the worker counts of the fan-outs recover starts, in which a host
+    with one usable CPU starts none."""
     sizes = []
-    real = solver.ProcessPoolExecutor
+    real = solver.fan_out
 
-    def recording(workers, **kwargs):
-        sizes.append(workers)
-        return real(workers, **kwargs)
+    def recording(fn, items, workers):
+        if workers > 1:
+            sizes.append(workers)
+        return real(fn, items, workers)
 
     monkeypatch.setattr(solver, "_FAN_OUT_S", 0.0)
     monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(solver, "fan_out", recording)
     return sizes
 
 
@@ -809,14 +812,29 @@ def _pools_for(restarts: int) -> list:
     return [workers] if workers > 1 else []
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("recover started a pool")
+def _in_process(fn, items, workers):
+    assert workers < 2, "recover fanned its restarts out"
+    return map(fn, items)
+
+
+def _forks(monkeypatch) -> list:
+    """Records every os.fork of this process; a forked sibling appends to
+    its own copy of the list."""
+    forks = []
+    real = os.fork
+
+    def recording():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
 
 
 @pytest.mark.parametrize("m, t, attempts", [(16, 0, 15), (32, 5, 13)])
 def test_fanned_out_restarts_match_the_serial_loop_bit_for_bit(monkeypatch, m, t, attempts):
     # slice instances: m = 16 runs all 15 attempts; m = 32, t = 5 meets the
-    # residual stop at attempt 12, which cancels the attempts still queued
+    # residual stop at attempt 12, which kills the siblings still computing
     ens, _, b, _ = plant_instance(128, m, 3, 3, seed=7000 + t, mu1=3, mu2=3)
     opts = SolveOptions(s1=3, s2=3, seed=7000 + t)
     monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
@@ -824,7 +842,7 @@ def test_fanned_out_restarts_match_the_serial_loop_bit_for_bit(monkeypatch, m, t
     pools = _fan_out(monkeypatch)
     fanned = recover(ens, b, opts)
     assert pools == _pools_for(opts.restarts)
-    assert multiprocessing.active_children() == []
+    assert no_children()
     assert fanned.attempts == serial.attempts == attempts
     assert fanned.u_hat.tobytes() == serial.u_hat.tobytes()
     assert fanned.v_hat.tobytes() == serial.v_hat.tobytes()
@@ -873,7 +891,7 @@ def test_a_fanned_out_breakdown_is_logged_and_raised_as_in_the_serial_loop(monke
         monkeypatch.setattr(solver, "_attempt_results", real_results)
         outcomes.append((res, str(raised.value), list(logged)))
     assert pools == 2 * _pools_for(opts.restarts)
-    assert multiprocessing.active_children() == []
+    assert no_children()
     (serial, serial_err, serial_log), (fanned, fanned_err, fanned_log) = outcomes
     broken = [rec for rec in fanned.attempt_log if rec.init == "gaussian"]
     assert len(broken) == 4  # attempts 3, 6, 9 and 12
@@ -891,7 +909,7 @@ def test_a_fanned_out_breakdown_is_logged_and_raised_as_in_the_serial_loop(monke
                == ("breakdown", None, [len(rec.init)], 1) for rec in fanned_log)
 
 
-def test_an_error_in_a_fanned_out_attempt_is_raised_after_the_pool_is_joined(monkeypatch):
+def test_an_error_in_a_fanned_out_attempt_is_raised_after_the_siblings_are_reaped(monkeypatch):
     ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
     real = solver._run_attempt
 
@@ -905,28 +923,95 @@ def test_an_error_in_a_fanned_out_attempt_is_raised_after_the_pool_is_joined(mon
     with pytest.raises(FloatingPointError, match="weighted restart failed"):
         recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
     assert pools == _pools_for(14)
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
-def test_a_solve_inside_a_pool_worker_keeps_its_restarts_in_process(monkeypatch):
-    # as in a sweep run with two or more workers: pools never nest
+def test_a_residual_stop_kills_the_restarts_it_discards(monkeypatch):
+    # slice instance m = 32, t = 5 meets the residual stop at attempt 12;
+    # a later restart computed by a sibling would take a minute, and must
+    # be killed, not waited for
+    ens, _, b, _ = plant_instance(128, 32, 3, 3, seed=7005, mu1=3, mu2=3)
+    opts = SolveOptions(s1=3, s2=3, seed=7005)
+    monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
+    serial = recover(ens, b, opts)
+    caller, current = os.getpid(), []
+    real_init, real_run = solver._attempt_init, solver._run_attempt
+
+    def init_recording(T, energies, k1, k2, a, seed):
+        current[:] = [a]
+        return real_init(T, energies, k1, k2, a, seed)
+
+    def late_restarts_hang(*args):
+        if current[0] > 12 and os.getpid() != caller:
+            time.sleep(60)
+        return real_run(*args)
+
+    monkeypatch.setattr(solver, "_attempt_init", init_recording)
+    monkeypatch.setattr(solver, "_run_attempt", late_restarts_hang)
+    pools = _fan_out(monkeypatch)
+    start = time.perf_counter()
+    fanned = recover(ens, b, opts)
+    assert time.perf_counter() - start < 10
+    assert pools == _pools_for(opts.restarts)
+    assert no_children()
+    assert fanned.attempts == serial.attempts == 13
+    assert fanned.attempt_log == serial.attempt_log
+    assert fanned.u_hat.tobytes() == serial.u_hat.tobytes()
+    assert fanned.v_hat.tobytes() == serial.v_hat.tobytes()
+
+
+def test_a_sibling_that_dies_without_a_result_is_named_and_nothing_hangs(monkeypatch):
+    ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
+    caller, real = os.getpid(), solver._run_attempt
+
+    def sibling_dies(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.05)  # leaves restarts for the sibling to claim
+        return real(*args)
+
+    pools = _fan_out(monkeypatch)
+    monkeypatch.setattr(solver, "_run_attempt", sibling_dies)
+    if _pools_for(14) == []:
+        pytest.skip("one usable CPU: recover starts no sibling")
+    with pytest.raises(ChildProcessError, match=r"worker process \d+ ended \(exit status 3\)"):
+        recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
+    assert pools == _pools_for(14)
+    assert no_children()
+
+
+def test_a_solve_inside_a_fan_out_keeps_its_restarts_in_process(monkeypatch):
+    # as in a sweep run with two or more workers, both in a sibling that
+    # computes a cell and in the caller that computes one: fan-outs never nest
     ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
     opts = SolveOptions(s1=3, s2=3, seed=119)
     _fan_out(monkeypatch)
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", _no_pool)
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        in_worker = pool.submit(recover, ens, b, opts).result(timeout=120)
+    forks, caller = _forks(monkeypatch), os.getpid()
+
+    def solve(item):
+        if os.getpid() == caller:
+            time.sleep(0.5)  # leaves the other item to the sibling
+        before = len(forks)
+        res = recover(ens, b, opts)
+        return res, len(forks) - before, os.getpid()
+
+    inside = list(util.fan_out(solve, [0, 1], 2))
+    assert len(forks) == 1
+    assert no_children()
     monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
     serial = recover(ens, b, opts)
-    assert in_worker.attempts == 15
-    assert in_worker.attempt_log == serial.attempt_log
-    assert in_worker.u_hat.tobytes() == serial.u_hat.tobytes()
+    assert len({pid for _, _, pid in inside}) == 2
+    for in_fan_out, nested_forks, _ in inside:
+        assert nested_forks == 0
+        assert in_fan_out.attempts == 15
+        assert in_fan_out.attempt_log == serial.attempt_log
+        assert in_fan_out.u_hat.tobytes() == serial.u_hat.tobytes()
 
 
 def test_a_small_solve_keeps_its_restarts_in_process(monkeypatch):
-    # 14 restarts at n = 16 take a few ms, far below the pool's cost
+    # 14 restarts at n = 16 take a few ms, far below a fan-out's cost
     monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(solver, "fan_out", _in_process)
     ens, _, b, _ = plant_instance(16, 4, 1, 1, seed=4)
     assert recover(ens, b, SolveOptions(s1=1, s2=1, seed=4)).attempts == 15
 
@@ -937,29 +1022,24 @@ def test_pool_workers_follow_the_fan_out_rule(monkeypatch):
     workers = solver._pool_workers
     assert workers(14, 1.0) == 4
     assert workers(3, 1.0) == 3
-    assert workers(1, 1.0) == 0  # a pool of one runs nothing in parallel
-    assert workers(14, 0.0) == 0  # restarts too short to pay for a pool
+    assert workers(1, 1.0) == 0  # a fan-out of one runs nothing in parallel
+    assert workers(14, 0.0) == 0  # restarts too short to pay for a fan-out
     monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 2)
-    assert workers(14, 1.0) == 2  # one worker per CPU its BLAS threads leave
+    assert workers(14, 1.0) == 2  # one process per CPU its BLAS threads leave
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert workers(14, 1.0) == 0
 
 
-@pytest.mark.parametrize("env, threads", [
-    ({}, 8),
-    ({"OMP_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
-    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OMP_NUM_THREADS": "4,2"}, 8),  # a list: no single count
-])
-def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+def test_pool_workers_size_on_the_pinned_blas_count_when_the_environment_sets_none(
+        monkeypatch):
+    # fan_out gives each process max(1, CPUs // workers) threads, so with
+    # BLAS at its default the restarts fan out to one process per CPU
+    for var in util._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert solver._blas_threads(8) == threads
-
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert solver._pool_workers(14, 1.0) == 4
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert solver._pool_workers(14, 1.0) == 2
 
 
 # -- scoring -------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Seed derivation and shared helpers."""
+"""Seed derivation, shared helpers and the fork fan-out."""
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import no_children
+
+import liftconv.util as util
 from liftconv.util import (
     ZeroVectorError,
     complex_gaussian,
     derive_seed,
+    fan_out,
     fmt_float,
     rng_for,
     unit,
@@ -136,3 +143,128 @@ def test_complex_gaussian_is_the_two_call_draw(size):
     assert got.tobytes() == ref.tobytes()
     # and the stream is left where the two calls left it
     assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+# -- fan-out --------------------------------------------------------------------
+
+
+def _slow_square(x):
+    time.sleep(0.002)
+    if x == 13:
+        raise KeyError(x)
+    return x * x, os.getpid()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+def test_fan_out_yields_in_item_order_and_raises_where_the_loop_would(workers):
+    got = [x for x, _ in fan_out(_slow_square, range(13), workers)]
+    assert got == [x * x for x in range(13)]
+    seen = []
+    with pytest.raises(KeyError):
+        for x, _ in fan_out(_slow_square, range(30), workers):
+            seen.append(x)
+    assert seen == [x * x for x in range(13)]
+    assert no_children()
+
+
+def test_fan_out_shares_the_items_between_the_caller_and_its_siblings():
+    pids = set(fan_out(lambda _: (time.sleep(0.02), os.getpid())[1], range(12), 2))
+    assert os.getpid() in pids and len(pids) == 2
+    assert no_children()
+
+
+def test_fan_out_runs_in_process_without_fork_or_inside_a_fan_out(monkeypatch):
+    caller = os.getpid()
+    nested = list(fan_out(lambda _: {pid for _, pid in fan_out(_slow_square, range(4), 2)},
+                          range(2), 2))
+    assert [len(pids) for pids in nested] == [1, 1]
+    monkeypatch.delattr(os, "fork")
+    assert {pid for _, pid in fan_out(_slow_square, range(4), 2)} == {caller}
+
+
+def test_closing_a_fan_out_kills_its_siblings_at_once():
+    caller = os.getpid()
+
+    def hang_in_siblings(x):
+        if x > 0 and os.getpid() != caller:
+            time.sleep(60)
+        return x
+
+    start = time.perf_counter()
+    for x in fan_out(hang_in_siblings, range(6), 3):
+        if x == 0:
+            break
+    assert time.perf_counter() - start < 10
+    assert no_children()
+
+
+def test_a_sibling_lost_without_a_result_raises_and_names_it():
+    caller = os.getpid()
+
+    def die_in_siblings(x):
+        if os.getpid() != caller:
+            os._exit(5)
+        time.sleep(0.05)
+        return x
+
+    with pytest.raises(ChildProcessError, match=r"worker process \d+ ended \(exit status 5\)"):
+        list(fan_out(die_in_siblings, range(8), 2))
+    assert no_children()
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 8),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "4,2"}, 8),  # a list: no single count
+])
+def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads):
+    for var in util._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert util._blas_threads(1) == threads
+    # without a count from the environment, workers share the CPUs
+    assert util._blas_threads(3) == (threads if util._env_blas_threads() else 2)
+    assert util._blas_threads(16) == (threads if util._env_blas_threads() else 1)
+
+
+@pytest.mark.skipif(util._openblas() is None, reason="no scipy-openblas thread control")
+def test_fan_out_shares_the_cpus_between_its_blas_pools_and_restores_the_caller(monkeypatch):
+    for var in util._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    get, set_ = util._openblas()
+    before = get()
+    try:
+        set_(4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        inside = list(fan_out(lambda _: (time.sleep(0.03), get(), os.getpid())[1:],
+                              range(8), 2))
+        assert {threads for threads, _ in inside} == {1}  # 3 CPUs // 2 processes
+        assert len({pid for _, pid in inside}) == 2
+        assert get() == 4
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # the environment's count stays
+        assert {t for t in fan_out(lambda _: get(), range(4), 2)} == {4}
+    finally:
+        set_(before)
+
+
+def test_fan_out_without_blas_thread_control_logs_once_and_runs(monkeypatch, caplog):
+    for var in util._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+    def no_library(path):
+        raise OSError("not found")
+
+    monkeypatch.setattr(util.ctypes, "CDLL", no_library)
+    util._openblas.cache_clear()
+    try:
+        with caplog.at_level("INFO", logger="liftconv"):
+            for _ in range(2):
+                assert [x for x, _ in fan_out(_slow_square, range(4), 2)] == [0, 1, 4, 9]
+    finally:
+        util._openblas.cache_clear()
+    assert len([r for r in caplog.records if "thread control" in r.getMessage()]) == 1
