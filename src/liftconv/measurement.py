@@ -117,8 +117,14 @@ def sample_omega(n: int, m: int, mode: str, rng: np.random.Generator) -> np.ndar
 
 
 def _gaussian_dictionary(n: int, rng: np.random.Generator) -> np.ndarray:
-    # i.i.d. CN(0, 1/n) entries, so columns have unit expected norm
-    return complex_gaussian(rng, (n, n)) / np.sqrt(n)
+    # i.i.d. CN(0, 1/n) entries, so columns have unit expected norm. The
+    # in-place scaling of the float64 view by 1.0 / sqrt(n) gives the bits
+    # of complex_gaussian(rng, (n, n)) / np.sqrt(n) without its n x n
+    # temporary (see the util module docstring).
+    g = complex_gaussian(rng, (n, n))
+    parts = g.view(np.float64)
+    parts *= 1.0 / np.sqrt(n)
+    return g
 
 
 @dataclass

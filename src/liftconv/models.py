@@ -22,7 +22,10 @@ trial on short vectors, where NumPy's Python-level wrappers cost more
 than the arithmetic. So they, hard_threshold and as_signal take norms
 with util.vnorm and call the array methods (argsort, nonzero, all) in
 place of the np.* wrappers, evaluating the same kernels in the same
-order, so every draw is bit-identical to the wrapper form.
+order, so every draw is bit-identical to the wrapper form. sample_model
+normalizes its draw by multiplying the float64 view by 1.0 / ||x||,
+which is what x /= ||x|| computes for each part (util's module
+docstring); its unset entries come from np.zeros, so they stay +0.
 """
 
 from __future__ import annotations
@@ -306,7 +309,8 @@ def sample_model(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     support = rng.choice(n, size=s, replace=False)
     x = np.zeros(n, dtype=complex)
     x[support] = complex_gaussian(rng, s)
-    x /= vnorm(x)
+    parts = x.view(np.float64)
+    parts *= 1.0 / vnorm(x)
     if not spec.cap_binds:
         return x
     return project_flat(x, spec.mu)

@@ -131,16 +131,20 @@ _POLISH_RESID = 0.1
 
 # Restarts fan out only when attempt 0's wall time times their number,
 # the restarts' estimated serial time, is at least this many seconds.
-# On a 2-core x86-64 host with BLAS pinned to one thread, the caller and
-# one forked sibling took the restarts' time halved plus 12 to 19 ms at
-# n = 16 and 32 (util.fan_out), so the fan-out breaks even at 25 to 30
-# ms of restarts. Timed both ways, 15-attempt solves with a serial time
-# under 25 ms ran 1.2 to 1.3 times slower fanned out and those at 25 to
-# 30 ms as fast; n = 16 solves as a whole took 0.83 to 1.05 times their
-# serial time (two runs, serial medians 38 and 25 ms), n = 32 solves
-# 0.82 to 0.87 times, and the n = 128 slice's failing solves (120 to
-# 270 ms) 0.78 times.
-_FAN_OUT_S = 0.03
+# On a 2-core x86-64 host with BLAS pinned to one thread, 356 solves
+# that reached the restarts (n = 16, m = 6, s = 2; n = 24, m = 8, s = 2;
+# n = 32, m = 8, s = 3; seeds 0 to 119; 340 ran all 15 attempts) were
+# timed serial and fanned out (the caller and one forked sibling,
+# util.fan_out), with the same results bit for bit. The estimate reads
+# low at these sizes, a median 0.79 to 0.88 times the restarts' serial
+# time, since attempt 0 is cheaper than a restart. By the estimate,
+# solves at 10 to 15 ms ran a median 1.13 times slower fanned out, those
+# at 15 to 20 ms 0.96 times (19 of 45 slower), at 20 to 30 ms 0.92 (28
+# of 108 slower) and at 30 ms or more 0.82 (25 of 175 slower). The
+# break-even sits at 15 to 20 ms, and the mean solve time over all 356
+# was least with the cut anywhere from 14 to 20 ms. The n = 128 slice's
+# solves that reach the restarts estimate 97 ms or more.
+_FAN_OUT_S = 0.02
 
 
 @dataclass

@@ -13,6 +13,21 @@ or a solver half-step takes several norms of short vectors, and that
 handling cost more than the arithmetic. Axis norms of matrices keep
 np.linalg.norm.
 
+The draw paths (complex_gaussian here, measurement._gaussian_dictionary,
+models.sample_model) scale by a real constant c without complex
+arithmetic: they multiply the float64 parts by 1.0 / c, in place
+(through the real view, x.view(np.float64), for a complex array), and
+complex_gaussian packs its two halves of normals into the real and
+imaginary parts of an empty complex array instead of forming z[0] +
+1j * z[1]. This is bit for bit the complex form, because NumPy divides
+a complex array by a real c by Smith's formula with a zero imaginary
+part, which multiplies each part by 1.0 / c; so the constant must be
+exactly 1.0 / sqrt(c) (math.sqrt(0.5) differs from 1.0 / math.sqrt(2.0)
+in the last bit). The one difference is the sign of an entry whose
+normal draw is exactly zero, which has probability about 2^-52 per
+entry. unit() keeps the division: its inputs may hold a computed -0.0,
+whose sign the division and the multiplication can give differently.
+
 fan_out is the one place the package starts processes: it runs a
 function over a list of items on the calling process and on siblings
 forked from it, and yields the results in item order (see its
@@ -65,13 +80,13 @@ def _canon(part) -> str:
 
 
 def derive_seed(base: int, *parts) -> int:
-    """Mix a base seed with labels into a stable 63-bit seed."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(_canon(base).encode())
+    """Mix a base seed with labels into a stable 63-bit seed: the 8-byte
+    blake2b digest of the canonical forms joined by "|", as little-endian
+    bits, shifted right by one."""
+    key = _canon(base)
     for part in parts:
-        h.update(b"|")
-        h.update(_canon(part).encode())
-    return int.from_bytes(h.digest(), "little") >> 1
+        key += "|" + _canon(part)
+    return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little") >> 1
 
 
 def rng_for(base: int, *parts) -> np.random.Generator:
@@ -107,16 +122,29 @@ def unit(x: np.ndarray) -> np.ndarray:
     return x / nrm
 
 
+# 1.0 / sqrt(2) exactly, not math.sqrt(0.5) (see the module docstring)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
 def complex_gaussian(rng: np.random.Generator, size) -> np.ndarray:
-    """i.i.d. circularly symmetric complex normal entries, unit variance.
+    """i.i.d. circularly symmetric complex normal entries, unit variance,
+    as a C-contiguous complex128 array of shape size.
 
     Real and imaginary parts are independent N(0, 1/2), so E|z|^2 = 1.
     One standard_normal call of shape (2, *size) fills its output in
     order, so the real parts are the first half of the stream and the
     imaginary parts the second, as two calls of shape size would give.
+    The normals are scaled in place by 1 / sqrt(2) and packed into the
+    real and imaginary parts of the result, which gives the bits of
+    (z[0] + 1j * z[1]) / np.sqrt(2.0) (see the module docstring).
     """
-    z = rng.standard_normal((2, size) if isinstance(size, (int, np.integer)) else (2, *size))
-    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    shape = (size,) if isinstance(size, (int, np.integer)) else size
+    z = rng.standard_normal((2, *shape))
+    z *= _INV_SQRT2
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = z[0]
+    out.imag = z[1]
+    return out
 
 
 # -- fan-out --------------------------------------------------------------------

@@ -17,9 +17,15 @@ ensembles, dyadic_chain_check compares the entropy integral with its
 dyadic series (C11), greedy_cover upper bounds a covering number, and
 in_tilde_gamma is the predicate of the approximately sparse set.
 
+The draw oracles (complex_gaussian_ref, gaussian_dictionary_ref,
+sample_model_ref, derive_seed_ref) are the draw paths written with
+complex arithmetic and incremental hashing, as the library first had
+them; its real-view forms must match them byte for byte.
+
 no_children is the process-hygiene check of the fan-out tests.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -35,8 +41,8 @@ from liftconv.measurement import (
     _gaussian_dictionary,
     sample_omega,
 )
-from liftconv.models import ModelSpec, as_signal, sample_model
-from liftconv.util import ZeroVectorError, rng_for
+from liftconv.models import ModelSpec, as_signal, project_flat, sample_model
+from liftconv.util import ZeroVectorError, _canon, rng_for, vnorm
 
 
 def naive_circular_conv(x, y):
@@ -361,6 +367,39 @@ def in_tilde_gamma(x, s: int) -> bool:
         raise ZeroVectorError("membership undefined for the zero vector")
     # relative slack so boundary cases (equal-modulus supports) are stable
     return float(np.abs(x).sum()) <= np.sqrt(s) * l2 * (1 + 1e-12)
+
+
+def complex_gaussian_ref(rng, size):
+    """util.complex_gaussian by complex arithmetic."""
+    z = rng.standard_normal((2, size) if isinstance(size, (int, np.integer)) else (2, *size))
+    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+
+
+def gaussian_dictionary_ref(n: int, rng):
+    """measurement._gaussian_dictionary by complex division."""
+    return complex_gaussian_ref(rng, (n, n)) / np.sqrt(n)
+
+
+def sample_model_ref(spec: ModelSpec, rng):
+    """models.sample_model normalized by complex division."""
+    n, s = spec.n, spec.s
+    support = rng.choice(n, size=s, replace=False)
+    x = np.zeros(n, dtype=complex)
+    x[support] = complex_gaussian_ref(rng, s)
+    x /= vnorm(x)
+    if not spec.cap_binds:
+        return x
+    return project_flat(x, spec.mu)
+
+
+def derive_seed_ref(base: int, *parts) -> int:
+    """util.derive_seed by one blake2b update per part and separator."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(_canon(base).encode())
+    for part in parts:
+        h.update(b"|")
+        h.update(_canon(part).encode())
+    return int.from_bytes(h.digest(), "little") >> 1
 
 
 def no_children() -> bool:

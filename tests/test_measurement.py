@@ -10,6 +10,7 @@ from helpers import (
     R_MATRIX_GUARD,
     dft_matrix,
     forward_dense,
+    gaussian_dictionary_ref,
     measurement_matrix,
     naive_forward_matrix,
     naive_forward_pair,
@@ -23,6 +24,7 @@ from liftconv.measurement import (
     Ensemble,
     FactoredOperator,
     LiftedPoint,
+    _gaussian_dictionary,
     adjoint_apply,
     forward,
     lifted_dist,
@@ -33,6 +35,17 @@ from liftconv.measurement import (
 from liftconv.models import ModelSpec
 from liftconv.solver import SolveOptions, plant_instance, recover
 from liftconv.util import complex_gaussian, derive_seed, rng_for
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 128, 256])
+def test_gaussian_dictionary_is_the_complex_division_bit_for_bit(n):
+    for seed in range(20):
+        got = _gaussian_dictionary(n, rng_for(seed, "dict-bits"))
+        ref = gaussian_dictionary_ref(n, rng_for(seed, "dict-bits"))
+        # C-contiguous complex128, since the BLAS products' bits follow the layout
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert got.shape == (n, n)
+        assert got.tobytes() == ref.tobytes()
 
 
 def _point(seed, n):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import in_tilde_gamma, naive_dft, unit_vec
+from helpers import in_tilde_gamma, naive_dft, sample_model_ref, unit_vec
 from liftconv import models
 from liftconv.models import (
     FLATNESS_SLACK,
@@ -353,6 +353,22 @@ def test_sample_model_without_active_cap_is_the_raw_draw(n, s, mu):
         got = sample_model(spec, rng_for(16, "raw", n, s, t))
         assert np.array_equal(got, unit(x))
         assert spec.admits(got)
+
+
+@pytest.mark.parametrize("n, s, mu", [
+    (1, 1, None), (8, 1, None), (8, 8, None), (24, 3, None), (128, 3, None),
+    (128, 6, 4.0), (24, 3, 3.0),
+    (64, 4, 2.5), (128, 3, 2.0), (16, 2, 1.0),
+])
+def test_sample_model_is_the_complex_division_bit_for_bit(n, s, mu):
+    # uncapped, with a cap that cannot bind, and with binding caps, whose
+    # draws go through project_flat
+    spec = ModelSpec(n, s, mu=mu)
+    for t in range(60):
+        got = sample_model(spec, rng_for(31, "model-bits", t))
+        ref = sample_model_ref(spec, rng_for(31, "model-bits", t))
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_sample_model_accepts_raw_draw_when_cap_is_loose():

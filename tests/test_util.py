@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import no_children
+from helpers import complex_gaussian_ref, derive_seed_ref, no_children
 
 import liftconv.util as util
 from liftconv.util import (
@@ -58,6 +58,48 @@ def test_derive_seed_is_order_sensitive():
 def test_derive_seed_fits_in_63_bits():
     for base in range(50):
         assert 0 <= derive_seed(base, "x") < 2**63
+
+
+# one part per _canon branch: bool, np.bool_, int, np.integer, float,
+# np.floating, None, str (a separator and non-ASCII text inside it)
+@pytest.mark.parametrize("parts, seed", [
+    ((5, True), 3902380432885902044),
+    ((5, np.bool_(False)), 7184340566775843248),
+    ((5, 7), 8850401543118418594),
+    ((5, np.int64(-7)), 4124240947831922923),
+    ((5, -0.0), 6515625467523269082),
+    ((5, np.float32(0.1)), 6410141550287008506),
+    ((5, None), 4296723449156060027),
+    ((5, "trial|7"), 5020151321927423460),
+    ((5, "\u00e9"), 6456944691158046983),
+    ((5, "trial", 7), 8691566402876873897),
+    ((np.int64(5),), 7100898348135710418),
+])
+def test_derive_seed_keeps_its_recorded_values(parts, seed):
+    assert derive_seed(*parts) == seed
+    assert derive_seed_ref(*parts) == seed
+
+
+_PARTS = st.one_of(
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(width=32).map(np.float32),
+    st.text(st.characters(exclude_categories=("Cs",))),
+    st.text(st.sampled_from("|ab7 \u00e9\u4e2d\U0001f600"), max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(base=st.one_of(st.integers(0, 2**64), st.integers(0, 2**63 - 1).map(np.int64)),
+       parts=st.lists(_PARTS, max_size=6))
+def test_derive_seed_is_the_incremental_hash(base, parts):
+    # blake2b of the "|"-joined canonical forms equals the per-part updates
+    assert derive_seed(base, *parts) == derive_seed_ref(base, *parts)
 
 
 def test_rng_for_reproduces_streams():
@@ -143,6 +185,16 @@ def test_complex_gaussian_is_the_two_call_draw(size):
     assert got.tobytes() == ref.tobytes()
     # and the stream is left where the two calls left it
     assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("size", [*range(1, 17), *((n, n) for n in (1, 2, 16, 64, 128, 256))])
+def test_complex_gaussian_is_the_complex_division_bit_for_bit(size):
+    for seed in range(40):
+        got = complex_gaussian(rng_for(seed, "cg-bits"), size)
+        ref = complex_gaussian_ref(rng_for(seed, "cg-bits"), size)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 # -- fan-out --------------------------------------------------------------------
