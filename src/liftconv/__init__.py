@@ -9,8 +9,9 @@ projections, Monte Carlo estimators of restricted isometry, angle, and
 orthogonality constants, closed-form entropy and sample-complexity
 calculators, and an alternating least-squares recovery solver with a
 phase-transition sweep harness. The package namespace re-exports only
-what the library runs: the FFTs are NumPy's, and the dense reference
-maps (partial_forward, adjoint_apply) stay in liftconv.measurement.
+what the library runs: the FFTs are NumPy's, and partial_forward and
+adjoint_apply, views of FactoredOperator kept for the benchmark's layer
+tracer, stay in liftconv.measurement.
 """
 
 from types import ModuleType as _ModuleType

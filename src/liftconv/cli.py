@@ -145,7 +145,7 @@ _KIND_KEYS = {
     "recover": _BASE_KEYS | {"noise", "max_outer_iters", "restarts"},
 }
 _ALL_KEYS = frozenset().union(*_KIND_KEYS.values())
-# keys with a fixed set of values, checked by _validate_cells and listed in the run flags' help
+# keys with a fixed set of values, checked by SweepConfig and listed in the run flags' help
 _CHOICES = {"phi": DICTIONARY_KINDS, "psi": DICTIONARY_KINDS,
             "omega_mode": OMEGA_MODES, "orthogonality": ("both", "either")}
 
@@ -171,6 +171,35 @@ class SweepConfig:
     decoupled: bool = False
     max_outer_iters: int = SolveOptions.max_outer_iters
     restarts: int = SolveOptions.restarts
+
+    def __post_init__(self):
+        """Reject a config with a cell that cannot run."""
+        if self.kind not in SWEEP_KINDS:
+            raise ConfigError(f"kind must be one of {SWEEP_KINDS}, got {self.kind!r}")
+        if self.trials < 1:
+            raise ConfigError("trials must be positive")
+        for key, options in _CHOICES.items():
+            if getattr(self, key) not in options:
+                raise ConfigError(f"{key} must be one of {options}")
+        if self.kind == "recover":
+            try:
+                SolveOptions(s1=1, s2=1, max_outer_iters=self.max_outer_iters,
+                             restarts=self.restarts)
+            except ValueError as exc:
+                raise ConfigError(f"bad solver settings: {exc}") from None
+        for cell in self.cells():
+            try:
+                ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"])
+                ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"])
+            except ValueError as exc:
+                raise ConfigError(f"bad cell {cell}: {exc}") from None
+            if not 1 <= cell["m"] <= cell["n"]:
+                raise ConfigError(f"bad cell {cell}: m must be positive" if cell["m"] < 1 else
+                                  f"bad cell {cell}: m > n; an ensemble keeps at most n samples")
+            if self.kind == "rop" and cell["n"] < 2:
+                raise ConfigError(f"bad cell {cell}: rop needs n >= 2 for orthogonal pairs")
+            if self.kind == "recover" and not 0 <= cell["noise"] < math.inf:
+                raise ConfigError("noise must be finite and nonnegative")
 
     def cells(self) -> list:
         """Grid points in _GRID_KEYS order, the last key varying fastest."""
@@ -263,36 +292,7 @@ def parse_config(text: str, overrides=()) -> SweepConfig:
                 raise ConfigError(f"empty value list for key {key!r}")
         else:
             values[key] = _scalar(key, tok)
-    return _validate_cells(SweepConfig(**values))
-
-
-def _validate_cells(cfg: SweepConfig) -> SweepConfig:
-    """Reject a config with a cell that cannot run; return it unchanged."""
-    if cfg.trials < 1:
-        raise ConfigError("trials must be positive")
-    for key, options in _CHOICES.items():
-        if getattr(cfg, key) not in options:
-            raise ConfigError(f"{key} must be one of {options}")
-    if cfg.kind == "recover":
-        try:
-            SolveOptions(s1=1, s2=1, max_outer_iters=cfg.max_outer_iters,
-                         restarts=cfg.restarts)
-        except ValueError as exc:
-            raise ConfigError(f"bad solver settings: {exc}") from None
-    for cell in cfg.cells():
-        try:
-            ModelSpec(cell["n"], cell["s1"], mu=cell["mu1"])
-            ModelSpec(cell["n"], cell["s2"], mu=cell["mu2"])
-        except ValueError as exc:
-            raise ConfigError(f"bad cell {cell}: {exc}") from None
-        if not 1 <= cell["m"] <= cell["n"]:
-            raise ConfigError(f"bad cell {cell}: m must be positive" if cell["m"] < 1 else
-                              f"bad cell {cell}: m > n; an ensemble keeps at most n samples")
-        if cfg.kind == "rop" and cell["n"] < 2:
-            raise ConfigError(f"bad cell {cell}: rop needs n >= 2 for orthogonal pairs")
-        if cfg.kind == "recover" and not 0 <= cell["noise"] < math.inf:
-            raise ConfigError("noise must be finite and nonnegative")
-    return cfg
+    return SweepConfig(**values)
 
 
 # -- sweep execution ----------------------------------------------------------

@@ -197,25 +197,20 @@ def estimate_rop(
     if orthogonality not in ("both", "either"):
         raise ValueError("orthogonality must be 'both' or 'either'")
     op = FactoredOperator.of(ens)
+    both = orthogonality == "both"
     resamples = 0
 
     def trial(t, rng):
         nonlocal resamples
+        left, right = both or t % 2 == 0, both or t % 2 == 1
         for _ in range(_ROP_MAX_ATTEMPTS):
             u = sample_model(spec_u, rng)
             v = sample_model(spec_v, rng)
             u_hat0 = sample_model(spec_u, rng)
             v_hat0 = sample_model(spec_v, rng)
             try:
-                if orthogonality == "both":
-                    u_hat = orthogonalize_pair(u, u_hat0, spec_u)
-                    v_hat = orthogonalize_pair(v, v_hat0, spec_v)
-                elif t % 2 == 0:
-                    u_hat = orthogonalize_pair(u, u_hat0, spec_u)
-                    v_hat = v_hat0
-                else:
-                    u_hat = u_hat0
-                    v_hat = orthogonalize_pair(v, v_hat0, spec_v)
+                u_hat = orthogonalize_pair(u, u_hat0, spec_u) if left else u_hat0
+                v_hat = orthogonalize_pair(v, v_hat0, spec_v) if right else v_hat0
                 break
             except OrthogonalizationError:
                 resamples += 1

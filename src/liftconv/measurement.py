@@ -15,7 +15,9 @@ linear in the first argument throughout (numpy.vdot convention).
 
 FactoredOperator is the library's operator: the solver, the estimators
 and the isotropy check measure with it, and the FFT forward plants and
-scores solver instances.
+scores solver instances. These are the only two implementations of the
+measurement; adjoint_apply, partial_forward and PartialMap are views of
+FactoredOperator kept for the names perfbench/tracer.py wraps.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .util import ZeroVectorError, complex_gaussian, rng_for, vnorm
 
 __all__ = [
-    "DENSE_GUARD",
     "LiftedPoint",
     "Ensemble",
     "sample_omega",
@@ -39,8 +40,6 @@ __all__ = [
     "lifted_inner",
     "lifted_dist",
 ]
-
-DENSE_GUARD = 256
 
 DICTIONARY_KINDS = ("gaussian", "identity")
 OMEGA_MODES = ("without_replacement", "iid_uniform")
@@ -186,7 +185,7 @@ class Ensemble:
                    phi=phi, psi=psi)
 
 
-# -- forward and adjoint ----------------------------------------------------
+# -- FFT forward ------------------------------------------------------------
 
 
 def forward(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
@@ -198,74 +197,6 @@ def forward(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
     y = ens.psi @ np.asarray(p.v, dtype=complex)
     conv = np.fft.ifft(np.fft.fft(x) * np.fft.fft(y))
     return np.sqrt(ens.n / ens.m) * conv[ens.omega]
-
-
-# adjoint_apply, PartialMap and partial_forward stay here, out of the
-# package namespace, only for perfbench/tracer.py TARGETS; no library code
-# calls them, and the tests check FactoredOperator against them.
-def _scatter(ens: Ensemble, b: np.ndarray) -> np.ndarray:
-    acc = np.zeros(ens.n, dtype=complex)
-    np.add.at(acc, ens.omega, b)
-    return acc
-
-
-def adjoint_apply(ens: Ensemble, b: np.ndarray) -> np.ndarray:
-    """Dense adjoint: sum_l b_l M_l, materialized. Guarded to n <= DENSE_GUARD."""
-    n, m = ens.n, ens.m
-    if n > DENSE_GUARD:
-        raise ValueError(
-            f"dense adjoint is limited to n <= {DENSE_GUARD}; "
-            "use FactoredOperator.adjoint_image"
-        )
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (m,):
-        raise ValueError("b must have length m")
-    j = np.arange(n)
-    F = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)  # unitary DFT
-    d = F @ _scatter(ens, b)
-    core = F.conj().T @ (d[:, None] * F.conj())
-    return (n / np.sqrt(m)) * (ens.phi.conj().T @ core @ ens.psi.conj())
-
-
-@dataclass
-class PartialMap:
-    """Linear map w -> A(w v0^T) or w -> A(u0 w^T) with its adjoint."""
-
-    ens: Ensemble
-    side: str
-    fixed_hat: np.ndarray  # unnormalized FFT of the fixed factor's image
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        ens = self.ens
-        img = (ens.phi if self.side == "left" else ens.psi) @ w
-        conv = np.fft.ifft(np.fft.fft(img) * self.fixed_hat)
-        return np.sqrt(ens.n / ens.m) * conv[ens.omega]
-
-    def adjoint(self, b: np.ndarray) -> np.ndarray:
-        ens = self.ens
-        root_n = np.sqrt(ens.n)  # the unitary DFT's scale
-        s_hat = np.conj(self.fixed_hat) * (np.fft.fft(_scatter(ens, b)) / root_n)
-        s = np.fft.ifft(s_hat) * root_n
-        s *= np.sqrt(ens.n / ens.m)
-        return (ens.phi if self.side == "left" else ens.psi).conj().T @ s
-
-
-def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
-    """Freeze one factor of the bilinear measurement.
-
-    side "left" freezes v0 = fixed and maps u to A(u v0^T); side
-    "right" freezes u0 and maps v to A(u0 v^T). The returned object
-    carries the matching adjoint, verified by the balance tests.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    fixed = np.asarray(fixed, dtype=complex)
-    if fixed.shape != (ens.n,):
-        raise ValueError("fixed factor must have length n")
-    if np.linalg.norm(fixed) == 0:
-        raise ZeroVectorError("fixed factor must be nonzero")
-    fixed_hat = np.fft.fft((ens.psi if side == "left" else ens.phi) @ fixed)
-    return PartialMap(ens=ens, side=side, fixed_hat=fixed_hat)
 
 
 # -- factored operator --------------------------------------------------------
@@ -315,3 +246,47 @@ class FactoredOperator:
         G_fixed, G = (self.G_psi, self.G_phi) if side == "left" else (self.G_phi, self.G_psi)
         S = fixed.nonzero()[0]
         return self.W * (G_fixed[:, S] @ fixed[S]), G
+
+
+# -- tracer views -------------------------------------------------------------
+
+# adjoint_apply, PartialMap and partial_forward are views of FactoredOperator
+# that stay here, out of the package namespace, only because
+# perfbench/tracer.py wraps them by name; no library code calls them.
+def adjoint_apply(ens: Ensemble, b: np.ndarray) -> np.ndarray:
+    """A^*(b) = sum_l b_l M_l as an n x n matrix: FactoredOperator.adjoint_image."""
+    b = np.asarray(b, dtype=complex)
+    if b.shape != (ens.m,):
+        raise ValueError("b must have length m")
+    return FactoredOperator.of(ens).adjoint_image(b)
+
+
+@dataclass(frozen=True, eq=False)
+class PartialMap:
+    """Linear map w -> A(w v0^T) or w -> A(u0 w^T) as w -> WH @ (G @ w),
+    the factors of FactoredOperator.frozen, with its adjoint."""
+
+    WH: np.ndarray
+    G: np.ndarray
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        return self.WH @ (self.G @ w)
+
+    def adjoint(self, b: np.ndarray) -> np.ndarray:
+        return self.G.conj().T @ (self.WH.conj().T @ b)
+
+
+def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
+    """Freeze one factor of the bilinear measurement.
+
+    side "left" freezes v0 = fixed and maps u to A(u v0^T); side
+    "right" freezes u0 and maps v to A(u0 v^T).
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    fixed = np.asarray(fixed, dtype=complex)
+    if fixed.shape != (ens.n,):
+        raise ValueError("fixed factor must have length n")
+    if np.linalg.norm(fixed) == 0:
+        raise ZeroVectorError("fixed factor must be nonzero")
+    return PartialMap(*FactoredOperator.of(ens).frozen(side, fixed))

@@ -7,7 +7,11 @@ measurement algebra is stated. The dense forms of the measurement
 operator (forward_dense, measurement_matrix, r_matrix, xi_vector) build
 it from FFTs and dft_matrix, guarded to small n, and the polarization
 check verifies the identity the analysis uses on explicit matrices.
-Tests treat these as ground truth.
+The dense adjoint (adjoint_apply) and the FFT partial map
+(partial_forward, PartialMap) are the second implementations the
+library once kept beside FactoredOperator, moved here verbatim; the
+library's same-named views of FactoredOperator are tested against
+them. Tests treat these as ground truth.
 
 The calibration oracles are paper content no library path calls:
 estimate_rip_matrix samples the restricted isometry constant of an
@@ -29,12 +33,12 @@ import hashlib
 import itertools
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from liftconv.concentration import EstimateReport, _decoupled_ops, _form, _run_trials
 from liftconv.measurement import (
-    DENSE_GUARD,
     Ensemble,
     FactoredOperator,
     LiftedPoint,
@@ -91,6 +95,7 @@ def naive_forward_matrix(ens, X):
 # -- dense forms of the measurement operator ----------------------------------
 
 
+DENSE_GUARD = 256
 R_MATRIX_GUARD = 64
 
 
@@ -136,6 +141,71 @@ def measurement_matrix(ens: Ensemble, ell: int) -> np.ndarray:
     fcol = F[:, ens.omega[ell]]
     core = (F.conj().T * fcol[None, :]) @ F.conj()
     return (n / np.sqrt(m)) * (ens.phi.conj().T @ core @ ens.psi.conj())
+
+
+def _scatter(ens: Ensemble, b: np.ndarray) -> np.ndarray:
+    acc = np.zeros(ens.n, dtype=complex)
+    np.add.at(acc, ens.omega, b)
+    return acc
+
+
+def adjoint_apply(ens: Ensemble, b: np.ndarray) -> np.ndarray:
+    """Dense adjoint: sum_l b_l M_l, materialized. Guarded to n <= DENSE_GUARD."""
+    n, m = ens.n, ens.m
+    if n > DENSE_GUARD:
+        raise ValueError(
+            f"dense adjoint is limited to n <= {DENSE_GUARD}; "
+            "use FactoredOperator.adjoint_image"
+        )
+    b = np.asarray(b, dtype=complex)
+    if b.shape != (m,):
+        raise ValueError("b must have length m")
+    j = np.arange(n)
+    F = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)  # unitary DFT
+    d = F @ _scatter(ens, b)
+    core = F.conj().T @ (d[:, None] * F.conj())
+    return (n / np.sqrt(m)) * (ens.phi.conj().T @ core @ ens.psi.conj())
+
+
+@dataclass
+class PartialMap:
+    """Linear map w -> A(w v0^T) or w -> A(u0 w^T) with its adjoint."""
+
+    ens: Ensemble
+    side: str
+    fixed_hat: np.ndarray  # unnormalized FFT of the fixed factor's image
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        ens = self.ens
+        img = (ens.phi if self.side == "left" else ens.psi) @ w
+        conv = np.fft.ifft(np.fft.fft(img) * self.fixed_hat)
+        return np.sqrt(ens.n / ens.m) * conv[ens.omega]
+
+    def adjoint(self, b: np.ndarray) -> np.ndarray:
+        ens = self.ens
+        root_n = np.sqrt(ens.n)  # the unitary DFT's scale
+        s_hat = np.conj(self.fixed_hat) * (np.fft.fft(_scatter(ens, b)) / root_n)
+        s = np.fft.ifft(s_hat) * root_n
+        s *= np.sqrt(ens.n / ens.m)
+        return (ens.phi if self.side == "left" else ens.psi).conj().T @ s
+
+
+def partial_forward(ens: Ensemble, side: str, fixed: np.ndarray) -> PartialMap:
+    """Freeze one factor of the bilinear measurement.
+
+    side "left" freezes v0 = fixed and maps u to A(u v0^T); side
+    "right" freezes u0 and maps v to A(u0 v^T). The returned object
+    carries the matching adjoint, verified by the balance tests.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    fixed = np.asarray(fixed, dtype=complex)
+    if fixed.shape != (ens.n,):
+        raise ValueError("fixed factor must have length n")
+    if np.linalg.norm(fixed) == 0:
+        raise ZeroVectorError("fixed factor must be nonzero")
+    fixed_hat = np.fft.fft((ens.psi if side == "left" else ens.phi) @ fixed)
+    return PartialMap(ens=ens, side=side, fixed_hat=fixed_hat)
 
 
 def r_matrix(ens: Ensemble, p: LiftedPoint) -> np.ndarray:

@@ -188,6 +188,21 @@ def test_parse_config_rejects_bad_solver_settings(setting):
         parse_config(f"kind=recover\nn=8\nm=4\ns1=1\ns2=1\n{setting}\n")
 
 
+@pytest.mark.parametrize("bad, match", [
+    (dict(kind="rap", n=[8], m=[4, 16], s1=[2], s2=[2], trials=3), "m > n"),
+    (dict(kind="recover", n=[8], m=[4], s1=[1], s2=[1], restarts=-1), "bad solver settings"),
+    (dict(kind="sweep", n=[8], m=[4], s1=[1], s2=[1]), "kind"),
+])
+def test_a_sweep_config_that_cannot_run_is_rejected_when_constructed(tmp_path, bad, match):
+    # built directly, not parsed: a config with a cell that cannot run is
+    # rejected before run_sweep writes any row, header or .meta
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match=match):
+        run_sweep(SweepConfig(**bad), str(out))
+    assert not out.exists()
+    assert not Path(str(out) + ".meta").exists()
+
+
 def test_cells_enumeration_order():
     cfg = parse_config("kind=rip\nn=8\nm=4,6\ns1=1,2\ns2=1\n")
     coords = [(c["m"], c["s1"]) for c in cfg.cells()]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    adjoint_apply,
     dft_matrix,
     estimate_rip_matrix,
     exact_rip_small,
@@ -26,7 +27,6 @@ from liftconv.measurement import (
     Ensemble,
     LiftedPoint,
     _gaussian_dictionary,
-    adjoint_apply,
     forward,
     lifted_inner,
     sample_omega,

@@ -7,20 +7,22 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DENSE_GUARD,
     R_MATRIX_GUARD,
+    adjoint_apply as adjoint_apply_ref,
     dft_matrix,
     forward_dense,
     gaussian_dictionary_ref,
     measurement_matrix,
     naive_forward_matrix,
     naive_forward_pair,
+    partial_forward as partial_forward_ref,
     r_matrix,
     unit_vec,
     xi_vector,
 )
 from liftconv.concentration import estimate_rop, isotropy_check
 from liftconv.measurement import (
-    DENSE_GUARD,
     Ensemble,
     FactoredOperator,
     LiftedPoint,
@@ -32,9 +34,9 @@ from liftconv.measurement import (
     partial_forward,
     sample_omega,
 )
-from liftconv.models import ModelSpec
+from liftconv.models import ModelSpec, hard_threshold
 from liftconv.solver import SolveOptions, plant_instance, recover
-from liftconv.util import complex_gaussian, derive_seed, rng_for
+from liftconv.util import ZeroVectorError, complex_gaussian, derive_seed, rng_for
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64, 128, 256])
@@ -153,7 +155,7 @@ def test_factored_operator_matches_fft_forward_and_dense_adjoint(kinds, omega_mo
     ref = np.stack([forward(ens, LiftedPoint(U[:, k], V[:, k])) for k in range(3)], axis=1)
     assert close(op.forward(U, V), ref)  # one measurement per column pair
     assert close(op.forward(U[:, 1], V[:, 1]), ref[:, 1])
-    assert close(op.adjoint_image(b), adjoint_apply(ens, b))
+    assert close(op.adjoint_image(b), adjoint_apply_ref(ens, b))
     # swapping one factor measures with the swapped dictionary
     ens_phi = Ensemble(n, m, ens.omega, "gaussian", ens.psi_kind,
                        phi=complex_gaussian(rng, (n, n)), psi=ens.psi)
@@ -194,7 +196,7 @@ def test_dense_paths_are_guarded():
     with pytest.raises(ValueError):
         forward_dense(ens, np.zeros((ens.n, ens.n)))
     with pytest.raises(ValueError):
-        adjoint_apply(ens, np.zeros(3))
+        adjoint_apply_ref(ens, np.zeros(3))
     with pytest.raises(ValueError):
         measurement_matrix(ens, 0)
 
@@ -229,6 +231,47 @@ def test_partial_forward_validates():
         partial_forward(ens, "left", np.ones(5))
     with pytest.raises(ValueError):
         partial_forward(ens, "left", np.zeros(8))
+
+
+# adjoint_apply, partial_forward and PartialMap are views of
+# FactoredOperator; the dense adjoint and the FFT partial map they replace
+# are their references
+
+
+@pytest.mark.parametrize("kinds", ENSEMBLES)
+@pytest.mark.parametrize("omega_mode", ["without_replacement", "iid_uniform"])
+def test_views_match_the_dense_adjoint_and_the_fft_partial_map(kinds, omega_mode):
+    def close(got, ref):
+        return np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    for n, m in ((8, 5), (21, 9), (33, 33)):
+        ens = Ensemble.generate(n, m, seed=60 + n, omega_mode=omega_mode, **kinds)
+        rng = rng_for(61, "views", n)
+        w, b = complex_gaussian(rng, n), complex_gaussian(rng, m)
+        assert close(adjoint_apply(ens, b), adjoint_apply_ref(ens, b))
+        # a dense fixed factor, and a 3-sparse one as the solver's iterates are
+        for fixed in (complex_gaussian(rng, n), hard_threshold(complex_gaussian(rng, n), 3)):
+            for side in ("left", "right"):
+                view = partial_forward(ens, side, fixed)
+                ref = partial_forward_ref(ens, side, fixed)
+                assert close(view.apply(w), ref.apply(w))
+                assert close(view.adjoint(b), ref.adjoint(b))
+
+
+def test_views_reject_what_the_dense_adjoint_and_the_fft_partial_map_reject():
+    ens = Ensemble.generate(8, 4, seed=62)
+    for side, fixed, error in (("top", np.ones(8), ValueError),
+                               ("left", np.ones(5), ValueError),
+                               ("right", np.ones((8, 1)), ValueError),
+                               ("left", np.zeros(8), ZeroVectorError),
+                               ("right", np.zeros(8), ZeroVectorError)):
+        for freeze in (partial_forward, partial_forward_ref):
+            with pytest.raises(error):
+                freeze(ens, side, fixed)
+    for b in (np.zeros(3), np.ones(5), np.ones((4, 1))):
+        for adjoint in (adjoint_apply, adjoint_apply_ref):
+            with pytest.raises(ValueError, match="b must have length m"):
+                adjoint(ens, b)
 
 
 # -- flattened operator pieces ------------------------------------------------
@@ -367,12 +410,12 @@ def test_identity_dictionaries_measure_their_recorded_bytes(phi_kind, psi_kind, 
     u[[1, 4]] = 0
     p = LiftedPoint(u, v)
     op = FactoredOperator.of(ens)
-    out = [forward(ens, p), forward_dense(ens, X), adjoint_apply(ens, b),
+    out = [forward(ens, p), forward_dense(ens, X), adjoint_apply_ref(ens, b),
            *(measurement_matrix(ens, ell) for ell in range(m)), r_matrix(ens, p),
            xi_vector(ens), op.G_phi, op.G_psi, op.W, op.forward(U, V),
            op.adjoint_image(b), *op.frozen("left", v), *op.frozen("right", u)]
     for side, fixed in (("left", v), ("right", u)):
-        pm = partial_forward(ens, side, fixed)
+        pm = partial_forward_ref(ens, side, fixed)
         out += [pm.apply(w), pm.adjoint(b)]
     assert _digest(out) == _IDENTITY_MEASURE_RECORD[phi_kind, psi_kind, omega_mode]
 

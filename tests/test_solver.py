@@ -1,6 +1,7 @@
 """Recovery solver: planted instances, invariances, and failure modes."""
 
 import hashlib
+import itertools
 import math
 import os
 import time
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import no_children
+from helpers import adjoint_apply, no_children, partial_forward
 
 import liftconv.models as models
 import liftconv.solver as solver
@@ -18,10 +19,8 @@ from liftconv.measurement import (
     Ensemble,
     FactoredOperator,
     LiftedPoint,
-    adjoint_apply,
     forward,
     lifted_dist,
-    partial_forward,
 )
 from liftconv.models import ModelSpec, hard_threshold, spectral_flatness
 from liftconv.solver import (
@@ -812,11 +811,6 @@ def _pools_for(restarts: int) -> list:
     return [workers] if workers > 1 else []
 
 
-def _in_process(fn, items, workers):
-    assert workers < 2, "recover fanned its restarts out"
-    return map(fn, items)
-
-
 def _forks(monkeypatch) -> list:
     """Records every os.fork of this process; a forked sibling appends to
     its own copy of the list."""
@@ -1008,12 +1002,38 @@ def test_a_solve_inside_a_fan_out_keeps_its_restarts_in_process(monkeypatch):
         assert in_fan_out.u_hat.tobytes() == serial.u_hat.tobytes()
 
 
-def test_a_small_solve_keeps_its_restarts_in_process(monkeypatch):
-    # 14 restarts at n = 16 take a few ms, far below a fan-out's cost
+def _first_attempt_reads(monkeypatch, first_s: float) -> list:
+    """Makes attempt 0 of every later solve read first_s seconds on two
+    usable CPUs with one BLAS thread each; returns the list of the worker
+    counts recover passes to fan_out, whose stand-in runs in process."""
+    clock = itertools.cycle((0.0, first_s))
+    sizes = []
+
+    def recording(fn, items, workers):
+        sizes.append(workers)
+        return map(fn, items)
+
+    monkeypatch.setattr(solver, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
-    monkeypatch.setattr(solver, "fan_out", _in_process)
+    monkeypatch.setattr(solver, "fan_out", recording)
+    return sizes
+
+
+def test_a_small_solve_keeps_its_restarts_in_process(monkeypatch):
+    # 14 restarts estimated at 1 ms each stay below _FAN_OUT_S = 20 ms
+    sizes = _first_attempt_reads(monkeypatch, 0.001)
     ens, _, b, _ = plant_instance(16, 4, 1, 1, seed=4)
     assert recover(ens, b, SolveOptions(s1=1, s2=1, seed=4)).attempts == 15
+    assert sizes == [0]
+
+
+def test_a_solve_whose_restarts_reach_the_cut_fans_them_out(monkeypatch):
+    # 14 restarts estimated at 2 ms each reach _FAN_OUT_S = 20 ms
+    sizes = _first_attempt_reads(monkeypatch, 0.002)
+    ens, _, b, _ = plant_instance(16, 4, 1, 1, seed=4)
+    assert recover(ens, b, SolveOptions(s1=1, s2=1, seed=4)).attempts == 15
+    assert sizes == [2]
 
 
 def test_pool_workers_follow_the_fan_out_rule(monkeypatch):
