@@ -10,7 +10,8 @@ one (the maximum can only grow).
 Trial draw protocol (part of the contract, tests replay it):
   rip:      u ~ spec_u, v ~ spec_v
   rap/rop:  u ~ spec_u, v ~ spec_v, u_hat ~ spec_u, v_hat ~ spec_v
-all from rng_for(seed, "trial", t), in that order.
+all from rng_for(seed, "trial", t), in that order (taken from its batch
+form util.rng_streams, which yields the same generators).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .models import (
     orthogonalize_pair,
     sample_model,
 )
-from .util import ZeroVectorError, derive_seed, rng_for, vnorm
+from .util import _INV_SQRT2, ZeroVectorError, derive_seed, rng_for, rng_streams, vnorm
 
 __all__ = [
     "EstimateReport",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 ISOTROPY_GUARD = 64
+_ISOTROPY_BLOCK = 2**13  # complex entries of each stacked array of isotropy draws
 
 # Fresh 4-tuples a rop trial may draw before its orthogonalization
 # failure is reported.
@@ -82,8 +84,8 @@ def _run_trials(trials, seed, trial):
     t0 = time.perf_counter()
     devs = np.empty(trials)
     witness = {}
-    for t in range(trials):
-        dev, draws = trial(t, rng_for(seed, "trial", t))
+    for t, rng in enumerate(rng_streams(seed, "trial", range(trials))):
+        dev, draws = trial(t, rng)
         devs[t] = dev
         if not witness or dev > witness["deviation"]:
             witness = {"trial": t, "deviation": dev, **draws,
@@ -248,7 +250,10 @@ def isotropy_check(
     whose target is zero, raises ZeroVectorError.
 
     Each draw is A^*(A(X)) for the factored operator of omega and the
-    fixed dictionary with the averaged factor swapped for that draw's.
+    fixed dictionary with the averaged factor swapped for that draw's,
+    drawn from rng_for(seed, "draw", k). Blocks of 2^13 // n^2 draws
+    (128 KiB arrays) are measured by elementwise, per-transform and
+    per-draw steps and summed in draw order: bit for bit a per-draw loop.
     """
     if average_over not in ("phi", "psi"):
         raise ValueError("average_over must be 'phi' or 'psi'")
@@ -269,11 +274,28 @@ def isotropy_check(
     target = X @ gram.T if average_over == "phi" else gram @ X
 
     op = FactoredOperator.of(ens)
-    swap = "G_phi" if average_over == "phi" else "G_psi"
+    phi_side = average_over == "phi"
+    fixed_image = op.G_psi @ x.v if phi_side else op.G_phi @ x.u
+    fixed_factor = np.conj(op.G_psi) if phi_side else op.G_phi.conj().T
+    streams = rng_streams(seed, "draw", range(draws))
+    per_block = max(1, _ISOTROPY_BLOCK // n**2)
     acc = np.zeros((n, n), dtype=complex)
-    for k in range(draws):
-        G = _spectrum(_gaussian_dictionary(n, rng_for(seed, "draw", k)))
-        op_k = replace(op, **{swap: G})
-        acc += op_k.adjoint_image(op_k.forward(x.u, x.v))
+    for start in range(0, draws, per_block):
+        k = min(per_block, draws - start)
+        z = np.empty((k, 2, n, n))
+        for i in range(k):
+            next(streams).standard_normal(out=z[i])
+        z *= _INV_SQRT2
+        z *= 1.0 / np.sqrt(n)
+        D = np.empty((k, n, n), dtype=complex)
+        D.real, D.imag = z[:, 0], z[:, 1]
+        G = np.fft.fft(D, axis=1)
+        a = (G @ x.u) * fixed_image if phi_side else fixed_image * (G @ x.v)
+        b = np.conj(op.W @ a[:, :, None]).reshape(k, 1, -1)
+        d = np.conj(b @ op.W).reshape(k, n, 1)
+        images = (np.conj(G).transpose(0, 2, 1) @ (d * fixed_factor) if phi_side
+                  else fixed_factor @ (d * np.conj(G)))
+        for img in images:
+            acc += img
     mean = acc / draws
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))

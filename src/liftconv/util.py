@@ -6,6 +6,12 @@ cell coordinates, dictionary role). Derivation goes through a fixed
 64-bit hash so results do not depend on execution order, worker count,
 or grid ordering.
 
+rng_for defines one stream. rng_streams, its batch form for one stream
+per index (trials, isotropy draws), yields the same generators: it hashes
+the indices' seed-sequence states in one vectorized pass (_seed_words) and
+seeds each PCG64 with its words through NumPy's ISeedSequence hook (NEP 19
+keeps both bit stable), about 3 us a stream at 200 indices against 14 us.
+
 The per-trial and per-half-step paths take vector norms with vnorm,
 which evaluates what np.linalg.norm does for a vector, in the same
 order, without its Python-level argument handling: a Monte Carlo trial
@@ -51,8 +57,8 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["ZeroVectorError", "derive_seed", "rng_for", "fmt_float", "vnorm",
-           "unit", "complex_gaussian", "fan_out"]
+__all__ = ["ZeroVectorError", "derive_seed", "rng_for", "rng_streams", "fmt_float",
+           "vnorm", "unit", "complex_gaussian", "fan_out"]
 
 
 class ZeroVectorError(ValueError):
@@ -92,6 +98,68 @@ def derive_seed(base: int, *parts) -> int:
 def rng_for(base: int, *parts) -> np.random.Generator:
     """Generator seeded by derive_seed(base, *parts)."""
     return np.random.default_rng(derive_seed(base, *parts))
+
+
+# NumPy's SeedSequence hash, constants copied from bit_generator.pyx. Step k
+# xors a word with constant k, multiplies it by constant k + 1, xorshifts it.
+# mix_entropy hashes the 4 pool words (INIT_A, MULT_A), then in round r hashes
+# word r into each other one (MIX_MULT_L, _R); generate_state hashes the pool twice.
+def _consts(init: int, mult: int, steps: int) -> np.ndarray:
+    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(steps + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+_HASH_A, _HASH_B = _consts(0x43B0D7E5, 0x931E8875, 16), _consts(0x8B51F9DD, 0x58F38DED, 8)
+# round r's (xor, multiply) constants: its 3 steps' on the other rows, (0, 1) on row r
+_ROUND_XOR, _ROUND_MUL = (np.stack([np.insert(_HASH_A[k + 3 * r:k + 3 * r + 3], r, pad, axis=0)
+                                    for r in range(4)]) for k, pad in ((4, 0), (5, 1)))
+
+
+def _hashmix(x: np.ndarray, xor, mul) -> np.ndarray:
+    x = (x ^ xor) * mul
+    x ^= x >> 16
+    return x
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each seed of a
+    uint64 array, as its rows. A seed below 2^32 is one entropy word, and
+    the pool hashes 0 for a missing word, so [low, high, 0, 0] serves all."""
+    pool = np.array([seeds & 0xFFFFFFFF, seeds >> 32, 0 * seeds, 0 * seeds], dtype=np.uint32)
+    pool = _hashmix(pool, _HASH_A[:4], _HASH_A[1:5])
+    for r in range(4):
+        keep = pool[r].copy()
+        h = _hashmix(pool[r], _ROUND_XOR[r], _ROUND_MUL[r]) * np.uint32(0x4973F715)
+        pool = pool * np.uint32(0xCA01F9DD) - h
+        pool ^= pool >> 16
+        pool[r] = keep
+    state = _hashmix(np.concatenate((pool, pool)), _HASH_B[:8], _HASH_B[1:9])
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _given_seed_state():
+    # made on first use, so that importing the package loads no numpy.random
+    class GivenSeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for (4, np.uint64) only
+
+    return GivenSeedState
+
+
+def rng_streams(base: int, label, indices):
+    """Yield rng_for(base, label, t) for each t in indices, the same
+    generators, hashing up to 4096 indices' seeds together at a time.
+    Their seed_seq holds only the words, so they neither pickle nor spawn."""
+    prefix = _canon(base) + "|" + _canon(label) + "|"
+    indices = iter(indices)
+    while keys := [prefix + _canon(t) for _, t in zip(range(4096), indices)]:
+        digests = b"".join(hashlib.blake2b(key.encode(), digest_size=8).digest() for key in keys)
+        for words in _seed_words(np.frombuffer(digests, dtype="<u8") >> 1):
+            yield np.random.Generator(np.random.PCG64(_given_seed_state()(words)))
 
 
 def fmt_float(x) -> str:

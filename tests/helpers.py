@@ -25,6 +25,12 @@ The draw oracles (complex_gaussian_ref, gaussian_dictionary_ref,
 sample_model_ref, derive_seed_ref) are the draw paths written with
 complex arithmetic and incremental hashing, as the library first had
 them; its real-view forms must match them byte for byte.
+isotropy_check_ref is the isotropy check's loop of one draw at a time,
+moved here verbatim; the library's blocks of draws must match it byte
+for byte.
+
+recorded_under is the failure message of every recorded-bytes test: the
+NumPy and BLAS builds its values were recorded under, and this run's.
 
 no_children is the process-hygiene check of the fan-out tests.
 """
@@ -33,16 +39,23 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from liftconv.concentration import EstimateReport, _decoupled_ops, _form, _run_trials
+from liftconv.concentration import (
+    ISOTROPY_GUARD,
+    EstimateReport,
+    _decoupled_ops,
+    _form,
+    _run_trials,
+)
 from liftconv.measurement import (
     Ensemble,
     FactoredOperator,
     LiftedPoint,
     _gaussian_dictionary,
+    _spectrum,
     sample_omega,
 )
 from liftconv.models import ModelSpec, as_signal, project_flat, sample_model
@@ -470,6 +483,64 @@ def derive_seed_ref(base: int, *parts) -> int:
         h.update(b"|")
         h.update(_canon(part).encode())
     return int.from_bytes(h.digest(), "little") >> 1
+
+
+def isotropy_check_ref(
+    n: int,
+    m: int,
+    x: LiftedPoint,
+    draws: int,
+    seed: int = 0,
+    fixed_kind: str = "gaussian",
+    average_over: str = "phi",
+    omega_mode: str = "without_replacement",
+) -> float:
+    """concentration.isotropy_check measuring one draw at a time."""
+    if average_over not in ("phi", "psi"):
+        raise ValueError("average_over must be 'phi' or 'psi'")
+    if n > ISOTROPY_GUARD:
+        raise ValueError(f"isotropy check materializes matrices; n <= {ISOTROPY_GUARD}")
+    if draws < 1:
+        raise ValueError("draws must be positive")
+    if x.norm_f == 0:
+        raise ZeroVectorError("the isotropy check needs a nonzero point")
+
+    setup = rng_for(seed, "setup")
+    omega = sample_omega(n, m, omega_mode, setup)
+    fixed = None if fixed_kind == "identity" else _gaussian_dictionary(n, setup)
+    ens = Ensemble(n, m, omega, fixed_kind, fixed_kind, phi=fixed, psi=fixed)
+    X = x.dense()
+
+    gram = ens.phi.conj().T @ ens.phi
+    target = X @ gram.T if average_over == "phi" else gram @ X
+
+    op = FactoredOperator.of(ens)
+    swap = "G_phi" if average_over == "phi" else "G_psi"
+    acc = np.zeros((n, n), dtype=complex)
+    for k in range(draws):
+        G = _spectrum(_gaussian_dictionary(n, rng_for(seed, "draw", k)))
+        op_k = replace(op, **{swap: G})
+        acc += op_k.adjoint_image(op_k.forward(x.u, x.v))
+    mean = acc / draws
+    return float(np.linalg.norm(mean - target) / np.linalg.norm(target))
+
+
+# The builds the recorded-bytes tests were recorded under (see
+# .github/constraints.txt). Their digests depend on NumPy's pocketfft and
+# bundled OpenBLAS, so another build can move one with no code change.
+RECORDED_UNDER = "numpy 2.4.6 with scipy-openblas 0.3.31"
+
+
+def recorded_under() -> str:
+    """Failure message of a recorded-bytes assertion, naming the builds the
+    value was recorded under and the ones this run has."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError, ValueError):
+        build = "an unknown BLAS build"
+    return (f"value recorded under {RECORDED_UNDER}; this run has numpy "
+            f"{np.__version__} with {build}")
 
 
 def no_children() -> bool:

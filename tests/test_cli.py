@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import no_children
+from helpers import no_children, recorded_under
 
 import liftconv
 from liftconv.bounds import BoundQuery
@@ -405,7 +405,7 @@ def test_recover_sweep_with_caps_that_cannot_bind_matches_its_recorded_bytes(
     out = tmp_path / "rec.csv"
     run_sweep(parse_config(NONBINDING_CAP_CONFIG), str(out), workers=workers)
     got = tuple(hashlib.sha256(_read(p)).hexdigest() for p in (out, str(out) + ".meta"))
-    assert got == _NONBINDING_CAP_RECORD
+    assert got == _NONBINDING_CAP_RECORD, recorded_under()
 
 
 @pytest.mark.parametrize("trial, error, success_rate", [
@@ -565,7 +565,7 @@ def test_cli_bounds_table_is_pinned(args, digest, capsys):
     # sha256 of the whole table, recorded before the flags were declared
     # from BoundQuery's fields
     assert main(["bounds", *args.split()]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, recorded_under()
 
 
 def test_cli_bounds_flags_are_the_bound_query_fields(monkeypatch, capsys):

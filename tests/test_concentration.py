@@ -13,9 +13,12 @@ from helpers import (
     dft_matrix,
     estimate_rip_matrix,
     exact_rip_small,
+    isotropy_check_ref,
     polarization_check,
+    recorded_under,
     rop_form_samples,
 )
+import liftconv.concentration as concentration
 from liftconv.concentration import (
     EstimateReport,
     estimate_rap,
@@ -187,7 +190,7 @@ def test_rop_at_c9_matches_its_recorded_bytes(seed, orthogonality):
     rep = estimate_rop(ens, ModelSpec(64, 4, side="left"),
                        ModelSpec(64, 4, mu=4.0, side="right"), 40, seed=seed,
                        orthogonality=orthogonality)
-    assert _report_bytes(rep) == _ROP_C9_RECORD[seed, orthogonality]
+    assert _report_bytes(rep) == _ROP_C9_RECORD[seed, orthogonality], recorded_under()
     assert rep.resamples == 0
 
 
@@ -229,7 +232,7 @@ def test_estimates_match_their_recorded_bytes(label):
     ens = Ensemble.generate(n, 32, seed=ens_seed)
     rep = estimator(ens, ModelSpec(n, s, side="left"),
                     ModelSpec(n, s, mu=mu2, side="right"), trials, seed=seed)
-    assert _report_bytes(rep) == _ESTIMATE_RECORD[label]
+    assert _report_bytes(rep) == _ESTIMATE_RECORD[label], recorded_under()
 
 
 # -- explicit-matrix estimator and its exact oracle ----------------------------
@@ -330,6 +333,24 @@ def test_isotropy_check_matches_per_draw_dense_adjoint(average_over, fixed_kind,
     err = isotropy_check(n, m, x, draws, seed=seed, fixed_kind=fixed_kind,
                          average_over=average_over, omega_mode=omega_mode)
     assert err == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega_mode", ["without_replacement", "iid_uniform"])
+@pytest.mark.parametrize("fixed_kind", ["gaussian", "identity"])
+@pytest.mark.parametrize("average_over", ["phi", "psi"])
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_isotropy_blocks_are_the_per_draw_loop_bit_for_bit(n, average_over, fixed_kind,
+                                                           omega_mode):
+    # one draw, a block short by one, a whole block and one over; at n = 64
+    # a block holds 2 draws, at n = 4 it holds 512
+    block = max(1, concentration._ISOTROPY_BLOCK // n**2)
+    rng = rng_for(82, "iso-blocks", n)
+    x = LiftedPoint(complex_gaussian(rng, n), complex_gaussian(rng, n))
+    kwargs = dict(seed=83 + n, fixed_kind=fixed_kind, average_over=average_over,
+                  omega_mode=omega_mode)
+    for draws in sorted({1, block - 1, block, block + 1} - {0}):
+        got = isotropy_check(n, n // 2, x, draws, **kwargs)
+        assert got.hex() == isotropy_check_ref(n, n // 2, x, draws, **kwargs).hex(), draws
 
 
 def test_isotropy_check_validates():

@@ -18,6 +18,7 @@ from helpers import (
     naive_forward_pair,
     partial_forward as partial_forward_ref,
     r_matrix,
+    recorded_under,
     unit_vec,
     xi_vector,
 )
@@ -376,7 +377,7 @@ def test_generate_matches_its_recorded_bytes():
     ens = Ensemble.generate(128, 32, seed=derive_seed(800, "ens", 32))
     digest = hashlib.sha256(b"".join(
         a.tobytes() for a in (ens.omega, ens.phi, ens.psi))).hexdigest()[:16]
-    assert digest == "af95dc3350e33de7"
+    assert digest == "af95dc3350e33de7", recorded_under()
 
 
 def _digest(arrays):
@@ -417,7 +418,7 @@ def test_identity_dictionaries_measure_their_recorded_bytes(phi_kind, psi_kind, 
     for side, fixed in (("left", v), ("right", u)):
         pm = partial_forward_ref(ens, side, fixed)
         out += [pm.apply(w), pm.adjoint(b)]
-    assert _digest(out) == _IDENTITY_MEASURE_RECORD[phi_kind, psi_kind, omega_mode]
+    assert _digest(out) == _IDENTITY_MEASURE_RECORD[phi_kind, psi_kind, omega_mode], recorded_under()
 
 
 # Per dictionary pair with an identity side, recorded as for the
@@ -445,14 +446,23 @@ def test_identity_dictionaries_solve_and_estimate_their_recorded_bytes(phi_kind,
     rep = estimate_rop(ens, ModelSpec(16, 3, side="left"),
                        ModelSpec(16, 3, mu=2.5, side="right"), 6, seed=60, decoupled=True)
     estimated = (rep.delta_hat.hex(), _digest([rep.deviations]), rep.resamples)
-    assert (solved, estimated) == _IDENTITY_RUN_RECORD[phi_kind, psi_kind]
+    assert (solved, estimated) == _IDENTITY_RUN_RECORD[phi_kind, psi_kind], recorded_under()
 
 
 def test_isotropy_with_a_fixed_identity_matches_its_recorded_bytes():
     x = LiftedPoint(complex_gaussian(rng_for(61, "u"), 8), complex_gaussian(rng_for(61, "v"), 8))
     got = tuple(isotropy_check(8, 4, x, 5, seed=62, fixed_kind="identity",
                                average_over=side).hex() for side in ("phi", "psi"))
-    assert got == ("0x1.a57bf5ed57703p+0", "0x1.994959a37f5d0p+0")
+    assert got == ("0x1.a57bf5ed57703p+0", "0x1.994959a37f5d0p+0"), recorded_under()
+
+
+def test_isotropy_with_a_fixed_gaussian_matches_its_recorded_bytes():
+    # recorded when every draw was measured on its own, one stream and one
+    # dictionary at a time; measuring the draws in blocks keeps every bit
+    x = LiftedPoint(complex_gaussian(rng_for(63, "u"), 16), complex_gaussian(rng_for(63, "v"), 16))
+    got = tuple(isotropy_check(16, 8, x, 500, seed=64, average_over=side).hex()
+                for side in ("phi", "psi"))
+    assert got == ("0x1.7f845109e4c8fp-3", "0x1.5a1e64dbbcae4p-3"), recorded_under()
 
 
 # -- factored geometry --------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import in_tilde_gamma, naive_dft, sample_model_ref, unit_vec
+from helpers import in_tilde_gamma, naive_dft, recorded_under, sample_model_ref, unit_vec
 from liftconv import models
 from liftconv.models import (
     FLATNESS_SLACK,
@@ -386,7 +386,7 @@ def test_flat_draws_match_their_recorded_bytes():
     h = hashlib.sha256()
     for t in range(20):
         h.update(sample_model(spec, rng_for(12, "parity", t)).tobytes())
-    assert h.hexdigest()[:16] == "305c97b4eb427de0"
+    assert h.hexdigest()[:16] == "305c97b4eb427de0", recorded_under()
 
 
 def test_sample_model_reproducible():

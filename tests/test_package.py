@@ -142,3 +142,13 @@ def test_importing_the_cli_loads_no_process_pool_stack():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # util.rng_streams makes its numpy.random subclass on first use, so a
+    # fresh interpreter pays for numpy.random only when it draws
+    code = "import sys, liftconv.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import adjoint_apply, no_children, partial_forward
+from helpers import adjoint_apply, no_children, partial_forward, recorded_under
 
 import liftconv.models as models
 import liftconv.solver as solver
@@ -554,7 +554,7 @@ def test_recover_on_the_slice_matches_its_recorded_bytes(m):
     got = (hashlib.sha256(res.u_hat.tobytes() + res.v_hat.tobytes()).hexdigest()[:16],
            hashlib.sha256(repr(log).encode()).hexdigest()[:16],
            res.residual_norm.hex(), res.iterations, sum(r.half_steps for r in res.attempt_log))
-    assert got == _SLICE_RECORD[m]
+    assert got == _SLICE_RECORD[m], recorded_under()
     if m == 64:
         assert log == [("screened", (24, 2, 4), ("warm", "warm", "outer_tol"), 60,
                         "0x1.3012c70584d00p-33", "resid_stop")]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import complex_gaussian_ref, derive_seed_ref, no_children
+from helpers import complex_gaussian_ref, derive_seed_ref, no_children, recorded_under
 
 import liftconv.util as util
 from liftconv.util import (
@@ -19,6 +19,7 @@ from liftconv.util import (
     fan_out,
     fmt_float,
     rng_for,
+    rng_streams,
     unit,
     vnorm,
 )
@@ -76,8 +77,8 @@ def test_derive_seed_fits_in_63_bits():
     ((np.int64(5),), 7100898348135710418),
 ])
 def test_derive_seed_keeps_its_recorded_values(parts, seed):
-    assert derive_seed(*parts) == seed
-    assert derive_seed_ref(*parts) == seed
+    assert derive_seed(*parts) == seed, recorded_under()
+    assert derive_seed_ref(*parts) == seed, recorded_under()
 
 
 _PARTS = st.one_of(
@@ -106,6 +107,45 @@ def test_rng_for_reproduces_streams():
     a = rng_for(0, "x").standard_normal(5)
     b = rng_for(0, "x").standard_normal(5)
     assert np.array_equal(a, b)
+
+
+def _same_stream(a, b) -> bool:
+    """Equal generator states, then equal choice and standard_normal draws."""
+    return (a.bit_generator.state == b.bit_generator.state
+            and a.choice(97, 3, replace=False).tolist() == b.choice(97, 3, replace=False).tolist()
+            and a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes())
+
+
+def test_rng_streams_are_the_rng_for_streams():
+    # past one 4096-index hashing pass, so two passes are covered
+    ts = range(4100)
+    got = list(rng_streams(5, "trial", ts))
+    assert len(got) == len(ts)
+    assert all(_same_stream(g, rng_for(5, "trial", t)) for g, t in zip(got, ts))
+
+
+@pytest.mark.parametrize("base, label, indices", [
+    (0, "draw", [0, 1, 2**40, -3, np.int64(7)]),
+    (2**70, ("cell", 3), [True, 1.5, None, "x|y", np.float32(0.1)]),
+    (np.int64(9), None, range(1, 200, 7)),
+])
+def test_rng_streams_take_any_labels_as_rng_for_does(base, label, indices):
+    got = list(rng_streams(base, label, indices))
+    assert all(_same_stream(g, rng_for(base, label, t)) for g, t in zip(got, indices))
+    assert len(got) == len(list(indices))
+
+
+def test_rng_streams_of_no_index_yield_nothing():
+    assert list(rng_streams(5, "trial", [])) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+def test_seed_words_are_the_seed_sequence_state(seed):
+    # one entropy word below 2^32, two from 2^32 on
+    want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    got = util._seed_words(np.array([seed, seed], dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (2, 4)
+    assert got[0].tobytes() == want.tobytes() and got[1].tobytes() == want.tobytes()
 
 
 def test_fmt_float_round_trips():
