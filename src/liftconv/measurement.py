@@ -14,10 +14,11 @@ as matrices, the identity included. Inner products are conjugate
 linear in the first argument throughout (numpy.vdot convention).
 
 FactoredOperator is the library's operator: the solver, the estimators
-and the isotropy check measure with it, and the FFT forward plants and
-scores solver instances. These are the only two implementations of the
-measurement; adjoint_apply, partial_forward and PartialMap are views of
-FactoredOperator kept for the names perfbench/tracer.py wraps.
+and the isotropy check (a block of draws per call, as stacks) measure
+with it, and the FFT forward plants and scores solver instances. These
+are the only two implementations of the measurement; adjoint_apply,
+partial_forward and PartialMap are views of FactoredOperator kept for
+the names perfbench/tracer.py wraps.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def forward(ens: Ensemble, p: LiftedPoint) -> np.ndarray:
 
 
 def _spectrum(D: np.ndarray) -> np.ndarray:
-    return np.fft.fft(D, axis=0)  # F D, F the unnormalized DFT
+    return np.fft.fft(D, axis=-2)  # F D, F the unnormalized DFT, per matrix of a stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +213,10 @@ class FactoredOperator:
 
     G_phi = F Phi and G_psi = F Psi for the unnormalized DFT F, and
     W = sqrt(n/m) F^-1[omega, :]: 2 n^2 + m n complex entries, built
-    once per ensemble by of(). dataclasses.replace swaps a dictionary.
+    once per ensemble by of(). dataclasses.replace swaps a dictionary's
+    spectrum, or puts in a (k, n, n) stack of them: forward and
+    adjoint_image then measure slice i with the i-th operator, bit for
+    bit k single calls.
     """
 
     G_phi: np.ndarray
@@ -233,9 +237,10 @@ class FactoredOperator:
         return self.W @ ((self.G_phi @ u) * (self.G_psi @ v))
 
     def adjoint_image(self, b: np.ndarray) -> np.ndarray:
-        """A^*(b) = sum_l b_l M_l = G_phi^H diag(W^H b) conj(G_psi), n x n."""
-        d = np.conj(np.conj(b) @ self.W)
-        return self.G_phi.conj().T @ (d[:, None] * np.conj(self.G_psi))
+        """A^*(b) = sum_l b_l M_l = G_phi^H diag(W^H b) conj(G_psi), n x n,
+        or (k, n, n) for a (k, m) stack b or stacked spectra."""
+        d = np.swapaxes(np.conj(np.conj(b)[..., None, :] @ self.W), -1, -2)
+        return np.swapaxes(self.G_phi.conj(), -1, -2) @ (d * np.conj(self.G_psi))
 
     def frozen(self, side: str, fixed: np.ndarray):
         """Frozen-factor map w -> WH @ (G @ w) as its factors (WH, G).

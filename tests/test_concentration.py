@@ -353,6 +353,37 @@ def test_isotropy_blocks_are_the_per_draw_loop_bit_for_bit(n, average_over, fixe
         assert got.hex() == isotropy_check_ref(n, n // 2, x, draws, **kwargs).hex(), draws
 
 
+# isotropy_check(n, n // 2, x, draws) of a fixed point, recorded when each
+# block was measured by hand-written products; draws crosses a block boundary
+# at every n. The per-draw oracle shares the operator with the check, so these
+# values are what would catch a shift in both.
+_ISOTROPY_DRAWS = {4: 513, 16: 33, 64: 3}
+_ISOTROPY_RECORD = {
+    (4, "phi", "gaussian", "without_replacement"): "0x1.eb3bd4e2a9d93p-4",
+    (4, "phi", "identity", "without_replacement"): "0x1.6c38a255e6a10p-4",
+    (4, "psi", "gaussian", "without_replacement"): "0x1.3ea9ddc5fd1f8p-4",
+    (4, "psi", "identity", "without_replacement"): "0x1.b2d95aa27b7c3p-4",
+    (16, "phi", "gaussian", "without_replacement"): "0x1.689c45458688ep-1",
+    (16, "phi", "identity", "without_replacement"): "0x1.c56ce083a7208p-1",
+    (16, "psi", "gaussian", "without_replacement"): "0x1.8886e8fe0fa0dp-1",
+    (16, "psi", "identity", "without_replacement"): "0x1.e7a7279532276p-1",
+    (64, "phi", "gaussian", "without_replacement"): "0x1.6a769e738cbcbp+2",
+    (64, "phi", "identity", "without_replacement"): "0x1.8a9a303b41a3cp+2",
+    (64, "psi", "gaussian", "without_replacement"): "0x1.0d9bfbe8be663p+2",
+    (64, "psi", "identity", "without_replacement"): "0x1.94f5d19a1222ep+2",
+    (16, "psi", "gaussian", "iid_uniform"): "0x1.cdc41fa84beb1p-1",
+}
+
+
+@pytest.mark.parametrize("n, average_over, fixed_kind, omega_mode", sorted(_ISOTROPY_RECORD))
+def test_isotropy_check_matches_its_recorded_values(n, average_over, fixed_kind, omega_mode):
+    rng = rng_for(84, "iso-record", n)
+    x = LiftedPoint(complex_gaussian(rng, n), complex_gaussian(rng, n))
+    got = isotropy_check(n, n // 2, x, _ISOTROPY_DRAWS[n], seed=85 + n, fixed_kind=fixed_kind,
+                         average_over=average_over, omega_mode=omega_mode)
+    assert got.hex() == _ISOTROPY_RECORD[n, average_over, fixed_kind, omega_mode], recorded_under()
+
+
 def test_isotropy_check_validates():
     x = LiftedPoint(np.ones(4), np.ones(4))
     with pytest.raises(ValueError):

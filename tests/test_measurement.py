@@ -28,6 +28,7 @@ from liftconv.measurement import (
     FactoredOperator,
     LiftedPoint,
     _gaussian_dictionary,
+    _spectrum,
     adjoint_apply,
     forward,
     lifted_dist,
@@ -177,6 +178,27 @@ def test_factored_operator_w_matches_the_exponential_formula_bit_for_bit(n, omeg
     phase = np.outer(ens.omega, np.arange(n)) % n
     ref = np.sqrt(n / m) * np.exp(2j * np.pi * phase / n) / n
     assert FactoredOperator.of(ens).W.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "identity"])
+def test_stacked_operators_are_the_per_slice_calls_bit_for_bit(kind, k):
+    # a (k, n, n) stack of spectra, or a (k, m) stack of b, measures slice i
+    # with the bits of one call on slice i alone
+    n, m = 16, 7
+    op = FactoredOperator.of(Ensemble.generate(n, m, kind, kind, seed=29))
+    rng = rng_for(30, "stack", k)
+    D, B = complex_gaussian(rng, (k, n, n)), complex_gaussian(rng, (k, m))
+    u, v = complex_gaussian(rng, n), complex_gaussian(rng, n)
+    G = _spectrum(D)
+    assert G.tobytes() == np.stack([_spectrum(d) for d in D]).tobytes()
+    for swap in ("G_phi", "G_psi"):
+        stacked, single = replace(op, **{swap: G}), [replace(op, **{swap: g}) for g in G]
+        got = stacked.adjoint_image(B)
+        assert got.tobytes() == np.stack([o.adjoint_image(b) for o, b in zip(single, B)]).tobytes()
+        got = stacked.forward(u[:, None], v[:, None])[..., 0]
+        assert got.tobytes() == np.stack([o.forward(u, v) for o in single]).tobytes()
+    assert op.adjoint_image(B).tobytes() == np.stack([op.adjoint_image(b) for b in B]).tobytes()
 
 
 def test_adjoint_handles_repeated_omega_entries():
