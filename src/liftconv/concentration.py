@@ -27,6 +27,7 @@ from .measurement import (
     LiftedPoint,
     lifted_inner,
     sample_omega,
+    _gaussian_dictionaries,
     _gaussian_dictionary,
     _spectrum,
 )
@@ -36,7 +37,7 @@ from .models import (
     orthogonalize_pair,
     sample_model,
 )
-from .util import _INV_SQRT2, ZeroVectorError, derive_seed, rng_for, rng_streams, vnorm
+from .util import ZeroVectorError, derive_seed, rng_for, rng_streams, vnorm
 
 __all__ = [
     "EstimateReport",
@@ -252,8 +253,9 @@ def isotropy_check(
     Each draw is A^*(A(X)) for the factored operator of omega and the
     fixed dictionary with the averaged factor swapped for that draw's,
     drawn from rng_for(seed, "draw", k). Blocks of 2^13 // n^2 draws
-    (128 KiB arrays) are measured through the operator with their spectra
-    stacked, and summed in draw order: bit for bit a per-draw loop.
+    (128 KiB arrays) are drawn as one _gaussian_dictionaries stack,
+    measured through the operator with their spectra stacked, and summed
+    in draw order: bit for bit a per-draw loop.
     """
     if average_over not in ("phi", "psi"):
         raise ValueError("average_over must be 'phi' or 'psi'")
@@ -279,14 +281,7 @@ def isotropy_check(
     per_block = max(1, _ISOTROPY_BLOCK // n**2)
     acc = np.zeros((n, n), dtype=complex)
     for start in range(0, draws, per_block):
-        k = min(per_block, draws - start)
-        z = np.empty((k, 2, n, n))
-        for i in range(k):
-            next(streams).standard_normal(out=z[i])
-        z *= _INV_SQRT2
-        z *= 1.0 / np.sqrt(n)
-        D = np.empty((k, n, n), dtype=complex)
-        D.real, D.imag = z[:, 0], z[:, 1]
+        D = _gaussian_dictionaries(n, min(per_block, draws - start), streams)
         op_k = replace(op, **{swap: _spectrum(D)})
         for img in op_k.adjoint_image(op_k.forward(x.u[:, None], x.v[:, None])[..., 0]):
             acc += img

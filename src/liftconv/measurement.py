@@ -19,6 +19,9 @@ with it, and the FFT forward plants and scores solver instances. These
 are the only two implementations of the measurement; adjoint_apply,
 partial_forward and PartialMap are views of FactoredOperator kept for
 the names perfbench/tracer.py wraps.
+
+_gaussian_dictionaries draws every Gaussian dictionary: an ensemble's,
+the rop estimator's decoupled copies and the isotropy check's.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import ZeroVectorError, complex_gaussian, rng_for, vnorm
+from .util import _INV_SQRT2, ZeroVectorError, rng_for, vnorm
 
 __all__ = [
     "LiftedPoint",
@@ -116,15 +119,23 @@ def sample_omega(n: int, m: int, mode: str, rng: np.random.Generator) -> np.ndar
     return np.asarray(rng.integers(0, n, size=m), dtype=np.intp)
 
 
+def _gaussian_dictionaries(n: int, k: int, rngs) -> np.ndarray:
+    """(k, n, n) stack of i.i.d. CN(0, 1/n) dictionaries, slice i drawn from
+    the i-th of the next k generators of the iterator rngs: the bits of
+    complex_gaussian(rng, (n, n)) / np.sqrt(n) (util module docstring)."""
+    z = np.empty((k, 2, n, n))
+    for zi in z:
+        next(rngs).standard_normal(out=zi)
+    z *= _INV_SQRT2
+    z *= 1.0 / np.sqrt(n)
+    D = np.empty((k, n, n), dtype=complex)
+    D.real, D.imag = z[:, 0], z[:, 1]
+    return D
+
+
 def _gaussian_dictionary(n: int, rng: np.random.Generator) -> np.ndarray:
-    # i.i.d. CN(0, 1/n) entries, so columns have unit expected norm. The
-    # in-place scaling of the float64 view by 1.0 / sqrt(n) gives the bits
-    # of complex_gaussian(rng, (n, n)) / np.sqrt(n) without its n x n
-    # temporary (see the util module docstring).
-    g = complex_gaussian(rng, (n, n))
-    parts = g.view(np.float64)
-    parts *= 1.0 / np.sqrt(n)
-    return g
+    """One n x n Gaussian dictionary drawn from rng: _gaussian_dictionaries' slice."""
+    return _gaussian_dictionaries(n, 1, iter((rng,)))[0]
 
 
 @dataclass

@@ -187,8 +187,6 @@ def hard_threshold(x, s: int) -> np.ndarray:
     x = as_signal(x)
     if not 1 <= s <= x.size:
         raise ValueError("need 1 <= s <= n")
-    if s >= x.size:
-        return x.copy()
     order = (-np.abs(x)).argsort(kind="stable")
     out = np.zeros(x.size, dtype=complex)
     keep = order[:s]

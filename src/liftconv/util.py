@@ -19,19 +19,20 @@ or a solver half-step takes several norms of short vectors, and that
 handling cost more than the arithmetic. Axis norms of matrices keep
 np.linalg.norm.
 
-The draw paths (complex_gaussian here, measurement._gaussian_dictionary,
+The draw paths (complex_gaussian here, measurement._gaussian_dictionaries,
 models.sample_model) scale by a real constant c without complex
 arithmetic: they multiply the float64 parts by 1.0 / c, in place
-(through the real view, x.view(np.float64), for a complex array), and
-complex_gaussian packs its two halves of normals into the real and
-imaginary parts of an empty complex array instead of forming z[0] +
-1j * z[1]. This is bit for bit the complex form, because NumPy divides
-a complex array by a real c by Smith's formula with a zero imaginary
-part, which multiplies each part by 1.0 / c; so the constant must be
-exactly 1.0 / sqrt(c) (math.sqrt(0.5) differs from 1.0 / math.sqrt(2.0)
-in the last bit). The one difference is the sign of an entry whose
-normal draw is exactly zero, which has probability about 2^-52 per
-entry. unit() keeps the division: its inputs may hold a computed -0.0,
+(through the real view, x.view(np.float64), for a complex array, or
+on the normals before they are packed), and complex_gaussian and
+_gaussian_dictionaries pack their two halves of normals into the real
+and imaginary parts of an empty complex array instead of forming
+z[0] + 1j * z[1]. This is bit for bit the complex form, because NumPy
+divides a complex array by a real c by Smith's formula with a zero
+imaginary part, which multiplies each part by 1.0 / c; so the constant
+must be exactly 1.0 / sqrt(c) (math.sqrt(0.5) differs from
+1.0 / math.sqrt(2.0) in the last bit). The one difference is the sign
+of an entry whose normal draw is exactly zero, which has probability
+about 2^-52 per entry. unit() keeps the division: its inputs may hold a computed -0.0,
 whose sign the division and the multiplication can give differently.
 
 fan_out is the one place the package starts processes: it runs a

@@ -27,7 +27,9 @@ complex arithmetic and incremental hashing, as the library first had
 them; its real-view forms must match them byte for byte.
 isotropy_check_ref is the isotropy check's loop of one draw at a time,
 moved here verbatim; the library's blocks of draws must match it byte
-for byte.
+for byte. It draws through measurement._gaussian_dictionary, the slice
+of the library's one dictionary recipe, so the recipe's bits are pinned
+by gaussian_dictionary_ref and by the isotropy check's recorded values.
 
 recorded_under is the failure message of every recorded-bytes test: the
 NumPy and BLAS builds its values were recorded under, and this run's.

@@ -50,7 +50,7 @@ def test_solve_a_stops_once_the_midpoint_stops_moving(monkeypatch):
 
     monkeypatch.setattr(bounds, "math", CountingMath())
     assert solve_a().hex() == (1.2399778876565501).hex()
-    assert len(logs) <= 60  # one per step, one for the residual check
+    assert len(logs) <= 60  # one per bisection step
 
 
 def test_solve_a_brackets_a_sign_change():
@@ -113,6 +113,8 @@ def test_maurey_validation():
         maurey_f(2, 4, p=0.5)
     with pytest.raises(ValueError):
         maurey_h(2, 4, 8)
+    with pytest.raises(ValueError, match="k, n, m must be positive"):
+        maurey_h(0, 8, 4)
 
 
 # -- entropy integrals -----------------------------------------------------------
@@ -150,6 +152,10 @@ def test_dudley_validation():
         dudley_fourier_bound(2, 8, 9, norm_t=1.0)
     with pytest.raises(ValueError):
         dudley_fourier_bound(2, 8, 4, norm_t=0.0)
+    with pytest.raises(ValueError, match="need n >= 3"):
+        dudley_sparse_bound(2, 2)
+    with pytest.raises(ValueError, match="need 2 <= s <= n"):
+        dudley_fourier_bound(1, 8, 4, 1.0)
 
 
 def test_gamma2_value_and_homogeneity():
@@ -157,6 +163,15 @@ def test_gamma2_value_and_homogeneity():
         0.5 * math.log(64) ** 2.5, rel=1e-12)
     assert gamma2_bound(3, 5, 2.0, 44, 128) == pytest.approx(
         2 * gamma2_bound(3, 5, 2.0, 176, 128), rel=1e-12)
+
+
+def test_gamma2_validation():
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        gamma2_bound(0, 2, 1.0, 4, 8)
+    with pytest.raises(ValueError, match="mu must be at least 1"):
+        gamma2_bound(2, 2, 0.5, 4, 8)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        gamma2_bound(1, 1, 1.0, 1, 1)
 
 
 # -- sample complexity ------------------------------------------------------------

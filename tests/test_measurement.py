@@ -350,6 +350,9 @@ def test_sample_omega_modes():
         sample_omega(4, 5, "without_replacement", rng)
     with pytest.raises(ValueError):
         sample_omega(4, 2, "bootstrap", rng)
+    for mode in ("without_replacement", "iid_uniform"):
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            sample_omega(4, 0, mode, rng)
 
 
 def test_ensemble_validation():

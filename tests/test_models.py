@@ -123,6 +123,8 @@ def test_in_gamma_counts_support():
     assert in_gamma(x, 2)
     assert not in_gamma(np.array([1.0, 1.0, 2.0, 0.0]), 2)
     assert in_gamma(np.zeros(4), 1)
+    with pytest.raises(ValueError, match="need 1 <= s <= n"):
+        in_gamma(np.ones(4), 0)
 
 
 def test_in_gamma_ignores_relative_dust():
@@ -166,6 +168,8 @@ def test_hard_threshold_keeps_largest():
     x = np.array([1.0, -3.0, 2.0, 0.5])
     out = hard_threshold(x, 2)
     assert np.array_equal(out, np.array([0.0, -3.0, 2.0, 0.0]))
+    with pytest.raises(ValueError, match="need 1 <= s <= n"):
+        hard_threshold(x, 5)
 
 
 def test_hard_threshold_full_level_copies():
@@ -173,6 +177,9 @@ def test_hard_threshold_full_level_copies():
     out = hard_threshold(x, 6)
     assert np.array_equal(out, x)
     assert out is not x
+    # byte for byte, a -0.0 part and entries of tied modulus included
+    x = np.array([-0.0, 1.0, -1.0, 1j, complex(-0.0, -2.0), 2.0])
+    assert hard_threshold(x, x.size).tobytes() == x.tobytes()
 
 
 def test_hard_threshold_breaks_ties_low_index():
@@ -578,6 +585,8 @@ def test_orthogonalize_pair_rejects_zero_anchor():
 
 
 def test_model_spec_validation():
+    with pytest.raises(ValueError, match="n must be positive"):
+        ModelSpec(0, 1)
     with pytest.raises(ValueError):
         ModelSpec(8, 0)
     with pytest.raises(ValueError):
@@ -588,6 +597,15 @@ def test_model_spec_validation():
         ModelSpec(8, 2, mu=9.0)
     with pytest.raises(ValueError):
         ModelSpec(8, 2, side="middle")
+
+
+def test_orthogonalize_pair_rejects_a_candidate_that_collapses():
+    # u_hat - <u, u_hat> u / ||u||^2 = 1.5 (e0 - e1), thresholded to 1.5 e0
+    # (the tie goes to the lower index), which the restricted Gram-Schmidt
+    # step removes, as u is nonzero on the kept entry
+    u = unit_vec(4, 0) + unit_vec(4, 1)
+    with pytest.raises(OrthogonalizationError, match="candidate collapsed to zero"):
+        orthogonalize_pair(u, unit_vec(4, 0) - 2 * unit_vec(4, 1), ModelSpec(4, 1))
 
 
 def test_model_spec_has_no_sparsity_flavor():

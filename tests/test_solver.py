@@ -517,6 +517,32 @@ def test_attempt_log_keeps_the_work_of_a_broken_attempt(monkeypatch):
     assert res.attempts == len(res.attempt_log) >= 2
 
 
+@pytest.mark.parametrize("zeroed", [1, 2], ids=["left", "right"])
+def test_a_half_step_that_zeroes_its_factor_breaks_the_attempt(monkeypatch, serial, zeroed):
+    # the first half-step (left factor) or the second (right factor) of
+    # attempt 0 leaves its factor zero; the attempt stops there, keeping
+    # the work done, and the later attempts run unchanged
+    real = solver._half_step
+    calls = []
+
+    def zeroing(WH, G, b, w, Aw, s):
+        calls.append(1)
+        w, Aw, resid = real(WH, G, b, w, Aw, s)
+        if len(calls) == zeroed:
+            w = np.zeros_like(w)
+        return w, Aw, resid
+
+    monkeypatch.setattr(solver, "_half_step", zeroing)
+    ens, _, b, _ = plant_instance(32, 24, 2, 2, seed=101)
+    res = recover(ens, b, SolveOptions(s1=2, s2=2, seed=101))
+    broken = res.attempt_log[0]
+    assert (broken.stop, broken.resid_rel) == ("breakdown", None)
+    assert (broken.level_iters, broken.half_steps) == ([1], zeroed)
+    assert broken.level_stops == []
+    assert res.attempt_log[-1].stop == "resid_stop"
+    assert res.attempts == len(res.attempt_log) >= 2
+
+
 # -- recovery ------------------------------------------------------------------
 
 
@@ -1093,4 +1119,9 @@ def test_success_metric_noise_ratio_and_validation():
     zero = LiftedPoint(np.zeros(16), np.zeros(16))
     with pytest.raises(ValueError):
         success_metric(truth, zero, b, z_norm, ens)
-
+    # with identity dictionaries e0 conv e0 = e0, which omega = [1, 2] misses
+    ident = Ensemble(n=4, m=2, omega=np.array([1, 2]), phi_kind="identity",
+                     psi_kind="identity")
+    e0 = LiftedPoint(np.eye(4)[0], np.eye(4)[0])
+    with pytest.raises(ZeroVectorError, match="planted point has zero measurement"):
+        success_metric(e0, e0, np.zeros(2), 0.0, ident)
