@@ -409,7 +409,6 @@ def run_sweep(cfg: SweepConfig, out_path: str, workers: int = 1) -> int:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     payloads = [(cfg, cell) for cell in cfg.cells()]
-    workers = min(workers, len(payloads))
     fields = RECOVER_FIELDS if cfg.kind == "recover" else ESTIMATE_FIELDS
     failed = 0
     # a .meta marks a finished CSV: an old one must not outlive a rerun cut short

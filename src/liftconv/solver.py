@@ -46,17 +46,13 @@ does recover raise ZeroVectorError.
 Attempts are independent given the operator, T, the options and the
 attempt's index, and one function (_attempt) runs each. Attempt 0 runs
 in process. When it does not meet the residual stop, the restarts go
-through util.fan_out on the count _pool_workers gives: in process, one
-after the other, unless their estimated serial time (attempt 0's wall
-time times their number) reaches _FAN_OUT_S and the usable CPUs divided
-by the BLAS threads of a process give two processes or more. Then the
-calling process and its forked siblings each claim the next restart,
-and with no thread count in the environment each runs an equal share
-of the CPUs' BLAS threads. A solve inside a fan-out (a sweep's) keeps
-its restarts in process. recover takes the results in attempt order
-through the same keep and stop rule either way, so no output depends
-on the schedule, and a residual stop kills the siblings at once: none
-outlives the call.
+through util.fan_out: on util.cpu_processes() processes when their
+estimated serial time (attempt 0's wall time times their number)
+reaches _FAN_OUT_S, else on one, in process; util states the process
+rule. A solve inside a fan-out (a sweep's) keeps its restarts in
+process. recover takes the results in attempt order through the same
+keep and stop rule either way, so no output depends on the schedule,
+and a residual stop kills the siblings at once: none outlives the call.
 
 A flatness cap bounds the spectral flatness of a coefficient vector u,
 not of its image Phi u. When it binds (mu < s), recover moves the kept
@@ -79,9 +75,8 @@ from .measurement import Ensemble, FactoredOperator, LiftedPoint, forward, lifte
 from .models import ZERO_TOL, ModelSpec, hard_threshold, project_flat, sample_model
 from .util import (
     ZeroVectorError,
-    _blas_threads,
-    _usable_cpus,
     complex_gaussian,
+    cpu_processes,
     derive_seed,
     fan_out,
     rng_for,
@@ -424,34 +419,13 @@ def _attempt(solve: tuple, a: int):
         return rec, _run_attempt(op, b, opts, init, levels, rec)
 
 
-def _pool_workers(restarts: int, first_s: float) -> int:
-    """Processes to fan restarts 1..restarts out to, the caller included,
-    after attempt 0 took first_s seconds, or 0 to run them in process.
-
-    A fan-out needs the restarts' estimated serial time, first_s *
-    restarts, to reach _FAN_OUT_S. Its processes are the usable CPUs
-    divided by the BLAS threads of one process (_blas_threads: the
-    environment's count, else one, which fan_out sets), at most one per
-    restart, and it starts only with two or more: two processes that
-    each ran a two-thread BLAS on two CPUs took a slice m = 16 solve 5
-    to 9 times longer than one process. fan_out itself runs the
-    restarts in process when the caller is inside a fan-out, such as a
-    sweep's, so fan-outs do not nest.
-    """
-    if first_s * restarts < _FAN_OUT_S:
-        return 0
-    cpus = _usable_cpus()
-    workers = min(cpus // _blas_threads(cpus), restarts)
-    return workers if workers > 1 else 0
-
-
 def _attempt_results(solve: tuple, restarts: int):
     """_attempt's results for attempts 0..restarts, in attempt order.
 
-    Attempt 0 runs in process. The restarts go through fan_out on the
-    _pool_workers count: with 0 they run in process one after the other;
-    otherwise the caller and its forked siblings each claim the next
-    restart. Closing the generator, as recover does after a residual
+    Attempt 0 runs in process. The restarts go through fan_out, on
+    cpu_processes() processes when attempt 0's wall time times their
+    number reaches _FAN_OUT_S, else on one: the caller alone, one after
+    the other. Closing the generator, as recover does after a residual
     stop, kills the siblings at once, so no discarded restart runs on
     and no sibling outlives it.
     """
@@ -459,8 +433,9 @@ def _attempt_results(solve: tuple, restarts: int):
     first = _attempt(solve, 0)
     first_s = perf_counter() - start
     yield first
+    worth_a_fork = first_s * restarts >= _FAN_OUT_S
     yield from fan_out(functools.partial(_attempt, solve), range(1, restarts + 1),
-                       _pool_workers(restarts, first_s))
+                       cpu_processes() if worth_a_fork else 1)
 
 
 def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
@@ -475,10 +450,10 @@ def recover(ens: Ensemble, b: np.ndarray, opts: SolveOptions) -> SolveResult:
     `attempts` and leaves its AttemptRecord in `attempt_log`, one whose
     factor collapsed to zero too (stop "breakdown", no residual); the
     solve goes on, and raises ZeroVectorError only if every attempt
-    collapsed. Attempt 0 runs in process; the restarts run
-    there alone or there and on forked siblings (_attempt_results,
-    _pool_workers), with the same results bit for bit. The first
-    residual stop kills the siblings still computing, and every sibling
+    collapsed. Attempt 0 runs in process; the restarts run there alone
+    or there and on forked siblings (_attempt_results; util.fan_out
+    states the process rule), with the same results bit for bit. The
+    first residual stop kills the siblings still computing, and every sibling
     is reaped before recover returns or raises; one that dies without
     its results raises ChildProcessError.
     Each side whose cap binds (mu < s) then has its kept factor replaced

@@ -38,9 +38,15 @@ whose sign the division and the multiplication can give differently.
 fan_out is the one place the package starts processes: it runs a
 function over a list of items on the calling process and on siblings
 forked from it, and yields the results in item order (see its
-docstring). While it runs, it gives each of those processes an equal
-share of the usable CPUs for NumPy's bundled OpenBLAS, unless the
-environment sets the thread count (_blas_threads).
+docstring). The process count has one rule, here: a caller that wants
+the CPUs asks for cpu_processes(), the usable CPUs divided by one
+process's OpenBLAS threads, and fan_out runs at most one process per
+item and forks nothing below two. While it runs, it gives each of its
+processes an equal share of the usable CPUs for NumPy's bundled
+OpenBLAS, unless the environment sets the thread count (_blas_threads).
+A pipe or fork that fails (out of process ids, memory or descriptors)
+stops the forking with one warning; the processes running compute
+every item.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import tempfile
 import numpy as np
 
 __all__ = ["ZeroVectorError", "derive_seed", "rng_for", "rng_streams", "fmt_float",
-           "vnorm", "unit", "complex_gaussian", "fan_out"]
+           "vnorm", "unit", "complex_gaussian", "cpu_processes", "fan_out"]
 
 
 class ZeroVectorError(ValueError):
@@ -245,6 +251,17 @@ def _env_blas_threads() -> int | None:
     return None
 
 
+def cpu_processes() -> int:
+    """The processes a fan-out that wants the CPUs asks for: the usable
+    CPUs divided by the OpenBLAS threads of one process, which are the
+    environment's count, else the one thread fan_out then gives each.
+    The division keeps a fan-out from oversubscribing the CPUs: two
+    processes that each ran a two-thread BLAS on two CPUs took a slice
+    m = 16 solve 5 to 9 times longer than one process. Below two,
+    fan_out forks nothing."""
+    return _usable_cpus() // (_env_blas_threads() or 1)
+
+
 def _blas_threads(workers: int) -> int:
     """OpenBLAS threads of each of `workers` processes sharing the usable
     CPUs: the count the environment sets, else max(1, usable CPUs //
@@ -340,7 +357,8 @@ def _lost(pid: int) -> ChildProcessError:
 
 def fan_out(fn, items, workers: int):
     """Yield fn(item) for each item, in item order, computed on up to
-    `workers` processes: this one and siblings forked from it.
+    `workers` processes: this one and siblings forked from it, at most
+    one process per item (cpu_processes() is the count that uses the CPUs).
 
     The caller and its workers - 1 siblings each claim the next
     unclaimed item (a counter under a file lock) and compute it; the
@@ -356,7 +374,11 @@ def fan_out(fn, items, workers: int):
     without sending its results (killed, out of memory, os._exit inside
     fn) raises ChildProcessError naming it, once the others are reaped;
     so does one whose result or exception does not pickle. fn and the
-    items reach the siblings by fork, so neither needs to pickle.
+    items reach the siblings by fork, so neither needs to pickle. When
+    os.pipe or os.fork fails (out of process ids, memory or
+    descriptors), the fan-out forks no more, logs one warning naming the
+    error and the processes it runs on, and those compute every item;
+    no result depends on the process count.
     """
     global _inside
     items = list(items)
@@ -404,13 +426,16 @@ def fan_out(fn, items, workers: int):
     try:
         with _blas_share(workers):
             for _ in range(workers - 1):
-                r, w = os.pipe()
+                fds = ()
                 try:
+                    fds = r, w = os.pipe()
                     pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
+                except OSError as exc:
+                    for fd in fds:
+                        os.close(fd)
+                    log.warning("could not start a worker process (%s); the fan-out runs on "
+                                "%d of %d processes", exc, len(pids) + 1, workers)
+                    break
                 if pid == 0:
                     _sibling(fn, items, claim, w, (r, *pids))
                 os.close(w)

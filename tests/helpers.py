@@ -34,7 +34,8 @@ by gaussian_dictionary_ref and by the isotropy check's recorded values.
 recorded_under is the failure message of every recorded-bytes test: the
 NumPy and BLAS builds its values were recorded under, and this run's.
 
-no_children is the process-hygiene check of the fan-out tests.
+no_children is the process-hygiene check of the fan-out tests, and
+record_forks counts the siblings a fan-out forks.
 """
 
 import hashlib
@@ -552,3 +553,17 @@ def no_children() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+def record_forks(monkeypatch) -> list:
+    """Records every os.fork of this process; a forked sibling appends to
+    its own copy of the list, so this process's copy counts its siblings."""
+    forks = []
+    real = os.fork
+
+    def recording():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks

@@ -3,8 +3,10 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib
+import math
 import os
 import pkgutil
 import shlex
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import no_children, recorded_under
+from helpers import no_children, record_forks, recorded_under
 
 import liftconv
 from liftconv.bounds import BoundQuery
@@ -617,7 +619,7 @@ def test_cli_exit_codes():
 
 def test_cli_recover_exits_3_when_every_attempt_collapses(monkeypatch, caplog):
     monkeypatch.setattr(solver, "_run_attempt", lambda *args: None)
-    monkeypatch.setattr(solver, "_pool_workers", lambda restarts, first_s: 0)
+    monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)  # the restarts run in process
     with caplog.at_level("ERROR", logger="liftconv"):
         assert main(["recover", "--n", "16", "--m", "8", "--s1", "1", "--s2", "1"]) == 3
     assert "a factor collapsed to zero in all 15 attempts" in caplog.text
@@ -703,20 +705,33 @@ def test_meta_lines_parse_back_to_the_config(text):
 
 
 def test_sweep_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
-    started = []
-
-    def recorder(fn, items, workers):
-        # stands in for the fan-out: records a count that can fork, runs cells in process
-        if workers > 1:
-            started.append(workers)
-        return (fn(item) for item in items)
-
-    monkeypatch.setattr(cli, "fan_out", recorder)
+    forks = record_forks(monkeypatch)
     run_sweep(parse_config(RIP_CONFIG), str(tmp_path / "two.csv"), workers=64)
-    assert started == [2]
+    assert len(forks) == 1
     run_sweep(parse_config(RIP_CONFIG, overrides=["m=4"]), str(tmp_path / "one.csv"),
               workers=64)
-    assert started == [2]
+    assert len(forks) == 1
+
+
+def test_a_sweep_whose_fork_fails_runs_its_cells_and_writes_the_serial_bytes(
+        tmp_path, monkeypatch, caplog):
+    # a failed fork exited 2, as bad input, with only the CSV header written
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(RIP_CONFIG)
+    serial = tmp_path / "serial.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(serial)]) == 0
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    out = tmp_path / "out.csv"
+    with caplog.at_level("WARNING", logger="liftconv"):
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "2"]) == 0
+    assert "could not start a worker process" in caplog.text
+    assert out.read_bytes() == serial.read_bytes()
+    assert (tmp_path / "out.csv.meta").read_bytes() == (tmp_path / "serial.csv.meta").read_bytes()
 
 
 def test_a_sweep_worker_lost_without_a_result_exits_4(tmp_path, monkeypatch, caplog):

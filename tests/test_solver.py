@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import adjoint_apply, no_children, partial_forward, recorded_under
+from helpers import adjoint_apply, no_children, partial_forward, record_forks, recorded_under
 
 import liftconv.models as models
 import liftconv.solver as solver
@@ -814,41 +814,17 @@ def _usable_cpus():
 
 
 def _fan_out(monkeypatch) -> list:
-    """Fans out the restarts of every later solve, whatever attempt 0 took
-    and whatever BLAS thread count the environment sets; returns the list
-    of the worker counts of the fan-outs recover starts, in which a host
-    with one usable CPU starts none."""
-    sizes = []
-    real = solver.fan_out
-
-    def recording(fn, items, workers):
-        if workers > 1:
-            sizes.append(workers)
-        return real(fn, items, workers)
-
+    """Fans out the restarts of every later solve on one process per
+    usable CPU, whatever attempt 0 took and whatever BLAS thread count
+    the environment sets; returns the list of this process's forks
+    (record_forks), to which a host with one usable CPU adds none."""
     monkeypatch.setattr(solver, "_FAN_OUT_S", 0.0)
-    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
-    monkeypatch.setattr(solver, "fan_out", recording)
-    return sizes
+    monkeypatch.setattr(solver, "cpu_processes", _usable_cpus)
+    return record_forks(monkeypatch)
 
 
-def _pools_for(restarts: int) -> list:
-    workers = min(_usable_cpus(), restarts)
-    return [workers] if workers > 1 else []
-
-
-def _forks(monkeypatch) -> list:
-    """Records every os.fork of this process; a forked sibling appends to
-    its own copy of the list."""
-    forks = []
-    real = os.fork
-
-    def recording():
-        forks.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", recording)
-    return forks
+def _siblings_for(restarts: int) -> int:
+    return max(min(_usable_cpus(), restarts) - 1, 0)
 
 
 @pytest.mark.parametrize("m, t, attempts", [(16, 0, 15), (32, 5, 13)])
@@ -859,9 +835,9 @@ def test_fanned_out_restarts_match_the_serial_loop_bit_for_bit(monkeypatch, m, t
     opts = SolveOptions(s1=3, s2=3, seed=7000 + t)
     monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
     serial = recover(ens, b, opts)
-    pools = _fan_out(monkeypatch)
+    forks = _fan_out(monkeypatch)
     fanned = recover(ens, b, opts)
-    assert pools == _pools_for(opts.restarts)
+    assert len(forks) == _siblings_for(opts.restarts)
     assert no_children()
     assert fanned.attempts == serial.attempts == attempts
     assert fanned.u_hat.tobytes() == serial.u_hat.tobytes()
@@ -898,7 +874,7 @@ def test_a_fanned_out_breakdown_is_logged_and_raised_as_in_the_serial_loop(monke
 
     outcomes = []
     for fan_out in (False, True):
-        pools = _fan_out(monkeypatch) if fan_out else []
+        forks = _fan_out(monkeypatch) if fan_out else []
         if not fan_out:
             monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)
         monkeypatch.setattr(solver, "_run_attempt", gaussian_breaks)
@@ -910,7 +886,7 @@ def test_a_fanned_out_breakdown_is_logged_and_raised_as_in_the_serial_loop(monke
             recover(ens, b, opts)
         monkeypatch.setattr(solver, "_attempt_results", real_results)
         outcomes.append((res, str(raised.value), list(logged)))
-    assert pools == 2 * _pools_for(opts.restarts)
+    assert len(forks) == 2 * _siblings_for(opts.restarts)
     assert no_children()
     (serial, serial_err, serial_log), (fanned, fanned_err, fanned_log) = outcomes
     broken = [rec for rec in fanned.attempt_log if rec.init == "gaussian"]
@@ -938,11 +914,11 @@ def test_an_error_in_a_fanned_out_attempt_is_raised_after_the_siblings_are_reape
             return real(op, b, opts, init, levels, rec)
         raise FloatingPointError(f"{rec.init} restart failed")
 
-    pools = _fan_out(monkeypatch)
+    forks = _fan_out(monkeypatch)
     monkeypatch.setattr(solver, "_run_attempt", restarts_fail)
     with pytest.raises(FloatingPointError, match="weighted restart failed"):
         recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
-    assert pools == _pools_for(14)
+    assert len(forks) == _siblings_for(14)
     assert no_children()
 
 
@@ -968,11 +944,11 @@ def test_a_residual_stop_kills_the_restarts_it_discards(monkeypatch):
 
     monkeypatch.setattr(solver, "_attempt_init", init_recording)
     monkeypatch.setattr(solver, "_run_attempt", late_restarts_hang)
-    pools = _fan_out(monkeypatch)
+    forks = _fan_out(monkeypatch)
     start = time.perf_counter()
     fanned = recover(ens, b, opts)
     assert time.perf_counter() - start < 10
-    assert pools == _pools_for(opts.restarts)
+    assert len(forks) == _siblings_for(opts.restarts)
     assert no_children()
     assert fanned.attempts == serial.attempts == 13
     assert fanned.attempt_log == serial.attempt_log
@@ -990,13 +966,13 @@ def test_a_sibling_that_dies_without_a_result_is_named_and_nothing_hangs(monkeyp
         time.sleep(0.05)  # leaves restarts for the sibling to claim
         return real(*args)
 
-    pools = _fan_out(monkeypatch)
+    forks = _fan_out(monkeypatch)
     monkeypatch.setattr(solver, "_run_attempt", sibling_dies)
-    if _pools_for(14) == []:
+    if _siblings_for(14) == 0:
         pytest.skip("one usable CPU: recover starts no sibling")
     with pytest.raises(ChildProcessError, match=r"worker process \d+ ended \(exit status 3\)"):
         recover(ens, b, SolveOptions(s1=3, s2=3, seed=119))
-    assert pools == _pools_for(14)
+    assert len(forks) == _siblings_for(14)
     assert no_children()
 
 
@@ -1005,8 +981,7 @@ def test_a_solve_inside_a_fan_out_keeps_its_restarts_in_process(monkeypatch):
     # computes a cell and in the caller that computes one: fan-outs never nest
     ens, _, b, _ = plant_instance(32, 8, 3, 3, seed=119)
     opts = SolveOptions(s1=3, s2=3, seed=119)
-    _fan_out(monkeypatch)
-    forks, caller = _forks(monkeypatch), os.getpid()
+    forks, caller = _fan_out(monkeypatch), os.getpid()
 
     def solve(item):
         if os.getpid() == caller:
@@ -1029,9 +1004,9 @@ def test_a_solve_inside_a_fan_out_keeps_its_restarts_in_process(monkeypatch):
 
 
 def _first_attempt_reads(monkeypatch, first_s: float) -> list:
-    """Makes attempt 0 of every later solve read first_s seconds on two
-    usable CPUs with one BLAS thread each; returns the list of the worker
-    counts recover passes to fan_out, whose stand-in runs in process."""
+    """Makes attempt 0 of every later solve read first_s seconds, with
+    cpu_processes() at 2; returns the list of the process counts recover
+    passes to fan_out, whose stand-in runs in process."""
     clock = itertools.cycle((0.0, first_s))
     sizes = []
 
@@ -1040,8 +1015,7 @@ def _first_attempt_reads(monkeypatch, first_s: float) -> list:
         return map(fn, items)
 
     monkeypatch.setattr(solver, "perf_counter", lambda: next(clock))
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
+    monkeypatch.setattr(solver, "cpu_processes", lambda: 2)
     monkeypatch.setattr(solver, "fan_out", recording)
     return sizes
 
@@ -1051,7 +1025,7 @@ def test_a_small_solve_keeps_its_restarts_in_process(monkeypatch):
     sizes = _first_attempt_reads(monkeypatch, 0.001)
     ens, _, b, _ = plant_instance(16, 4, 1, 1, seed=4)
     assert recover(ens, b, SolveOptions(s1=1, s2=1, seed=4)).attempts == 15
-    assert sizes == [0]
+    assert sizes == [1]
 
 
 def test_a_solve_whose_restarts_reach_the_cut_fans_them_out(monkeypatch):
@@ -1060,32 +1034,6 @@ def test_a_solve_whose_restarts_reach_the_cut_fans_them_out(monkeypatch):
     ens, _, b, _ = plant_instance(16, 4, 1, 1, seed=4)
     assert recover(ens, b, SolveOptions(s1=1, s2=1, seed=4)).attempts == 15
     assert sizes == [2]
-
-
-def test_pool_workers_follow_the_fan_out_rule(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 1)
-    workers = solver._pool_workers
-    assert workers(14, 1.0) == 4
-    assert workers(3, 1.0) == 3
-    assert workers(1, 1.0) == 0  # a fan-out of one runs nothing in parallel
-    assert workers(14, 0.0) == 0  # restarts too short to pay for a fan-out
-    monkeypatch.setattr(solver, "_blas_threads", lambda cpus: 2)
-    assert workers(14, 1.0) == 2  # one process per CPU its BLAS threads leave
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert workers(14, 1.0) == 0
-
-
-def test_pool_workers_size_on_the_pinned_blas_count_when_the_environment_sets_none(
-        monkeypatch):
-    # fan_out gives each process max(1, CPUs // workers) threads, so with
-    # BLAS at its default the restarts fan out to one process per CPU
-    for var in util._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert solver._pool_workers(14, 1.0) == 4
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert solver._pool_workers(14, 1.0) == 2
 
 
 # -- scoring -------------------------------------------------------------------

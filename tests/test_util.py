@@ -1,5 +1,6 @@
 """Seed derivation, shared helpers and the fork fan-out."""
 
+import errno
 import os
 import time
 
@@ -9,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import complex_gaussian_ref, derive_seed_ref, no_children, recorded_under
+from helpers import (
+    complex_gaussian_ref,
+    derive_seed_ref,
+    no_children,
+    record_forks,
+    recorded_under,
+)
 
 import liftconv.util as util
 from liftconv.util import (
     ZeroVectorError,
     complex_gaussian,
+    cpu_processes,
     derive_seed,
     fan_out,
     fmt_float,
@@ -301,6 +309,151 @@ def test_a_sibling_lost_without_a_result_raises_and_names_it():
 
     with pytest.raises(ChildProcessError, match=r"worker process \d+ ended \(exit status 5\)"):
         list(fan_out(die_in_siblings, range(8), 2))
+    assert no_children()
+
+
+@pytest.mark.parametrize("items, workers, forks", [
+    (2, 64, 1),  # at most one process per item
+    (1, 64, 0),  # a fan-out of one runs nothing in parallel
+    (3, 4, 2),
+])
+def test_fan_out_forks_at_most_one_sibling_per_item_beyond_the_first(monkeypatch, items,
+                                                                      workers, forks):
+    forked = record_forks(monkeypatch)
+    assert [x for x, _ in fan_out(_slow_square, range(items), workers)] == [
+        x * x for x in range(items)]
+    assert len(forked) == forks
+
+
+@pytest.mark.parametrize("cpus, env, processes", [
+    (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+    (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),  # one process per CPU its BLAS threads leave
+    (3, {"OPENBLAS_NUM_THREADS": "2"}, 1),  # one process: the items run in process
+    (4, {}, 4),  # fan_out gives each of CPUs // workers processes one thread
+    (4, {"OMP_NUM_THREADS": "2"}, 2),
+])
+def test_cpu_processes_divide_the_usable_cpus_by_one_process_blas_threads(
+        monkeypatch, cpus, env, processes):
+    for var in util._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert cpu_processes() == processes
+    # a solve's 14 restarts fan out on that many processes, forking the others
+    forked = record_forks(monkeypatch)
+    restarts = range(14, 28)
+    assert [x for x, _ in fan_out(_slow_square, restarts, cpu_processes())] == [
+        x * x for x in restarts]
+    assert len(forked) == max(processes - 1, 0)
+
+
+def _fork_fails_on_call(monkeypatch, failing: int) -> list:
+    """Makes os.fork raise EAGAIN, as when out of process ids, on its
+    call number failing; returns the list of its calls in this process."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        if len(calls) == failing:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize("workers, failing", [(3, 2), (2, 1)])
+def test_a_failed_fork_warns_once_and_the_running_processes_compute_every_item(
+        monkeypatch, caplog, workers, failing):
+    # a failed fork raised BlockingIOError out of the fan-out
+    calls = _fork_fails_on_call(monkeypatch, failing)
+    with caplog.at_level("WARNING", logger="liftconv"):
+        got = [x for x, _ in fan_out(_slow_square, range(12), workers)]
+    assert got == [x * x for x in range(12)]
+    assert len(calls) == failing
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert os.strerror(errno.EAGAIN) in warnings[0]
+    assert f"runs on {failing} of {workers} processes" in warnings[0]
+    assert no_children()
+
+
+def _big(k):
+    return complex_gaussian(rng_for(k, "big"), 300_000)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_results_far_beyond_a_pipe_buffer_come_back_whole_and_in_order(workers):
+    # 4.8 MB a result, where a pipe buffers 64 KB
+    caller = os.getpid()
+
+    def big_result(k):
+        if os.getpid() == caller:
+            time.sleep(0.05)  # leaves items for the siblings to claim
+        return _big(k), os.getpid()
+
+    got = list(fan_out(big_result, range(6), workers))
+    assert [x.tobytes() for x, _ in got] == [_big(k).tobytes() for k in range(6)]
+    assert len({pid for _, pid in got}) > 1
+    assert no_children()
+
+
+class _UnpicklableError(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def _raise_unpicklable(x):
+    raise _UnpicklableError(x)
+
+
+@pytest.mark.parametrize("in_sibling", [lambda x: (lambda: x), _raise_unpicklable],
+                         ids=["result", "exception"])
+def test_a_sibling_whose_outcome_does_not_pickle_is_named(in_sibling):
+    caller = os.getpid()
+
+    def fn(x):
+        if os.getpid() != caller:
+            return in_sibling(x)
+        time.sleep(0.05)
+        return x
+
+    with pytest.raises(ChildProcessError, match=r"worker process \d+ ended \(exit status 1\) "
+                                                r"without sending its results"):
+        list(fan_out(fn, range(8), 2))
+    assert no_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_no_file_descriptor_outlives_a_fan_out(monkeypatch):
+    # a raw pipe end raises no ResourceWarning, so dev mode cannot see this leak
+    caller = os.getpid()
+
+    def die_in_siblings(x):
+        if os.getpid() != caller:
+            os._exit(5)
+        time.sleep(0.05)
+        return x
+
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    assert [x for x, _ in fan_out(_slow_square, range(12), 3)] == [x * x for x in range(12)]
+    assert open_fds() == before
+    for x, _ in fan_out(_slow_square, range(12), 3):
+        break
+    assert open_fds() == before
+    with pytest.raises(KeyError):
+        list(fan_out(_slow_square, range(30), 3))
+    assert open_fds() == before
+    with pytest.raises(ChildProcessError):
+        list(fan_out(die_in_siblings, range(8), 2))
+    assert open_fds() == before
+    _fork_fails_on_call(monkeypatch, 2)
+    assert [x for x, _ in fan_out(_slow_square, range(12), 3)] == [x * x for x in range(12)]
+    assert open_fds() == before
     assert no_children()
 
 
