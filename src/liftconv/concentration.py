@@ -47,7 +47,6 @@ __all__ = [
     "isotropy_check",
 ]
 
-ISOTROPY_GUARD = 64
 _ISOTROPY_BLOCK = 2**13  # complex entries of each stacked array of isotropy draws
 
 # Fresh 4-tuples a rop trial may draw before its orthogonalization
@@ -255,12 +254,12 @@ def isotropy_check(
     drawn from rng_for(seed, "draw", k). Blocks of 2^13 // n^2 draws
     (128 KiB arrays) are drawn as one _gaussian_dictionaries stack,
     measured through the operator with their spectra stacked, and summed
-    in draw order: bit for bit a per-draw loop.
+    in draw order: bit for bit a per-draw loop. A draw costs one n x n
+    matrix product, O(n^3): 0.23, 1.3 and 7.7 ms at n = 64, 128 and 256
+    on one OpenBLAS thread of a Xeon vCPU.
     """
     if average_over not in ("phi", "psi"):
         raise ValueError("average_over must be 'phi' or 'psi'")
-    if n > ISOTROPY_GUARD:
-        raise ValueError(f"isotropy check materializes matrices; n <= {ISOTROPY_GUARD}")
     if draws < 1:
         raise ValueError("draws must be positive")
     if x.norm_f == 0:

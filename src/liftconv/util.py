@@ -43,15 +43,14 @@ the CPUs asks for cpu_processes(), the usable CPUs divided by one
 process's OpenBLAS threads, and fan_out runs at most one process per
 item and forks nothing below two. While it runs, it gives each of its
 processes an equal share of the usable CPUs for NumPy's bundled
-OpenBLAS, unless the environment sets the thread count (_blas_threads).
-A pipe or fork that fails (out of process ids, memory or descriptors)
-stops the forking with one warning; the processes running compute
-every item.
+OpenBLAS, unless the environment sets the thread count. A pipe or fork
+that fails (out of process ids, memory or descriptors) stops the forking
+with one warning; the processes running compute every item, the caller
+on the share for their number.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -262,13 +261,6 @@ def cpu_processes() -> int:
     return _usable_cpus() // (_env_blas_threads() or 1)
 
 
-def _blas_threads(workers: int) -> int:
-    """OpenBLAS threads of each of `workers` processes sharing the usable
-    CPUs: the count the environment sets, else max(1, usable CPUs //
-    workers), which fan_out sets in every process it runs on."""
-    return _env_blas_threads() or max(1, _usable_cpus() // workers)
-
-
 @functools.cache
 def _openblas():
     """(get, set) thread-count functions of NumPy's bundled OpenBLAS, or
@@ -283,22 +275,18 @@ def _openblas():
         return None
 
 
-@contextlib.contextmanager
-def _blas_share(workers: int):
-    """Within the block, this process and the siblings it forks run
-    _blas_threads(workers) OpenBLAS threads, unless the environment sets
-    the count or the library offers no control; the count is restored after."""
+def _blas_share(processes: int) -> int | None:
+    """Give this process, and the siblings it forks after, max(1, usable
+    CPUs // processes) OpenBLAS threads, and return the count it replaced;
+    None, setting nothing, when the environment sets the count or the
+    library offers no control."""
     api = None if _env_blas_threads() is not None else _openblas()
     if api is None:
-        yield
-        return
+        return None
     get, set_ = api
     before = get()
-    set_(_blas_threads(workers))
-    try:
-        yield
-    finally:
-        set_(before)
+    set_(max(1, _usable_cpus() // processes))
+    return before
 
 
 def _send(fd: int, data: bytes):
@@ -378,7 +366,9 @@ def fan_out(fn, items, workers: int):
     os.pipe or os.fork fails (out of process ids, memory or
     descriptors), the fan-out forks no more, logs one warning naming the
     error and the processes it runs on, and those compute every item;
-    no result depends on the process count.
+    this process takes the OpenBLAS share for their number (siblings
+    already forked keep the smaller one planned for `workers`). No
+    result depends on the process count.
     """
     global _inside
     items = list(items)
@@ -422,46 +412,49 @@ def fan_out(fn, items, workers: int):
             else:
                 live.discard(fd)
 
+    before = _blas_share(workers)
     _inside = True
     try:
-        with _blas_share(workers):
-            for _ in range(workers - 1):
-                fds = ()
-                try:
-                    fds = r, w = os.pipe()
-                    pid = os.fork()
-                except OSError as exc:
-                    for fd in fds:
-                        os.close(fd)
-                    log.warning("could not start a worker process (%s); the fan-out runs on "
-                                "%d of %d processes", exc, len(pids) + 1, workers)
+        for _ in range(workers - 1):
+            fds = ()
+            try:
+                fds = r, w = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                log.warning("could not start a worker process (%s); the fan-out runs on "
+                            "%d of %d processes", exc, len(pids) + 1, workers)
+                _blas_share(len(pids) + 1)
+                break
+            if pid == 0:
+                _sibling(fn, items, claim, w, (r, *pids))
+            os.close(w)
+            pids[r] = pid
+            live.add(r)
+        spare = True  # items may be left to claim
+        for k in range(n):
+            while k not in done:
+                receive(0)
+                if k in done:
                     break
-                if pid == 0:
-                    _sibling(fn, items, claim, w, (r, *pids))
-                os.close(w)
-                pids[r] = pid
-                live.add(r)
-            spare = True  # items may be left to claim
-            for k in range(n):
-                while k not in done:
-                    receive(0)
-                    if k in done:
-                        break
-                    j = claim() if spare else n
-                    spare = j < n
-                    if not spare:
-                        receive(None)
-                        continue
-                    try:
-                        done[j] = True, fn(items[j])
-                    except Exception as exc:
-                        done[j] = False, exc
-                ok, value = done.pop(k)
-                if not ok:
-                    raise value
-                yield value
+                j = claim() if spare else n
+                spare = j < n
+                if not spare:
+                    receive(None)
+                    continue
+                try:
+                    done[j] = True, fn(items[j])
+                except Exception as exc:
+                    done[j] = False, exc
+            ok, value = done.pop(k)
+            if not ok:
+                raise value
+            yield value
     finally:
         _inside = False
+        if before is not None:
+            _openblas()[1](before)
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
         for fd, pid in pids.items():

@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from liftconv.concentration import (
-    ISOTROPY_GUARD,
     EstimateReport,
     _decoupled_ops,
     _form,
@@ -501,8 +500,6 @@ def isotropy_check_ref(
     """concentration.isotropy_check measuring one draw at a time."""
     if average_over not in ("phi", "psi"):
         raise ValueError("average_over must be 'phi' or 'psi'")
-    if n > ISOTROPY_GUARD:
-        raise ValueError(f"isotropy check materializes matrices; n <= {ISOTROPY_GUARD}")
     if draws < 1:
         raise ValueError("draws must be positive")
     if x.norm_f == 0:

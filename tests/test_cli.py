@@ -617,6 +617,15 @@ def test_cli_exit_codes():
                  "--s2", "1", "--trials", "1"]) == 2
 
 
+@pytest.mark.parametrize("n, code", [(64, 0), (1, 2)])
+def test_the_console_script_exits_with_the_code_main_returns(monkeypatch, n, code):
+    monkeypatch.setattr("sys.argv", ["liftconv", "bounds", "--n", str(n), "--m", "16",
+                                     "--s1", "2", "--s2", "2"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main_entry()
+    assert exit_.value.code == code
+
+
 def test_cli_recover_exits_3_when_every_attempt_collapses(monkeypatch, caplog):
     monkeypatch.setattr(solver, "_run_attempt", lambda *args: None)
     monkeypatch.setattr(solver, "_FAN_OUT_S", math.inf)  # the restarts run in process

@@ -569,6 +569,18 @@ def test_orthogonalize_pair_keeps_a_spike_where_u_vanishes_at_mu_1():
         orthogonalize_pair(u3, 3 * unit_vec(16, 0) - 2 * unit_vec(16, 1) - unit_vec(16, 2), spec)
 
 
+@pytest.mark.parametrize("spec", [ModelSpec(64, 4), ModelSpec(64, 4, mu=3.0)],
+                         ids=["no-cap", "binding-cap"])
+def test_orthogonalize_pair_raises_when_the_final_check_fails(spec, monkeypatch):
+    # no overlap is within a negative tolerance, so every candidate fails
+    rng = rng_for(15, "orth-parity")
+    u = sample_model(spec, rng)
+    u_hat = sample_model(ModelSpec(64, 4), rng)
+    monkeypatch.setattr(models, "_ORTH_TOL", -1.0)
+    with pytest.raises(OrthogonalizationError, match="no feasible orthogonal partner"):
+        orthogonalize_pair(u, u_hat, spec)
+
+
 def test_orthogonalize_pair_rejects_parallel():
     spec = ModelSpec(8, 2)
     u = unit(unit_vec(8, 0) + unit_vec(8, 1))

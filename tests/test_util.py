@@ -325,6 +325,24 @@ def test_fan_out_forks_at_most_one_sibling_per_item_beyond_the_first(monkeypatch
     assert len(forked) == forks
 
 
+def _clear_blas_vars(monkeypatch):
+    for var in util._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.fixture
+def openblas(monkeypatch):
+    """NumPy's OpenBLAS (get, set) thread-count functions, with the BLAS
+    thread variables cleared; the count is restored after the test."""
+    if util._openblas() is None:
+        pytest.skip("no scipy-openblas thread control")
+    _clear_blas_vars(monkeypatch)
+    get, set_ = util._openblas()
+    before = get()
+    yield get, set_
+    set_(before)
+
+
 @pytest.mark.parametrize("cpus, env, processes", [
     (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
     (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),  # one process per CPU its BLAS threads leave
@@ -334,8 +352,7 @@ def test_fan_out_forks_at_most_one_sibling_per_item_beyond_the_first(monkeypatch
 ])
 def test_cpu_processes_divide_the_usable_cpus_by_one_process_blas_threads(
         monkeypatch, cpus, env, processes):
-    for var in util._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+    _clear_blas_vars(monkeypatch)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -425,9 +442,10 @@ def test_a_sibling_whose_outcome_does_not_pickle_is_named(in_sibling):
     assert no_children()
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-def test_no_file_descriptor_outlives_a_fan_out(monkeypatch):
-    # a raw pipe end raises no ResourceWarning, so dev mode cannot see this leak
+def _end_fan_outs_every_way(monkeypatch):
+    """Ends a fan-out each way one ends, yielding the way after each: it
+    completes, it is closed by break, its fn raises, it loses a sibling,
+    and its second fork fails (os.fork stays patched for the test)."""
     caller = os.getpid()
 
     def die_in_siblings(x):
@@ -436,25 +454,54 @@ def test_no_file_descriptor_outlives_a_fan_out(monkeypatch):
         time.sleep(0.05)
         return x
 
+    assert [x for x, _ in fan_out(_slow_square, range(12), 3)] == [x * x for x in range(12)]
+    yield "completed"
+    for x, _ in fan_out(_slow_square, range(12), 3):
+        break
+    yield "break"
+    with pytest.raises(KeyError):
+        list(fan_out(_slow_square, range(30), 3))
+    yield "fn raised"
+    with pytest.raises(ChildProcessError):
+        list(fan_out(die_in_siblings, range(8), 2))
+    yield "sibling lost"
+    _fork_fails_on_call(monkeypatch, 2)
+    assert [x for x, _ in fan_out(_slow_square, range(12), 3)] == [x * x for x in range(12)]
+    yield "fork failed"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_no_file_descriptor_outlives_a_fan_out(monkeypatch):
+    # a raw pipe end raises no ResourceWarning, so dev mode cannot see this leak
     def open_fds():
         return sorted(os.listdir("/proc/self/fd"))
 
     before = open_fds()
-    assert [x for x, _ in fan_out(_slow_square, range(12), 3)] == [x * x for x in range(12)]
-    assert open_fds() == before
-    for x, _ in fan_out(_slow_square, range(12), 3):
-        break
-    assert open_fds() == before
-    with pytest.raises(KeyError):
-        list(fan_out(_slow_square, range(30), 3))
-    assert open_fds() == before
-    with pytest.raises(ChildProcessError):
-        list(fan_out(die_in_siblings, range(8), 2))
-    assert open_fds() == before
-    _fork_fails_on_call(monkeypatch, 2)
-    assert [x for x, _ in fan_out(_slow_square, range(12), 3)] == [x * x for x in range(12)]
-    assert open_fds() == before
+    for ending in _end_fan_outs_every_way(monkeypatch):
+        assert open_fds() == before, ending
     assert no_children()
+
+
+def test_the_caller_gets_its_blas_threads_back_however_a_fan_out_ends(monkeypatch, openblas):
+    get, set_ = openblas
+    set_(3)  # no share of 4 CPUs among 2 or 3 processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    for ending in _end_fan_outs_every_way(monkeypatch):
+        assert get() == 3, ending
+
+
+def test_after_a_failed_fork_the_caller_takes_the_share_of_the_processes_running(
+        monkeypatch, openblas):
+    # the caller kept the share planned for 4 processes, 1 thread, when only 2 ran
+    get, set_ = openblas
+    set_(3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    _fork_fails_on_call(monkeypatch, 2)
+    caller = os.getpid()
+    got = list(fan_out(lambda _: (time.sleep(0.03), get(), os.getpid())[1:], range(8), 4))
+    assert {t for t, pid in got if pid == caller} == {2}  # 4 CPUs // 2 processes
+    assert {t for t, pid in got if pid != caller} == {1}  # forked with 4 CPUs // 4
+    assert get() == 3
 
 
 @pytest.mark.parametrize("env, threads", [
@@ -466,40 +513,44 @@ def test_no_file_descriptor_outlives_a_fan_out(monkeypatch):
     ({"OMP_NUM_THREADS": "4,2"}, 8),  # a list: no single count
 ])
 def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads):
-    for var in util._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+    _clear_blas_vars(monkeypatch)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert util._blas_threads(1) == threads
-    # without a count from the environment, workers share the CPUs
-    assert util._blas_threads(3) == (threads if util._env_blas_threads() else 2)
-    assert util._blas_threads(16) == (threads if util._env_blas_threads() else 1)
+    count = [5]  # a stand-in library's thread count
+
+    def set_(k):
+        count[0] = k
+
+    monkeypatch.setattr(util, "_openblas", lambda: (lambda: count[0], set_))
+    from_env = util._env_blas_threads()
+    assert (from_env or 8) == threads
+    # without a count from the environment, the processes share the CPUs
+    for processes in (1, 3, 16):
+        count[0] = 5
+        replaced = util._blas_share(processes)
+        assert count[0] == (5 if from_env else max(1, 8 // processes))
+        assert replaced == (None if from_env else 5)
+    count[0] = 5
+    assert set(fan_out(lambda _: count[0], range(3), 3)) == {5 if from_env else 2}
+    assert count[0] == 5
 
 
-@pytest.mark.skipif(util._openblas() is None, reason="no scipy-openblas thread control")
-def test_fan_out_shares_the_cpus_between_its_blas_pools_and_restores_the_caller(monkeypatch):
-    for var in util._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    get, set_ = util._openblas()
-    before = get()
-    try:
-        set_(4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        inside = list(fan_out(lambda _: (time.sleep(0.03), get(), os.getpid())[1:],
-                              range(8), 2))
-        assert {threads for threads, _ in inside} == {1}  # 3 CPUs // 2 processes
-        assert len({pid for _, pid in inside}) == 2
-        assert get() == 4
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # the environment's count stays
-        assert {t for t in fan_out(lambda _: get(), range(4), 2)} == {4}
-    finally:
-        set_(before)
+def test_fan_out_shares_the_cpus_between_its_blas_pools_and_restores_the_caller(monkeypatch,
+                                                                                 openblas):
+    get, set_ = openblas
+    set_(4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    inside = list(fan_out(lambda _: (time.sleep(0.03), get(), os.getpid())[1:], range(8), 2))
+    assert {threads for threads, _ in inside} == {1}  # 3 CPUs // 2 processes
+    assert len({pid for _, pid in inside}) == 2
+    assert get() == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # the environment's count stays
+    assert {t for t in fan_out(lambda _: get(), range(4), 2)} == {4}
 
 
 def test_fan_out_without_blas_thread_control_logs_once_and_runs(monkeypatch, caplog):
-    for var in util._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+    _clear_blas_vars(monkeypatch)
 
     def no_library(path):
         raise OSError("not found")
