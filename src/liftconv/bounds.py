@@ -69,18 +69,16 @@ def solve_a() -> float:
     return a
 
 
-def maurey_f(k: int, n: int, p: float = 2.0) -> float:
-    """Dyadic entropy shape for an n-term convex hull at stage k.
+def maurey_f(k: int, n: int) -> float:
+    """Dyadic entropy shape for an n-term convex hull at stage k, at p = 2.
 
-    2^{-max(k/n, 1)} * min(1, max(log(n/k + 1)/k, 1/n)^{1 - 1/p}).
+    2^{-max(k/n, 1)} * min(1, max(log(n/k + 1)/k, 1/n)^{1/2}).
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    if p < 1:
-        raise ValueError("p must be at least 1")
     lead = 2.0 ** (-max(k / n, 1.0))
     inner = max(math.log(n / k + 1.0) / k, 1.0 / n)
-    return lead * min(1.0, inner ** (1.0 - 1.0 / p))
+    return lead * min(1.0, inner ** 0.5)
 
 
 def maurey_h(k: int, n: int, m: int) -> float:
@@ -108,20 +106,15 @@ def dudley_sparse_bound(s: int, n: int) -> float:
     return math.sqrt(s) * math.log(n) ** 1.5
 
 
-def dudley_fourier_bound(s: int, n: int, m: int, norm_t: float) -> float:
-    """Entropy integral shape through a linear image with small entries.
-
-    norm_t * sqrt(s) * sqrt(log m) * log(n)^{3/2}, norm_t the
-    max-modulus-entry norm of the mapping (1/sqrt(n) for the unitary
-    DFT).
+def dudley_fourier_bound(s: int, n: int, m: int) -> float:
+    """Entropy integral shape through a linear image whose entries have
+    modulus at most 1: sqrt(s) * sqrt(log m) * log(n)^{3/2}.
     """
     if not 2 <= s <= n:
         raise ValueError("need 2 <= s <= n")
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
-    if norm_t <= 0:
-        raise ValueError("norm_t must be positive")
-    return norm_t * math.sqrt(s) * math.sqrt(math.log(m)) * math.log(n) ** 1.5
+    return math.sqrt(s) * math.sqrt(math.log(m)) * math.log(n) ** 1.5
 
 
 def gamma2_bound(s1: int, s2: int, mu: float, m: int, n: int) -> float:

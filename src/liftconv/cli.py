@@ -529,7 +529,7 @@ def _cmd_bounds(args) -> int:
         if 2 <= s <= n and n >= 3:
             row[f"dudley_sparse_{label}"] = dudley_sparse_bound(s, n)
         if 2 <= s <= n and 2 <= m <= n:
-            row[f"dudley_fourier_{label}"] = dudley_fourier_bound(s, n, m, norm_t=1.0)
+            row[f"dudley_fourier_{label}"] = dudley_fourier_bound(s, n, m)
     _print_kv(row)
     return 0
 

@@ -154,12 +154,7 @@ def spectral_flatness(x) -> float:
     ZeroVectorError
         If x is the zero vector (a ValueError).
     """
-    x = as_signal(x)
-    spectrum = np.abs(np.fft.fft(x)) ** 2
-    total = spectrum.sum()
-    if total == 0:
-        raise ZeroVectorError("spectral flatness of the zero vector is undefined")
-    return float(x.size * spectrum.max() / total)
+    return _flat_state(as_signal(x))[-1]
 
 
 def in_gamma(x, s: int) -> bool:
@@ -196,10 +191,12 @@ def hard_threshold(x, s: int) -> np.ndarray:
 
 def _flat_state(y: np.ndarray):
     """(Fy unnormalized, bin powers over their peak p, h = their sum of
-    q-th powers, p, log h + q log(flatness), flatness as spectral_flatness)."""
+    q-th powers, p, log h + q log(flatness), flatness); ZeroVectorError if p = 0."""
     Y = np.fft.fft(y)
     P = np.abs(Y) ** 2
     peak = P.max()
+    if peak == 0:
+        raise ZeroVectorError("spectral flatness of the zero vector is undefined")
     flat = float(y.size * peak / P.sum())
     R = P / peak
     h = (R**_FLAT_POWER).sum()
@@ -244,8 +241,6 @@ def _flat_descent(x: np.ndarray, mu: float, off: np.ndarray | None = None):
     if not 1.0 <= mu <= n:
         raise ValueError("need 1 <= mu <= n")
     nrm = vnorm(x)
-    if nrm == 0:
-        raise ZeroVectorError("cannot flatten the zero vector")
     Y, R, h, peak, L, flat = _flat_state(x)
     if flat <= mu:
         return x.copy()

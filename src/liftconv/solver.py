@@ -545,6 +545,8 @@ def success_metric(
     rel_error = ||u_hat v_hat^T - u v^T||_F / ||u v^T||_F, computed
     factor-wise, so it is invariant under the reciprocal scaling
     ambiguity (c u, v/c). noise_ratio = z_norm / ||A(u v^T)||_2.
+    b is unused; it stays until perfbench, which passes it positionally,
+    drops it (ROADMAP item 6).
     """
     truth_norm = p_true.norm_f
     if truth_norm == 0:

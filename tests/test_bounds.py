@@ -64,10 +64,8 @@ def test_solve_a_brackets_a_sign_change():
 
 def test_maurey_f_hand_values():
     # k = n makes both the exponent and the inner max boundary cases
-    assert maurey_f(10, 10, 2.0) == pytest.approx(0.5 * math.sqrt(0.1), rel=1e-12)
-    assert maurey_f(1, 1, 2.0) == pytest.approx(0.5, rel=1e-12)
-    # p = 1 kills the inner factor entirely
-    assert maurey_f(3, 100, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert maurey_f(10, 10) == pytest.approx(0.5 * math.sqrt(0.1), rel=1e-12)
+    assert maurey_f(1, 1) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_maurey_f_envelope_and_monotonicity():
@@ -110,8 +108,6 @@ def test_maurey_validation():
     with pytest.raises(ValueError):
         maurey_f(0, 4)
     with pytest.raises(ValueError):
-        maurey_f(2, 4, p=0.5)
-    with pytest.raises(ValueError):
         maurey_h(2, 4, 8)
     with pytest.raises(ValueError, match="k, n, m must be positive"):
         maurey_h(0, 8, 4)
@@ -136,11 +132,8 @@ def test_dudley_sparse_dominates_exact_sparse_shape():
 
 
 def test_dudley_fourier_value_and_linearity():
-    base = dudley_fourier_bound(4, 64, 16, norm_t=1.0)
-    assert base == pytest.approx(
+    assert dudley_fourier_bound(4, 64, 16) == pytest.approx(
         2.0 * math.sqrt(math.log(16)) * math.log(64) ** 1.5, rel=1e-12)
-    assert dudley_fourier_bound(4, 64, 16, norm_t=0.25) == pytest.approx(
-        0.25 * base, rel=1e-12)
 
 
 def test_dudley_validation():
@@ -149,13 +142,11 @@ def test_dudley_validation():
     with pytest.raises(ValueError):
         dudley_sparse_bound(3, 2)
     with pytest.raises(ValueError):
-        dudley_fourier_bound(2, 8, 9, norm_t=1.0)
-    with pytest.raises(ValueError):
-        dudley_fourier_bound(2, 8, 4, norm_t=0.0)
+        dudley_fourier_bound(2, 8, 9)
     with pytest.raises(ValueError, match="need n >= 3"):
         dudley_sparse_bound(2, 2)
     with pytest.raises(ValueError, match="need 2 <= s <= n"):
-        dudley_fourier_bound(1, 8, 4, 1.0)
+        dudley_fourier_bound(1, 8, 4)
 
 
 def test_gamma2_value_and_homogeneity():

@@ -35,6 +35,7 @@ from liftconv.measurement import (
     sample_omega,
 )
 from liftconv.models import ModelSpec, OrthogonalizationError
+from liftconv.solver import SolveOptions, plant_instance, recover, success_metric
 from liftconv.util import ZeroVectorError, complex_gaussian, derive_seed, rng_for
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -436,7 +437,7 @@ def test_rop_form_coupled_and_decoupled_share_location():
         assert abs(np.mean(vals)) <= 5 * spread
 
 
-# -- the benchmark's estimate probe ---------------------------------------------
+# -- the benchmark's gates -------------------------------------------------------
 
 
 def test_estimate_probe_matches_the_benchmark_fingerprint(monkeypatch):
@@ -450,3 +451,25 @@ def test_estimate_probe_matches_the_benchmark_fingerprint(monkeypatch):
     assert set(got) == set(recorded)
     for label, value in got.items():
         assert workloads.rel_close(value, recorded[label], workloads.REL_TOL), label
+
+
+def test_recover_slice_matches_the_benchmark_fingerprint(monkeypatch):
+    # perfbench's recover workload counts a solve whose (hit, attempts)
+    # differs from its fingerprint as a failed operation; tier-1 pins the
+    # bytes of only three of the 30 slice instances, so a solver change
+    # that would fail the benchmark's gate on any of them fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    w = importlib.import_module("workloads")
+    recorded = json.loads((PERFBENCH / "fingerprint.json").read_text())["recover"]
+    differ = []
+    for m in w.RECOVER_MS:
+        for t in range(w.RECOVER_TRIALS):
+            seed = w.RECOVER_SEED0 + t
+            ens, truth, b, _ = plant_instance(w.RECOVER_N, m, w.RECOVER_S, w.RECOVER_S, seed=seed,
+                                              mu1=w.RECOVER_MU, mu2=w.RECOVER_MU)
+            res = recover(ens, b, SolveOptions(s1=w.RECOVER_S, s2=w.RECOVER_S, seed=seed))
+            rel, _ = success_metric(res.point, truth, b, 0.0, ens)
+            got, want = (bool(rel <= w.SUCCESS_REL), res.attempts), tuple(recorded[str(m)][t])
+            if got != want:
+                differ.append(f"m={m} t={t}: (hit, attempts)={got}, recorded {want}")
+    assert not differ, "; ".join(differ) + "; " + recorded_under()

@@ -22,7 +22,7 @@ from liftconv.models import (
     sample_model,
     spectral_flatness,
 )
-from liftconv.util import complex_gaussian, rng_for, unit
+from liftconv.util import ZeroVectorError, complex_gaussian, rng_for, unit
 
 
 # -- spectral flatness --------------------------------------------------------
@@ -49,7 +49,7 @@ def test_flatness_is_scale_invariant():
 
 
 def test_flatness_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroVectorError):
         spectral_flatness(np.zeros(4))
 
 
@@ -229,7 +229,7 @@ def test_project_flat_passes_through_flat_input():
 
 
 def test_project_flat_validates_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroVectorError):
         project_flat(np.zeros(8), 2.0)
     with pytest.raises(ValueError):
         project_flat(np.ones(8), 0.5)
