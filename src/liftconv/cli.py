@@ -93,7 +93,6 @@ from .util import ZeroVectorError, derive_seed, fan_out, fmt_float, rng_for
 
 log = logging.getLogger("liftconv")
 
-SWEEP_KINDS = ("rip", "rap", "rop", "recover")
 ESTIMATE_FIELDS = (
     "kind", "n", "m", "s1", "s2", "mu1", "mu2", "trials",
     "delta_hat", "q50", "q90", "q99", "seed",
@@ -144,6 +143,7 @@ _KIND_KEYS = {
     "rop": _BASE_KEYS | {"orthogonality", "decoupled"},
     "recover": _BASE_KEYS | {"noise", "max_outer_iters", "restarts"},
 }
+SWEEP_KINDS = tuple(_KIND_KEYS)
 _ALL_KEYS = frozenset().union(*_KIND_KEYS.values())
 # keys with a fixed set of values, checked by SweepConfig and listed in the run flags' help
 _CHOICES = {"phi": DICTIONARY_KINDS, "psi": DICTIONARY_KINDS,

@@ -18,7 +18,7 @@ and the isotropy check (a block of draws per call, as stacks) measure
 with it, and the FFT forward plants and scores solver instances. These
 are the only two implementations of the measurement; adjoint_apply,
 partial_forward and PartialMap are views of FactoredOperator kept for
-the names perfbench/tracer.py wraps.
+the names perfbench/tracer.py wraps, outside __all__ and the public API.
 
 _gaussian_dictionaries draws every Gaussian dictionary: an ensemble's,
 the rop estimator's decoupled copies and the isotropy check's.
@@ -37,10 +37,7 @@ __all__ = [
     "Ensemble",
     "sample_omega",
     "forward",
-    "adjoint_apply",
     "FactoredOperator",
-    "PartialMap",
-    "partial_forward",
     "lifted_inner",
     "lifted_dist",
 ]

@@ -38,11 +38,8 @@ import numpy as np
 from .util import ZeroVectorError, complex_gaussian, vnorm
 
 __all__ = [
-    "ZERO_TOL",
-    "FLATNESS_SLACK",
     "ModelSpec",
     "OrthogonalizationError",
-    "as_signal",
     "spectral_flatness",
     "in_gamma",
     "hard_threshold",

@@ -43,6 +43,17 @@ def test_all_lists_exactly_the_public_names():
     assert set(liftconv.__all__) == PUBLIC_NAMES
 
 
+def test_module_lists_partition_the_public_names():
+    # a module's __all__ is its share of the package's names, so a helper
+    # listed in one fails here whether or not __init__.py re-exports it
+    lists = [importlib.import_module(f"liftconv.{name}").__all__
+             for name in ("bounds", "concentration", "measurement", "models",
+                          "solver", "util")]
+    names = [name for names in lists for name in names]
+    assert len(names) == len(set(names))
+    assert set(names) | {"__version__"} == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize("name", ["SolverBreakdownError", "InfeasibleModelError"])
 def test_retired_exception_names_are_gone(name):
     # a collapse raises ZeroVectorError and a spent rop budget OrthogonalizationError
